@@ -1,8 +1,8 @@
 """Exact desk-scale verification of the arithmetic of Klein's cubic threefold.
 
 Subpackages:
-  ffield     exact F_{p^k} arithmetic and lookup tables
-  counting   point counts (quad-fiber Klein counter, naive oracle, curves)
+  ffield     exact F_{p^k} arithmetic, log/exp vectors and lookup tables
+  counting   point counts (slice Klein counter, naive oracle, curves)
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology
   cyclo      exact Q(zeta_n) arithmetic for prime n
   hecke      Q(sqrt(-11)) splitting, coefficients, character twists

@@ -1,6 +1,6 @@
 """Append-only JSONL cache for point counts.
 
-Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "quad-fiber",
+Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-chi",
 "version": "0.1.0"}; re-runs consult the cache unless asked not to.  The
 path comes from an explicit argument, the KLEINZETA_CACHE environment
 variable, or a per-user default, in that order.
@@ -52,17 +52,14 @@ def record_count(path: Path, rec: CountRecord) -> None:
 
 
 def count_with_cache(p: int, k: int, *, cache_path=None, no_cache: bool = False,
-                     workers: int = 1, budget=None) -> tuple:
+                     budget=None) -> tuple:
     """(count, hit) -- consult the cache first, then count and record."""
     path = resolve_cache_path(cache_path)
     if not no_cache:
         hit = cached_count(path, p, k)
         if hit is not None:
             return hit, True
-    kwargs = {"workers": workers}
-    if budget is not None:
-        kwargs["budget"] = budget
-    rec = count_klein(p, k, **kwargs)
+    rec = count_klein(p, k) if budget is None else count_klein(p, k, budget=budget)
     if not no_cache:
         record_count(path, rec)
     return rec.count, False

@@ -1,28 +1,37 @@
 """Point counting for the Klein cubic threefold and Weierstrass curves.
 
 The projective count #X(P^4(F_q)) is computed from the affine count as
-(N_aff - 1)/(q - 1).  The fast counter fibers the affine cone in x0: for
-each (x1, x2, x3, x4) the solutions of
+(N_aff - 1)/(q - 1).  The form is homogeneous, so every fiber x1 = c != 0
+of the affine cone is a copy of the x1 = 1 slice, and only that slice
+(N1 points) needs counting:
 
-    x1*x0^2 + x4^2*x0 + (x1^2 x2 + x2^2 x3 + x3^2 x4) = 0
+    N_aff = (q - 1) N1 + q^2 (q - 1) + q (2q - 1),
 
-are counted through the quadratic character of the discriminant when
-x1 != 0, and by the linear/degenerate branches when x1 = 0.  Cost O(q^4)
-with O(1) table work per fiber.  Characteristic 2 falls back to direct
-x0 enumeration (q <= 32 there, negligible).
+the last two terms being the x1 = 0 fiber.  On the slice, the equation
+x0^2 + x4^2 x0 + (x2 + x2^2 x3 + x3^2 x4) = 0 is quadratic in x0 and its
+discriminant is quadratic in x2, so the character sum over x0 and x2 has a
+closed form (Lidl-Niederreiter, Finite Fields, Thm 5.48):
+
+    odd q:  N1 = q^3 + q sum_{x3 != 0} chi(-x3) R(x3),
+            R(x3) = #{x4 : x3 x4^4 - 4 x3^3 x4 + 1 = 0},
+    q = 2^k: N1 = q^3 + q sum_{u != 0} (-1)^Tr(u^11)
+
+(the second by Artin-Schreier: x^2 + x = c is solvable iff Tr(c) = 0).
+Cost O(q^2) for odd q and O(q k) for q = 2^k, in O(q) memory, on the
+field's discrete-log/exp vectors.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldDescriptor, FieldElement, build_field, field_tables, quadratic_character
+from .ffield import (FieldDescriptor, FieldElement, build_field, digitwise_add, field_tables,
+                     log_exp_tables, quadratic_character)
 
-DEFAULT_FIBER_BUDGET = 4_200_000_000  # max q^4 (odd p) / q^5 (p = 2) fibers
+DEFAULT_WORK_BUDGET = 1_000_000_000  # max q^2 (odd p) / q (p = 2) slice operations
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
 
 
@@ -76,95 +85,55 @@ def klein_cubic_form() -> HomogeneousForm:
 # fast Klein counter
 
 
-def _count_klein_affine_chunk(F: FieldDescriptor, x1_lo: int, x1_hi: int) -> int:
-    """Affine solutions with x1 ranging over field indices [x1_lo, x1_hi)."""
-    T = field_tables(F)
-    q = F.q
-    if F.p == 2:
-        return _char2_affine_chunk(F, x1_lo, x1_hi)
+def _odd_slice_sum(F: FieldDescriptor) -> int:
+    """sum_{x3 != 0} chi(-x3) R(x3), one x3 row of O(q) vectors at a time.
 
-    ADD, MUL, SQ, POW4 = T.add, T.mul, T.sq, T.pow4
-    ADDf = ADD.ravel()
-    CHI_ADD_f = T.chi_add.ravel()
-    neg4 = T.neg[T.scalar(4)]
+    With x3 = g^l and x4 = g^j, a root of x3 x4^4 + 1 = 4 x3^3 x4 is a j
+    with zech[l + 4j] = log(4) + 3l + j (mod q - 1), where
+    g^zech[n] = g^n + 1; x4 = 0 is never a root.  chi(-x3) = (-1)^(l + m/2).
+    """
+    log, exp = log_exp_tables(F)
+    m = F.q - 1
+    plus_one = digitwise_add(F, exp, 1)
+    zech = np.where(plus_one == 0, -1, log[plus_one])  # -1: g^n + 1 = 0
+    zech_ext = np.tile(zech, 5)                        # l + 4j < 5m unreduced
+    ramp = np.tile(np.arange(m), 2)
+    log4 = int(log[4 % F.p])
     total = 0
-
-    for x1 in range(max(x1_lo, 1), x1_hi):
-        # disc(x2,x3,x4) = x4^4 - 4 x1^3 x2 - 4 x1 x2^2 x3 - 4 x1 x3^2 x4
-        m = int(MUL[neg4, x1])                    # -4 x1
-        m3 = MUL[m][SQ]                           # -4 x1 x3^2 per x3
-        Crow = MUL[m3]                            # (-4 x1 x3^2) * x4, q x q
-        D = ADDf[Crow * q + POW4[None, :]]        # + x4^4
-        a_coef = int(MUL[m, SQ[x1]])              # -4 x1^3
-        arow = MUL[a_coef]                        # -4 x1^3 x2 per x2
-        for x2 in range(q):
-            s2 = int(MUL[m, SQ[x2]])              # -4 x1 x2^2
-            u = ADD[int(arow[x2])][MUL[s2]]       # per x3
-            total += int(CHI_ADD_f[u[:, None] * q + D].sum())
-
-    # the chi sum above counts sum(chi(disc)); each x1 != 0 fiber row also
-    # contributes 1 per (x2,x3,x4)
-    n_nonzero_x1 = max(0, x1_hi - max(x1_lo, 1))
-    total += n_nonzero_x1 * q ** 3
-
-    if x1_lo == 0:
-        # x1 = 0: equation x4^2 x0 + (x2^2 x3 + x3^2 x4) = 0
-        #   x4 != 0: one solution in x0 per (x2, x3, x4)
-        #   x4 = 0: q solutions when x2^2 x3 = 0, else none
-        total += q * q * (q - 1)
-        total += q * (2 * q - 1)
+    for l in range(m):
+        start = (log4 + 3 * l) % m
+        roots = int(np.count_nonzero(zech_ext[l:l + 4 * m:4] == ramp[start:start + m]))
+        total += roots if (l + m // 2) % 2 == 0 else -roots
     return total
 
 
-def _char2_affine_chunk(F: FieldDescriptor, x1_lo: int, x1_hi: int) -> int:
-    """Direct x0 enumeration for characteristic 2 (and usable at any odd q)."""
-    T = field_tables(F)
-    q = F.q
-    ADD, MUL, SQ = T.add, T.mul, T.sq
-    ADDf = ADD.ravel()
-    T34 = MUL[SQ]  # x3^2 * x4
-    total = 0
-    for x1 in range(x1_lo, x1_hi):
-        sq_x1 = SQ[x1]
-        for x0 in range(q):
-            s01 = int(MUL[SQ[x0], x1])
-            T40 = MUL[SQ, x0]  # x4^2 * x0 per x4
-            base34 = ADDf[T34 * q + T40[None, :]]  # q x q over (x3, x4)
-            for x2 in range(q):
-                s = int(ADD[s01, MUL[sq_x1, x2]])
-                u = ADD[s][MUL[SQ[x2]]]            # + x2^2 x3, per x3
-                vals = ADDf[u[:, None] * q + base34]
-                total += int((vals == 0).sum())
-    return total
+def _char2_slice_sum(F: FieldDescriptor) -> int:
+    """sum_{u != 0} (-1)^Tr(u^11) for q = 2^k, with Tr(g^n) = sum_j g^(n 2^j)."""
+    _, exp = log_exp_tables(F)
+    m = F.q - 1
+    n = np.arange(m)
+    trace = np.zeros(m, dtype=np.int64)  # index 0 or 1, i.e. Tr in F_2
+    for j in range(F.k):
+        trace = digitwise_add(F, trace, exp[n * 2 ** j % m])
+    return int(m - 2 * trace[n * 11 % m].sum())
 
 
-def count_klein_fast(F: FieldDescriptor, *, workers: int = 1, chunks: int | None = None,
-                     budget: int = DEFAULT_FIBER_BUDGET) -> int:
-    """#X(P^4(F_q)) for the Klein cubic by the quadratic-fiber method."""
-    q = F.q
-    work = q ** 5 if F.p == 2 else q ** 4
+def _check_budget(p: int, q: int, budget: int) -> None:
+    work = q if p == 2 else q * q
     if work > budget:
-        raise BudgetExceeded(f"{work} fibers exceed the budget {budget}")
+        raise BudgetExceeded(f"{work} slice operations exceed the budget {budget}")
 
-    nchunks = chunks or max(1, min(workers, q))
-    bounds = np.linspace(0, q, nchunks + 1).astype(int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
 
-    if workers > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_chunk_entry, [(F.p, F.k, F.modulus, lo, hi) for lo, hi in spans])
-            affine = sum(parts)
-    else:
-        affine = sum(_count_klein_affine_chunk(F, lo, hi) for lo, hi in spans)
-
+def count_klein_fast(F: FieldDescriptor, *, budget: int = DEFAULT_WORK_BUDGET) -> int:
+    """#X(P^4(F_q)) for the Klein cubic by the x1 = 1 slice count."""
+    q = F.q
+    _check_budget(F.p, q, budget)
+    slice_sum = _char2_slice_sum(F) if F.p == 2 else _odd_slice_sum(F)
+    n1 = q ** 3 + q * slice_sum
+    affine = (q - 1) * n1 + q * q * (q - 1) + q * (2 * q - 1)
     if (affine - 1) % (q - 1) != 0:
         raise ArithmeticError("affine count is not 1 mod (q-1); counter is inconsistent")
     return (affine - 1) // (q - 1)
-
-
-def _chunk_entry(args):
-    p, k, modulus, lo, hi = args
-    return _count_klein_affine_chunk(FieldDescriptor(p, k, modulus), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +308,13 @@ class CountRecord:
             raise ValueError("hypersurface count exceeds #P^4(F_q)")
 
 
-def count_klein(p: int, k: int, *, workers: int = 1,
-                budget: int = DEFAULT_FIBER_BUDGET) -> CountRecord:
-    """Count with timing, through the fast counter."""
+def count_klein(p: int, k: int, *, budget: int = DEFAULT_WORK_BUDGET) -> CountRecord:
+    """Count with timing, through the fast counter.  The budget is checked
+    before the field is built, since finding a modulus can itself be slow."""
+    _check_budget(p, p ** k, budget)
     F = build_field(p, k)
     t0 = time.perf_counter()
-    n = count_klein_fast(F, workers=workers, budget=budget)
+    n = count_klein_fast(F, budget=budget)
     dt = time.perf_counter() - t0
-    algo = "direct-x0" if p == 2 else "quad-fiber"
+    algo = "slice-trace" if p == 2 else "slice-chi"
     return CountRecord(p, k, n, algo, dt)

@@ -16,7 +16,7 @@ import numpy as np
 
 MAX_Q = 1 << 40          # hard bound on p^k accepted by build_field
 TABLE_MAX_Q = 1 << 11    # full q x q add/mul tables only below this
-CHI_TABLE_MAX_Q = 1 << 20
+LOG_TABLE_MAX_Q = 1 << 20  # log/exp vectors (and the chi table) only below this
 
 
 def is_prime(n: int) -> bool:
@@ -295,7 +295,7 @@ def quadratic_character(a: FieldElement, F: FieldDescriptor | None = None) -> in
         raise ValueError("quadratic character undefined in characteristic 2")
     if a.is_zero():
         return 0
-    if F.q <= CHI_TABLE_MAX_Q:
+    if F.q <= LOG_TABLE_MAX_Q:
         return int(chi_table(F)[a.index])
     r = a ** ((F.q - 1) // 2)
     return 1 if r == F.one() else -1
@@ -303,16 +303,10 @@ def quadratic_character(a: FieldElement, F: FieldDescriptor | None = None) -> in
 
 @lru_cache(maxsize=32)
 def _chi_table_cached(p: int, k: int, modulus: tuple) -> np.ndarray:
-    F = FieldDescriptor(p, k, modulus)
-    if F.q <= TABLE_MAX_Q:
-        return field_tables(F).chi
-    # generator walk: chi(g^e) = (-1)^e
-    g = _find_generator(F)
-    chi = np.zeros(F.q, dtype=np.int8)
-    cur = F.one()
-    for e in range(F.q - 1):
-        chi[cur.index] = 1 if e % 2 == 0 else -1
-        cur = cur * g
+    # chi(g^e) = (-1)^e, read off the parity of the discrete log
+    log, _ = log_exp_tables(FieldDescriptor(p, k, modulus))
+    chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
+    chi[0] = 0
     chi.setflags(write=False)
     return chi
 
@@ -321,7 +315,7 @@ def chi_table(F: FieldDescriptor) -> np.ndarray:
     """Full quadratic-character lookup (int8), for q up to 2^20."""
     if F.p == 2:
         raise ValueError("quadratic character undefined in characteristic 2")
-    if F.q > CHI_TABLE_MAX_Q:
+    if F.q > LOG_TABLE_MAX_Q:
         raise ValueError("field too large for a full character table")
     return _chi_table_cached(F.p, F.k, F.modulus)
 
@@ -330,63 +324,68 @@ def chi_table(F: FieldDescriptor) -> np.ndarray:
 # numpy lookup tables, keyed by element index
 
 
+@lru_cache(maxsize=64)
+def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
+    F = FieldDescriptor(p, k, modulus)
+    q = F.q
+    g = _find_generator(F)
+    exp = np.empty(q - 1, dtype=np.int64)
+    cur = F.one()
+    for e in range(q - 1):
+        exp[e] = cur.index
+        cur = cur * g
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    log.setflags(write=False)
+    exp.setflags(write=False)
+    return log, exp
+
+
+def log_exp_tables(F: FieldDescriptor) -> tuple:
+    """(log, exp) for one generator g: exp[e] is the index of g^e, e < q - 1,
+    and log inverts it on nonzero indices (log[0] is 0 and means nothing).
+    O(q) memory; the only generator walk in the package."""
+    if F.q > LOG_TABLE_MAX_Q:
+        raise ValueError(f"q = {F.q} too large for log/exp tables")
+    return _log_exp_cached(F.p, F.k, F.modulus)
+
+
+def digitwise_add(F: FieldDescriptor, a, b) -> np.ndarray:
+    """Index of a + b, elementwise over broadcast index arrays: the base-p
+    digits of the index encoding add mod p."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    weight = 1
+    for _ in range(F.k):
+        out += (a // weight % F.p + b // weight % F.p) % F.p * weight
+        weight *= F.p
+    return out
+
+
 class FieldTables:
-    """Read-only index tables for one field: built once, shared freely."""
+    """Read-only q x q index tables for one field: built once, shared freely."""
 
     def __init__(self, F: FieldDescriptor):
-        q, p, k = F.q, F.p, F.k
+        q = F.q
         if q > TABLE_MAX_Q:
             raise ValueError(f"q = {q} too large for full arithmetic tables")
         self.field = F
         self.q = q
 
-        # addition: digit-wise mod p on the base-p index encoding
         idx = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, k), dtype=np.int64)
-        rest = idx.copy()
-        for i in range(k):
-            digits[:, i] = rest % p
-            rest //= p
-        dsum = (digits[:, None, :] + digits[None, :, :]) % p
-        weights = p ** np.arange(k, dtype=np.int64)
-        self.add = (dsum * weights).sum(axis=2).astype(np.int32)
-        self.neg = (((-digits) % p) * weights).sum(axis=1).astype(np.int32)
+        self.add = digitwise_add(F, idx[:, None], idx[None, :]).astype(np.int32)
 
-        # multiplication through a discrete-log/exp pair
-        g = _find_generator(F)
-        exp = np.empty(q - 1, dtype=np.int64)
-        cur = F.one()
-        for e in range(q - 1):
-            exp[e] = cur.index
-            cur = cur * g
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self.exp, self.log = exp, log
+        # multiplication through the discrete-log/exp pair: g^a g^b = g^(a+b)
+        _, exp = log_exp_tables(F)
+        e = np.arange(q - 1)
         mul = np.zeros((q, q), dtype=np.int64)
-        nz = exp  # indices of nonzero elements
-        esum = (log[nz][:, None] + log[nz][None, :]) % (q - 1)
-        mul[np.ix_(nz, nz)] = exp[esum]
+        mul[np.ix_(exp, exp)] = exp[(e[:, None] + e[None, :]) % (q - 1)]
         self.mul = mul.astype(np.int32)
-
         self.sq = self.mul[idx, idx].copy()
-        self.pow4 = self.mul[self.sq, self.sq].copy()
+        self.chi = None if F.p == 2 else chi_table(F)
 
-        if p != 2:
-            chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
-            chi[0] = 0
-            self.chi = chi
-            # fused chi(add(a, b)) used by the counting kernel
-            self.chi_add = chi[self.add]
-        else:
-            self.chi = None
-            self.chi_add = None
-
-        for arr in (self.add, self.neg, self.mul, self.sq, self.pow4,
-                    self.exp, self.log):
+        for arr in (self.add, self.mul, self.sq):
             arr.setflags(write=False)
-        if self.chi is not None:
-            self.chi.setflags(write=False)
-            self.chi_add.setflags(write=False)
 
     def scalar(self, n: int) -> int:
         """Index of the image of the rational integer n in the field."""

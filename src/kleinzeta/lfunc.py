@@ -21,7 +21,8 @@ BAD_PRIME = 11
 
 
 class InconsistentCounts(ValueError):
-    """A Newton step failed to divide exactly: the input counts are wrong."""
+    """The input counts are wrong: a power sum breaks the Weil bound, or a
+    Newton step fails to divide exactly."""
 
 
 def _even_part(p: int, k: int) -> int:
@@ -38,7 +39,7 @@ class PowerSums:
         for k, t in enumerate(self.values, start=1):
             # Weil bound: |t_k| <= 10 p^(3k/2), checked as an exact inequality
             if t * t > 100 * self.p ** (3 * k):
-                raise ValueError(f"power sum t_{k} = {t} violates the Weil bound")
+                raise InconsistentCounts(f"power sum t_{k} = {t} violates the Weil bound")
 
 
 def counts_to_power_sums(counts, p: int) -> PowerSums:

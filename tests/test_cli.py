@@ -14,7 +14,7 @@ def test_count_subcommand_and_cache(tmp_path, capsys):
     assert "count-p3-k1" in first and "pass" in first
     assert cache.exists()
     rec = json.loads(cache.read_text().splitlines()[0])
-    assert rec == {"p": 3, "k": 1, "count": 40, "algorithm": "quad-fiber",
+    assert rec == {"p": 3, "k": 1, "count": 40, "algorithm": "slice-chi",
                    "version": rec["version"]}
     # second run hits the cache
     assert run(["count", "--p", "3", "--k", "1", "--cache", str(cache)]) == 0
@@ -87,7 +87,8 @@ def test_report_determinism_with_warm_cache(tmp_path):
 
 def test_verify_l3_with_warm_cache(tmp_path, capsys):
     # the five tower counts, frozen from the acceptance run, pre-seed the
-    # cache so the subcommand exercises the pipeline without recounting
+    # cache so the subcommand exercises the pipeline without recounting;
+    # the records carry the algorithm name older versions wrote
     cache = tmp_path / "c.jsonl"
     tower = {1: 40, 2: 820, 3: 20440, 4: 538084, 5: 14445865}
     with open(cache, "w") as fh:
@@ -101,6 +102,24 @@ def test_verify_l3_with_warm_cache(tmp_path, capsys):
     assert names["l3-counting-route"] == "pass"
     assert names["l3-product-route"] == "pass"
     assert names["l3-purity"] == "pass"
+
+
+def test_verify_l3_poisoned_cache_fails_check(tmp_path, capsys):
+    # a wrong count breaks the Weil bound of its power sum: a failing
+    # check (exit 1), not a usage error (exit 2)
+    cache = tmp_path / "c.jsonl"
+    tower = {1: 99999999999, 2: 820, 3: 20440, 4: 538084, 5: 14445865}
+    with open(cache, "w") as fh:
+        for k, n in tower.items():
+            fh.write(json.dumps({"p": 3, "k": k, "count": n,
+                                 "algorithm": "slice-chi", "version": "0.1.0"}) + "\n")
+    out = tmp_path / "l3.json"
+    assert run(["verify-l3", "--cache", str(cache), "--json", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["l3-counting-route"]["status"] == "fail"
+    assert "InconsistentCounts" in checks["l3-counting-route"]["actual"]
+    assert checks["l3-product-route"]["status"] == "pass"
+    assert checks["l3-purity"]["status"] == "inconclusive"
 
 
 def test_report_quick(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kleinzeta import hecke
 from kleinzeta.counting import (BadReduction, BudgetExceeded, CM_CURVE, CountRecord,
                                 HomogeneousForm, WeierstrassCurve, count_hypersurface_naive,
                                 count_klein_fast, count_weierstrass, fermat_cover_substitution,
@@ -31,10 +32,17 @@ def test_fast_counter_f23_equals_naive_and_prediction():
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1),
-                                   (7, 7, 1), (8, 2, 3), (9, 3, 2), (11, 11, 1), (13, 13, 1)])
+                                   (7, 7, 1), (8, 2, 3), (9, 3, 2), (11, 11, 1), (13, 13, 1),
+                                   (16, 2, 4), (25, 5, 2), (27, 3, 3), (32, 2, 5)])
 def test_fast_equals_naive(q, p, k):
     F = build_field(p, k)
     assert count_klein_fast(F) == count_hypersurface_naive(klein_cubic_form(), F)
+
+
+def test_counts_past_the_tower_match_prediction():
+    # F_729 and F_625 were out of reach of the earlier fiber counter
+    for p, k in [(3, 6), (5, 4)]:
+        assert count_klein_fast(build_field(p, k)) == hecke.predicted_count(p, k)
 
 
 def test_prime_field_counts_against_tableless_loop():
@@ -68,23 +76,16 @@ def test_hyperplane_counts_are_projective_spaces():
         assert count_hypersurface_naive(x0cubed, F) == expected
 
 
-def test_partition_independence():
-    F = build_field(3, 3)
-    baseline = count_klein_fast(F, chunks=1)
-    for chunks in (2, 5, 9):
-        assert count_klein_fast(F, chunks=chunks) == baseline
-
-
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
-        count_klein_fast(build_field(3, 5), budget=10 ** 6)
+        count_klein_fast(build_field(3, 5), budget=10 ** 4)  # F_243 needs 243^2
     with pytest.raises(BudgetExceeded):
         count_hypersurface_naive(klein_cubic_form(), build_field(31), budget=10 ** 5)
 
 
 def test_count_record_bound():
     with pytest.raises(ValueError):
-        CountRecord(3, 1, 10 ** 9, "quad-fiber", 0.0)
+        CountRecord(3, 1, 10 ** 9, "slice-chi", 0.0)
 
 
 def test_weierstrass_counts():
