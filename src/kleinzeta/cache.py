@@ -3,7 +3,8 @@
 Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-chi",
 "version": "0.1.0"}; re-runs consult the cache unless asked not to.  The
 path comes from an explicit argument, the KLEINZETA_CACHE environment
-variable, or a per-user default, in that order.
+variable, or a per-user default, in that order.  Two records that give
+different counts for the same (p, k) are an error, never a silent choice.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 from pathlib import Path
 
 from .counting import CountRecord, count_klein
+from .lfunc import InconsistentCounts
 
 VERSION = "0.1.0"
 CACHE_ENV = "KLEINZETA_CACHE"
@@ -27,9 +29,14 @@ def resolve_cache_path(explicit=None) -> Path:
     return Path.home() / ".cache" / "kleinzeta" / "counts.jsonl"
 
 
+class ConflictingRecords(InconsistentCounts):
+    """The cache holds records with different counts for the same (p, k)."""
+
+
 def cached_count(path: Path, p: int, k: int) -> int | None:
     if not path.exists():
         return None
+    counts = set()
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -40,8 +47,10 @@ def cached_count(path: Path, p: int, k: int) -> int | None:
             except json.JSONDecodeError:
                 continue
             if rec.get("p") == p and rec.get("k") == k:
-                return int(rec["count"])
-    return None
+                counts.add(int(rec["count"]))
+    if len(counts) > 1:
+        raise ConflictingRecords(f"{path} holds counts {sorted(counts)} for (p, k) = ({p}, {k})")
+    return counts.pop() if counts else None
 
 
 def record_count(path: Path, rec: CountRecord) -> None:

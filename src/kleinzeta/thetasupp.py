@@ -22,6 +22,17 @@ scanner classifies every parameter tuple in a finite box:
 x is scanned losslessly over {0} and u * p^v with u running over unit
 residues mod p^3: all membership conditions here depend only on
 valuations and residues mod small powers of p.
+
+The scanner never multiplies matrices per tuple.  For each family
+(type, m, n, r) it forms, once and exactly, the kernels K_y and K'_y with
+rho-image(y) = U(-s) (K_y + K'_y x) U(t) for y in {e1, alpha}; the
+unipotent factors give every entry in closed form as a bilinear integer
+polynomial in the numerators of s and t.  Each entry is then decided by
+valuations alone, except in the one row of the x grid where its two terms
+have equal valuation: there membership is a residue class of the unit u.
+Boolean arrays are built only for tuples whose support is not empty on
+valuations.  PadicMat2, coset_rep and rho_act stay as the brute-force
+route the tests hold the scanner to.
 """
 
 from __future__ import annotations
@@ -108,12 +119,6 @@ def val_p(p: int, f: Fraction) -> int | None:
         d //= p
         v -= 1
     return v
-
-
-def _val_unit(p: int, f: Fraction):
-    """f = unit * p^v with the unit returned as an exact Fraction."""
-    v = val_p(p, f)
-    return v, f / Fraction(p) ** v
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +272,9 @@ class ScanBox:
 
 
 class _XGrid:
+    """The scanned x values: 0, and u p^v laid out flat, one row of unit
+    residues u per valuation v."""
+
     def __init__(self, p: int, box: ScanBox):
         self.p = p
         self.box = box
@@ -278,158 +286,244 @@ class _XGrid:
         lut[self.units] = np.arange(self.nu)
         self.unit_index = lut
         self.vals = list(range(-box.x_val_range, box.x_val_range + 1))
+        self.size = len(self.vals) * self.nu
 
-    def x_fraction(self, v: int, u: int) -> Fraction:
-        return Fraction(int(u)) * Fraction(self.p) ** v
+    def row(self, v: int) -> slice:
+        k = v + self.box.x_val_range
+        return slice(k * self.nu, (k + 1) * self.nu)
+
+    def flat_index(self, vp: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Flat positions of (v', unit index) points; self.size marks a
+        valuation v' outside the grid."""
+        R = self.box.x_val_range
+        return np.where(np.abs(vp) <= R, (vp + R) * self.nu + idx, self.size)
+
+    def congruent(self, g: int, a: int, b: int) -> np.ndarray:
+        """The units u with v_p(a + b u) >= g, for b prime to p.
+
+        That is u = -a/b mod p^g, tested on the integer representatives
+        1 <= u < p^x_res_exponent, so a class finer than the grid holds at
+        most its least representative.
+        """
+        if g <= 0:
+            return np.ones(self.nu, dtype=bool)
+        M = self.p ** g
+        u0 = -a * pow(b, -1, M) % M
+        if M <= self.mod:
+            return self.units % M == u0
+        if u0 >= self.mod:
+            return np.zeros(self.nu, dtype=bool)
+        return self.units == u0
+
+
+def _translate(grid: _XGrid, v: int, j: int):
+    """(v', unit index) of x + j/p for every x = u p^v on the grid; v' may
+    lie past the scanned valuations."""
+    p, mod = grid.p, grid.mod
+    if v >= 0:
+        # (u p^(v+1) + j) / p, numerator a unit mod p
+        num = (grid.units * p ** (v + 1) + j) % mod
+        return np.full(grid.nu, -1), grid.unit_index[num]
+    if v < -1:
+        num = (grid.units + j * p ** (-1 - v)) % mod
+        return np.full(grid.nu, v), grid.unit_index[num]
+    # v == -1: u + j may pick up extra powers of p
+    Mw = grid.units + j
+    w = np.zeros(grid.nu, dtype=np.int64)
+    while True:
+        div = Mw % p == 0
+        if not div.any():
+            break
+        Mw[div] //= p
+        w[div] += 1
+    return w - 1, grid.unit_index[Mw % mod]
 
 
 class _TranslateTable:
-    """Index maps for x -> x + j/p on the scanned grid, one per (v, j).
+    """Gather indices for x -> x + j/p (j = 1..p-1) on the flat grid.
 
-    Targets are (v', unit-index) pairs; unit index -1 marks a translate
-    that left the grid (never happens with the default box).
+    Row j - 1 of `targets` holds the flat position of every point's
+    translate, and `zero_targets[j - 1]` that of j/p itself.  Position
+    grid.size stands for a translate off the grid (never happens with the
+    default box) and always reads False.
     """
 
     def __init__(self, grid: _XGrid):
-        p, mod = grid.p, grid.mod
-        self.grid = grid
-        self.zero_targets = {}   # j -> (v', idx) for the x = 0 point
-        self.targets = {}        # (v, j) -> (vprime array, idx array)
-        for j in range(1, p):
-            self.zero_targets[j] = (-1, int(grid.unit_index[j % mod]))
+        p = grid.p
+        js = np.arange(1, p)
+        self.zero_targets = grid.flat_index(np.full(p - 1, -1), grid.unit_index[js % grid.mod])
+        self.targets = np.empty((p - 1, grid.size), dtype=np.intp)
         for v in grid.vals:
             for j in range(1, p):
-                vp = np.empty(grid.nu, dtype=np.int64)
-                idx = np.empty(grid.nu, dtype=np.int64)
-                if v >= 0:
-                    # (u p^(v+1) + j) / p, numerator a unit mod p
-                    num = (grid.units * p ** (v + 1) + j) % mod
-                    vp[:] = -1
-                    idx[:] = grid.unit_index[num]
-                elif v < -1:
-                    num = (grid.units + j * p ** (-1 - v)) % mod
-                    vp[:] = v
-                    idx[:] = grid.unit_index[num]
-                else:  # v == -1: u + j may pick up extra powers of p
-                    M = grid.units + j
-                    w = np.zeros(grid.nu, dtype=np.int64)
-                    Mw = M.copy()
-                    while True:
-                        div = (Mw % p == 0) & (Mw > 0)
-                        if not div.any():
-                            break
-                        Mw[div] //= p
-                        w[div] += 1
-                    vp[:] = w - 1
-                    idx[:] = grid.unit_index[Mw % mod]
-                    outside = vp > grid.box.x_val_range
-                    idx[outside] = -1
-                self.targets[(v, j)] = (vp, idx)
+                self.targets[j - 1, grid.row(v)] = grid.flat_index(*_translate(grid, v, j))
 
 
 class _XMask:
-    """Boolean membership over the x grid: a flag for 0 and one per (v, u)."""
+    """Boolean membership over the x grid: a flag for x = 0 and one flat
+    array over the (v, u) points."""
 
-    def __init__(self, grid: _XGrid, zero: bool, by_val: dict):
+    def __init__(self, grid: _XGrid, zero: bool, flat: np.ndarray):
         self.grid = grid
         self.zero = zero
-        self.by_val = by_val  # v -> np.ndarray(bool)
+        self.flat = flat
+
+    @property
+    def by_val(self) -> dict:
+        return {v: self.flat[self.grid.row(v)] for v in self.grid.vals}
 
     def count(self):
+        sums = self.flat.reshape(len(self.grid.vals), self.grid.nu).sum(axis=1)
         return {"zero": bool(self.zero),
-                "by_val": {v: int(m.sum()) for v, m in self.by_val.items()}}
+                "by_val": {v: int(c) for v, c in zip(self.grid.vals, sums)}}
 
     def is_empty(self) -> bool:
-        return not self.zero and all(not m.any() for m in self.by_val.values())
+        return not self.zero and not self.flat.any()
 
     def equals_zp_pattern(self) -> bool:
-        if not self.zero:
-            return False
-        for v, m in self.by_val.items():
-            if v >= 0 and not m.all():
-                return False
-            if v < 0 and m.any():
-                return False
-        return True
-
-    def lookup(self, v: int, idx: int) -> bool:
-        if idx < 0 or v not in self.by_val:
-            return False
-        return bool(self.by_val[v][idx])
+        split = self.grid.row(0).start
+        return self.zero and bool(self.flat[split:].all()) and not self.flat[:split].any()
 
 
-def _entry_membership(p: int, A: Fraction, B: Fraction, con: EntryConstraint,
-                      grid: _XGrid) -> _XMask:
-    """Membership of the affine entry A + B x over the whole x grid."""
-    zero_ok = con.satisfied(p, A)
-    by_val = {}
-    if B == 0:
-        for v in grid.vals:
-            by_val[v] = np.full(grid.nu, zero_ok)
-        return _XMask(grid, zero_ok, by_val)
-    vB0, bunit = _val_unit(p, B)
-    if A == 0:
-        for v in grid.vals:
-            vB = vB0 + v
-            ok = (vB == con.v_min) if con.unit_exact else (vB >= con.v_min)
-            by_val[v] = np.full(grid.nu, ok)
-        return _XMask(grid, zero_ok, by_val)
-    vA, aunit = _val_unit(p, A)
-    # p-free integers for the residue tests: a/da + (b/db) u with da, db p-free
-    da, db = aunit.denominator, bunit.denominator
-    a_int = aunit.numerator * db
-    b_int = bunit.numerator * da
-    for v in grid.vals:
-        vB = vB0 + v
-        if vA < vB:
-            ok = (vA == con.v_min) if con.unit_exact else (vA >= con.v_min)
-            by_val[v] = np.full(grid.nu, ok)
-        elif vA > vB:
-            ok = (vB == con.v_min) if con.unit_exact else (vB >= con.v_min)
-            by_val[v] = np.full(grid.nu, ok)
+def _split_p(p: int, n: int):
+    """n = unit * p^v for a nonzero integer n, as (v, unit)."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals):
+    """Membership of the affine entry (na + nb x) / p^shift over the x grid.
+
+    Returns (zero, bits, tests): zero is the verdict at x = 0, bit k of bits
+    is set when row vals[k] may hold members, and tests lists the one
+    (k, g, exact, a, b) whose row depends on the unit u: there the members
+    are the u with v_p(a + b u) >= g, or exactly g when exact.  Every other
+    row is decided by the valuations alone.
+    """
+    vmin, exact = con.v_min, con.unit_exact
+
+    def ok(w):
+        return w == vmin if exact else w >= vmin
+
+    if na == 0:
+        zero = not exact
+    else:
+        vA, a = _split_p(p, na)
+        vA -= shift
+        zero = ok(vA)
+    if nb == 0:
+        return zero, (1 << len(vals)) - 1 if zero else 0, ()
+    vB, b = _split_p(p, nb)
+    vB -= shift
+    bits, tests = 0, ()
+    for k, v in enumerate(vals):
+        w = vB + v                      # valuation of the slope term
+        if na == 0 or w < vA:
+            row = ok(w)
+        elif w > vA:
+            row = ok(vA)
         else:
-            c = a_int + b_int * grid.units  # valuation of entry = vA + val_p(c)
-            tgap = con.v_min - vA
-            if con.unit_exact:
-                if tgap < 0:
-                    by_val[v] = np.full(grid.nu, False)
-                else:
-                    by_val[v] = (c % p ** tgap == 0) & (c % p ** (tgap + 1) != 0)
-            else:
-                if tgap <= 0:
-                    by_val[v] = np.full(grid.nu, True)
-                else:
-                    by_val[v] = (c % p ** tgap == 0)
-    return _XMask(grid, zero_ok, by_val)
+            g = vmin - vA               # the unit part a + b u needs valuation g
+            row = g >= 0 if exact else True
+            if row and (exact or g > 0):
+                tests = ((k, g, exact, a, b),)
+        if row:
+            bits |= 1 << k
+    return zero, bits, tests
 
 
-def _combo_affine_parts(p: int, params: CosetParams):
-    """The rho-image of (e1, alpha) as matrix pairs (A, B) with image = A + B x."""
-    rest = coset_rep(p, CosetParams(params.type, params.m, params.n, params.r,
-                                    params.s, params.t, Fraction(0)))
-    h1_0, h2 = rest
-    h1_0_inv = h1_0.inv()
-    e12 = PadicMat2.of(p, 0, 1, 0, 0)
-    out = []
-    for y in (e1_matrix(p), alpha_matrix(p)):
-        base = h1_0_inv * y * h2
-        slope = (h1_0_inv * e12 * y * h2).scale(-1)
-        out.append((base, slope))
-    return out
+def _shift_ranges(ty: str, p: int):
+    """The numerators i, j of s = i/p and t = j/p: a shift is free only in the
+    components that carry the Weyl factor."""
+    return (range(p) if ty in ("II", "IV") else range(1),
+            range(p) if ty in ("III", "IV") else range(1))
+
+
+def _closed_form(p: int, k, i: int, j: int):
+    """p^2 * U(-i/p) K U(j/p), row major, for K given by its entries k."""
+    ka, kb, kc, kd = k
+    top = p * ka - kc * i                           # p (a - s c)
+    return (p * top, top * j + p * (p * kb - kd * i), p * p * kc, p * (kc * j + p * kd))
+
+
+class _Family:
+    """One coset family (type, m, n, r) and all of its (s, t) = (i/p, j/p).
+
+    With h1 = U(x) h1_0, the rho-image of y in {e1, alpha} is A_y + B_y x with
+    A_y = h1_0^-1 y h2 and B_y = -h1_0^-1 e12 y h2.  The shifts s and t enter
+    only through unipotent factors, A_y = U(-s) K_y U(t) and
+    B_y = U(-s) K'_y U(t), where the kernels K_y, K'_y are A_y, B_y at
+    s = t = 0.  They are computed once, exactly; every (s, t) then costs a
+    few integer operations on p^shift times the entries.
+    """
+
+    def __init__(self, p: int, ty: str, m: int, n: int, r: int, grid: _XGrid, rules: dict):
+        self.p, self.type, self.m, self.n, self.r = p, ty, m, n, r
+        self.grid = grid
+        self.rules = rules      # (na, nb, shift, entry) -> _entry_rule, shared by a scan
+        h1_0, h2 = coset_rep(p, CosetParams(ty, m, n, r))
+        inv = h1_0.inv()
+        minus_inv_e12 = inv * PadicMat2.of(p, 0, -1, 0, 0)
+        kernels = []                                    # K_e1, K'_e1, K_alpha, K'_alpha
+        for y in (e1_matrix(p), alpha_matrix(p)):
+            yh2 = y * h2
+            kernels += [inv * yh2, minus_inv_e12 * yh2]
+        # the entries lie in Z[1/p]: clear the largest denominator, a power of p
+        D = max(f.denominator for M in kernels for f in M.entries())
+        self.kernels = [tuple(f.numerator * (D // f.denominator) for f in M.entries())
+                        for M in kernels]
+        self.shift = _split_p(p, D)[0] + 2
+        L1, L2 = lev_support(p)
+        self.constraints = L1.constraints + L2.constraints
+        self.ivals, self.jvals = _shift_ranges(ty, p)
+
+    def rule(self, i: int, j: int):
+        """The meet of the eight entry rules at (s, t) = (i/p, j/p)."""
+        p, shift, grid = self.p, self.shift, self.grid
+        zero, bits, tests = True, (1 << len(grid.vals)) - 1, ()
+        KA1, KB1, KA2, KB2 = self.kernels
+        entries = _closed_form(p, KA1, i, j) + _closed_form(p, KA2, i, j)
+        slopes = _closed_form(p, KB1, i, j) + _closed_form(p, KB2, i, j)
+        for e, (na, nb) in enumerate(zip(entries, slopes)):
+            key = (na, nb, shift, e)
+            rule = self.rules.get(key)
+            if rule is None:
+                rule = _entry_rule(p, na, nb, shift, self.constraints[e], grid.vals)
+                self.rules[key] = rule
+            zero = zero and rule[0]
+            bits &= rule[1]
+            if not zero and not bits:
+                break
+            tests += rule[2]
+        return zero, bits, tests
+
+    def params(self, i: int, j: int) -> CosetParams:
+        return CosetParams(self.type, self.m, self.n, self.r,
+                           Fraction(i, self.p), Fraction(j, self.p))
+
+
+def _materialize(grid: _XGrid, rule) -> _XMask:
+    """The mask of a (zero, bits, tests) rule: arrays only for its live rows."""
+    zero, bits, tests = rule
+    flat = np.zeros(grid.size, dtype=bool)
+    for k, v in enumerate(grid.vals):
+        if bits >> k & 1:
+            flat[grid.row(v)] = True
+    for k, g, exact, a, b in tests:
+        if bits >> k & 1:
+            hit = grid.congruent(g, a, b)
+            if exact:
+                hit &= ~grid.congruent(g + 1, a, b)
+            flat[grid.row(grid.vals[k])] &= hit
+    return _XMask(grid, zero, flat)
 
 
 def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> _XMask:
-    L1, L2 = lev_support(p)
-    parts = _combo_affine_parts(p, params)
-    zero_ok = True
-    by_val = {v: np.full(grid.nu, True) for v in grid.vals}
-    for (base, slope), L in zip(parts, (L1, L2)):
-        for A, B, con in zip(base.entries(), slope.entries(), L.constraints):
-            em = _entry_membership(p, A, B, con, grid)
-            zero_ok = zero_ok and em.zero
-            for v in grid.vals:
-                by_val[v] &= em.by_val[v]
-    return _XMask(grid, zero_ok, by_val)
+    """Support mask of one parameter tuple (x free), through its family."""
+    fam = _Family(p, params.type, params.m, params.n, params.r, grid, {})
+    return _materialize(grid, fam.rule(int(params.s * p), int(params.t * p)))
 
 
 def _beta_possible(params: CosetParams) -> bool:
@@ -445,33 +539,14 @@ def _beta_possible(params: CosetParams) -> bool:
 
 def _canceled_mask(mask: _XMask, table: _TranslateTable) -> _XMask:
     """Points whose whole orbit x + j/p (j = 0..p-1) stays in support."""
-    grid = mask.grid
-    p = grid.p
-    by_val = {}
-    zero_ok = mask.zero and all(
-        mask.lookup(*table.zero_targets[j]) for j in range(1, p))
-    for v in grid.vals:
-        cur = mask.by_val[v].copy()
-        for j in range(1, p):
-            vp, idx = table.targets[(v, j)]
-            trans = np.zeros(grid.nu, dtype=bool)
-            for target_v in np.unique(vp):
-                sel = vp == target_v
-                tv = int(target_v)
-                if tv in mask.by_val:
-                    good = idx[sel] >= 0
-                    vals = np.zeros(sel.sum(), dtype=bool)
-                    vals[good] = mask.by_val[tv][idx[sel][good]]
-                    trans[sel] = vals
-            cur &= trans
-        by_val[v] = cur
-    return _XMask(grid, zero_ok, by_val)
+    ext = np.append(mask.flat, False)
+    zero = mask.zero and bool(ext[table.zero_targets].all())
+    return _XMask(mask.grid, zero, mask.flat & ext[table.targets].all(axis=0))
 
 
 def _difference(a: _XMask, b: _XMask) -> _XMask:
     """Points of a not in b."""
-    return _XMask(a.grid, a.zero and not b.zero,
-                  {v: a.by_val[v] & ~b.by_val[v] for v in a.by_val})
+    return _XMask(a.grid, a.zero and not b.zero, a.flat & ~b.flat)
 
 
 @dataclass
@@ -513,19 +588,23 @@ class ScanReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _combo_iter(ty: str, p: int, box: ScanBox):
+def _families(ty: str, box: ScanBox):
+    """(m, n, r) of every family of the type inside the box, m outer, r inner."""
     R = box.radius
     shift = {"I": 0, "II": 2, "III": -2, "IV": 0}[ty]
-    svals = [Fraction(0)] if ty in ("I", "III") else [Fraction(j, p) for j in range(p)]
-    tvals = [Fraction(0)] if ty in ("I", "II") else [Fraction(j, p) for j in range(p)]
     for m in range(-R, R + 1):
         for r in range(-R, R + 1):
             n = m + 2 * r + shift
-            if abs(n) > R:
-                continue
-            for s in svals:
-                for t in tvals:
-                    yield CosetParams(ty, m, n, r, s, t)
+            if abs(n) <= R:
+                yield m, n, r
+
+
+def _combo_iter(ty: str, p: int, box: ScanBox):
+    ivals, jvals = _shift_ranges(ty, p)
+    for m, n, r in _families(ty, box):
+        for i in ivals:
+            for j in jvals:
+                yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
 
 
 def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
@@ -536,32 +615,39 @@ def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
         raise ValueError(f"unknown coset type {ty!r}")
     grid = _XGrid(p, box)
     table = _TranslateTable(grid)
+    rules = {}
     nonempty = []
     scanned = 0
     support_empty = True
     all_stable = True
     contrib_combos = []
-    for params in _combo_iter(ty, p, box):
-        scanned += 1
-        mask = _combo_support_mask(p, params, grid)
-        if mask.is_empty():
-            continue
-        support_empty = False
-        canceled = _canceled_mask(mask, table)
-        survivors = _difference(mask, canceled)
-        stable = survivors.is_empty()
-        all_stable = all_stable and stable
-        beta = _beta_possible(params)
-        if beta:
-            contributing = survivors
-        else:
-            contributing = _XMask(grid, False,
-                                  {v: np.zeros(grid.nu, dtype=bool) for v in grid.vals})
-        nonempty.append(ComboResult(
-            params.m, params.n, params.r, str(params.s), str(params.t), beta,
-            mask.count(), contributing.count(), stable))
-        if not contributing.is_empty():
-            contrib_combos.append((params, contributing))
+    for m, n, r in _families(ty, box):
+        fam = _Family(p, ty, m, n, r, grid, rules)
+        for i in fam.ivals:
+            for j in fam.jvals:
+                scanned += 1
+                rule = fam.rule(i, j)
+                if not rule[0] and not rule[1]:
+                    continue
+                mask = _materialize(grid, rule)
+                if mask.is_empty():
+                    continue
+                support_empty = False
+                params = fam.params(i, j)
+                canceled = _canceled_mask(mask, table)
+                survivors = _difference(mask, canceled)
+                stable = survivors.is_empty()
+                all_stable = all_stable and stable
+                beta = _beta_possible(params)
+                if beta:
+                    contributing = survivors
+                else:
+                    contributing = _XMask(grid, False, np.zeros(grid.size, dtype=bool))
+                nonempty.append(ComboResult(
+                    m, n, r, str(params.s), str(params.t), beta,
+                    mask.count(), contributing.count(), stable))
+                if not contributing.is_empty():
+                    contrib_combos.append((params, contributing))
     claims = _evaluate_claims(ty, p, contrib_combos, support_empty, all_stable)
     box_ok = box.radius >= 2 and box.x_val_range >= 2 and box.x_res_exponent >= 2
     if all(claims.values()):
@@ -596,10 +682,6 @@ def _evaluate_claims(ty, p, contrib_combos, support_empty, all_stable) -> dict:
         "contributing_x_is_Zp": zp_pattern,
         "contributing_s_plus_t_integral": st_ok and st_complete,
     }
-
-
-def scan_all(p: int, box: ScanBox = ScanBox()) -> dict:
-    return {ty: scan_type(p, ty, box) for ty in COSET_TYPES}
 
 
 # ---------------------------------------------------------------------------

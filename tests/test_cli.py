@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from kleinzeta.cache import ConflictingRecords, cached_count
 from kleinzeta.cli import main
+from kleinzeta.lfunc import InconsistentCounts
 
 
 def run(args):
@@ -120,6 +124,43 @@ def test_verify_l3_poisoned_cache_fails_check(tmp_path, capsys):
     assert "InconsistentCounts" in checks["l3-counting-route"]["actual"]
     assert checks["l3-product-route"]["status"] == "pass"
     assert checks["l3-purity"]["status"] == "inconclusive"
+
+
+def _write_cache(path, records):
+    with open(path, "w") as fh:
+        for p, k, n in records:
+            fh.write(json.dumps({"p": p, "k": k, "count": n,
+                                 "algorithm": "slice-chi", "version": "0.1.0"}) + "\n")
+
+
+def test_cached_count_rejects_conflicting_records(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    _write_cache(cache, [(3, 1, 40), (3, 2, 820), (3, 1, 40)])
+    assert cached_count(cache, 3, 1) == 40      # duplicates that agree are fine
+    _write_cache(cache, [(3, 1, 40), (3, 2, 820), (3, 1, 41)])
+    assert cached_count(cache, 3, 2) == 820
+    with pytest.raises(ConflictingRecords) as err:
+        cached_count(cache, 3, 1)
+    assert isinstance(err.value, InconsistentCounts)
+
+
+@pytest.mark.parametrize("argv", [["count", "--p", "3", "--k", "1"],
+                                  ["trace-sweep", "--max", "5"],
+                                  ["verify-l3"]],
+                         ids=["count", "trace-sweep", "verify-l3"])
+def test_conflicting_cache_records_fail_check(tmp_path, capsys, argv):
+    # two records disagree at (3, 1), the right one first: the cache must
+    # not pick either silently, and the disagreement is a failing check
+    # (exit 1), not a usage error (exit 2)
+    cache = tmp_path / "c.jsonl"
+    tower = {1: 40, 2: 820, 3: 20440, 4: 538084, 5: 14445865}
+    _write_cache(cache, [(3, k, n) for k, n in tower.items()] + [(3, 1, 41)])
+    out = tmp_path / "r.json"
+    assert run(argv + ["--cache", str(cache), "--json", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert len(failed) == 1
+    assert "ConflictingRecords" in failed[0]["actual"]
 
 
 def test_report_quick(tmp_path):

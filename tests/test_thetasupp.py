@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kleinzeta.cyclo import CyclotomicNumber
-from kleinzeta.thetasupp import (CosetParams, PadicMat2, ScanBox, alpha_matrix,
+from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, alpha_matrix,
                                  archimedean_equivariance, char_sum, coset_rep,
                                  default_invariance_probes, e1_matrix, in_lattice,
                                  in_paramodular, in_paramodular_lev, in_support_pair,
@@ -161,13 +163,151 @@ def test_scan_masks_match_bruteforce_rho_evaluation():
                     assert bool(mask.by_val[v][uidx]) == expected, (ty, params, v, u)
 
 
+def test_type_four_masks_match_bruteforce_rho_at_p11():
+    # the same independent route at the paper's prime, on the default x grid:
+    # every type IV family with |m|, |n|, |r| <= 1 and every (s, t), checked
+    # at x = 0 and at 30 seeded random grid points
+    from kleinzeta.thetasupp import _XGrid, _combo_iter, _combo_support_mask
+
+    p = 11
+    grid = _XGrid(p, ScanBox())
+    sup = lev_support(p)
+    e1, al = e1_matrix(p), alpha_matrix(p)
+    rng = random.Random(20261018)
+    members = 0
+    for params in _combo_iter("IV", p, ScanBox(radius=1)):
+        mask = _combo_support_mask(p, params, grid)
+
+        def direct(xval):
+            h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n,
+                                              params.r, params.s, params.t, xval))
+            return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
+
+        assert mask.zero == direct(Fraction(0)), params
+        for _ in range(30):
+            v = rng.choice(grid.vals)
+            uidx = rng.randrange(grid.nu)
+            expected = direct(Fraction(int(grid.units[uidx])) * Fraction(p) ** v)
+            assert bool(mask.by_val[v][uidx]) == expected, (params, v, uidx)
+            members += expected
+    assert members > 0   # the sample reaches the support, not only its complement
+
+
+def test_entry_rule_matches_constraint_pointwise():
+    # the valuation/residue rule of one affine entry (na + nb x) / p^shift,
+    # against EntryConstraint.satisfied at every grid point; the lev support
+    # never leaves a residue-dependent row standing in the scans, so this is
+    # where the residue tests (classes coarser and finer than the grid, and
+    # a + b u = 0 exactly) are pinned
+    from kleinzeta.thetasupp import EntryConstraint, _entry_rule, _materialize, _XGrid
+
+    p = 3
+    grid = _XGrid(p, ScanBox(radius=1, x_val_range=3, x_res_exponent=2))
+    rng = random.Random(7)
+
+    def rnd_entry():
+        if rng.random() < 0.15:
+            return 0
+        return rng.choice([1, -1]) * rng.choice([1, 2, 4, 5, 7, 8, 13]) * p ** rng.randint(0, 3)
+
+    cases = [(-5, 1, 0), (-5 * p, p, 1), (7, -7, 2)]   # a + b u vanishes at a grid unit
+    cases += [(rnd_entry(), rnd_entry(), rng.randint(0, 3)) for _ in range(150)]
+    residue_rows = 0
+    for na, nb, shift in cases:
+        for v_min in range(-2, 4):
+            for exact in (False, True):
+                con = EntryConstraint(v_min, exact)
+                rule = _entry_rule(p, na, nb, shift, con, grid.vals)
+                residue_rows += bool(rule[2])
+                mask = _materialize(grid, rule)
+
+                def direct(x):
+                    return con.satisfied(p, (na + nb * x) / Fraction(p) ** shift)
+
+                assert mask.zero == direct(Fraction(0))
+                for v in grid.vals:
+                    for uidx, u in enumerate(grid.units):
+                        expected = direct(Fraction(int(u)) * Fraction(p) ** v)
+                        assert bool(mask.by_val[v][uidx]) == expected, (na, nb, shift, con, v, u)
+    assert residue_rows > 100
+
+
+def test_translate_table_matches_exact_translation():
+    from kleinzeta.thetasupp import _TranslateTable, _XGrid
+
+    p = 3
+    # x_val_range 1: (u + j) / p reaches the top row v' = 1 for u + j = 9
+    grid = _XGrid(p, ScanBox(radius=1, x_val_range=1, x_res_exponent=2))
+    table = _TranslateTable(grid)
+
+    def flat_position(y):
+        v = val_p(p, y)
+        if abs(v) > grid.box.x_val_range:
+            return grid.size
+        unit = y / Fraction(p) ** v
+        return grid.row(v).start + int(grid.unit_index[int(unit) % grid.mod])
+
+    for j in range(1, p):
+        assert table.zero_targets[j - 1] == flat_position(Fraction(j, p))
+        for v in grid.vals:
+            for uidx, u in enumerate(grid.units):
+                y = int(u) * Fraction(p) ** v + Fraction(j, p)
+                assert table.targets[j - 1, grid.row(v).start + uidx] == flat_position(y)
+
+
+def test_xmask_zp_pattern_and_counts():
+    import numpy as np
+
+    from kleinzeta.thetasupp import _XGrid, _XMask
+
+    grid = _XGrid(3, ScanBox(radius=1, x_val_range=1, x_res_exponent=2))
+    zp = np.zeros(grid.size, dtype=bool)
+    zp[grid.row(0).start:] = True
+    assert _XMask(grid, True, zp).equals_zp_pattern()
+    assert not _XMask(grid, False, zp).equals_zp_pattern()
+    partial = zp.copy()
+    partial[grid.row(1).start] = False
+    assert not _XMask(grid, True, partial).equals_zp_pattern()
+    assert _XMask(grid, True, partial).count() == {"zero": True,
+                                                   "by_val": {-1: 0, 0: 6, 1: 5}}
+    negative = zp.copy()
+    negative[0] = True
+    assert not _XMask(grid, True, negative).equals_zp_pattern()
+    assert _XMask(grid, False, np.zeros(grid.size, dtype=bool)).is_empty()
+
+
+def _nonempty_keys(rep):
+    return {(c.m, c.n, c.r, c.s, c.t) for c in rep.nonempty}
+
+
 def test_scan_monotone_in_box():
-    small = scan_type(3, "I", ScanBox(radius=2))
-    large = scan_type(3, "I", ScanBox(radius=3))
-    assert small.status == large.status == "certified"
-    small_keys = {(c.m, c.n, c.r, c.s, c.t) for c in small.nonempty}
-    large_keys = {(c.m, c.n, c.r, c.s, c.t) for c in large.nonempty}
-    assert small_keys <= large_keys
+    for ty in COSET_TYPES:
+        small = scan_type(3, ty, ScanBox(radius=2))
+        large = scan_type(3, ty, ScanBox(radius=3))
+        assert small.status == large.status == "certified", ty
+        assert _nonempty_keys(small) <= _nonempty_keys(large), ty
+
+
+@pytest.mark.parametrize("ty", COSET_TYPES)
+def test_certificates_do_not_depend_on_the_box(ty):
+    default = scan_type(11, ty)
+    larger = scan_type(11, ty, ScanBox(radius=5, x_val_range=5))
+    assert larger.status == default.status == "certified"
+    assert larger.claims == default.claims
+    assert _nonempty_keys(default) <= _nonempty_keys(larger)
+
+
+GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "theta_certificates.json"
+
+
+@pytest.mark.parametrize("p", [3, 11])
+@pytest.mark.parametrize("ty", COSET_TYPES)
+def test_scan_reproduces_golden_certificates(p, ty):
+    # frozen from the scanner that formed the exact PadicMat2 product for
+    # every (m, n, r, s, t): certificates must stay bit-identical
+    golden = json.loads(GOLDEN_CERTIFICATES.read_text())[f"{p}-{ty}"]
+    rep = scan_type(p, ty, ScanBox())
+    assert json.loads(json.dumps(rep.to_dict())) == golden
 
 
 def test_scan_small_box_inconclusive():
