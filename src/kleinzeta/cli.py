@@ -163,36 +163,80 @@ def run_cm_structure(report: VerificationReport, max_p: int):
                time.perf_counter() - t0)
 
 
-def cohomology_summary() -> dict:
-    basis = gdcohom.h3_basis()
-    M = gdcohom.alpha_pullback(basis)
-    split = gdcohom.eigenspace_split(M)
-    order5 = gdcohom.matrix_power(M, 5) == gdcohom.matrix_power(M, 0)
-    eigmap = gdcohom.fil2_eigenvector_map(M)
-    return {
-        "dimension": basis.dimension,
-        "fil2_rank": len(basis.pole2_monomials),
-        "pole3_rank": len(basis.pole3_monomials),
-        "rotation_has_order_5": order5,
-        "eigenvalue_multiset": {f"zeta5^{j}": d for j, d in enumerate(split.dims)},
-        "fil2_intersections": {f"zeta5^{j}": d for j, d in enumerate(split.fil2_dims)},
-        "fourier_vector_eigenvalues": {f"v_{j}": f"zeta5^{e}" for j, e in eigmap.items()},
-        "gorenstein_pairing_nondegenerate": gdcohom.gorenstein_pairing_nondegenerate(),
-    }
+def cohomology_summary():
+    """The report's cohomology block, and the errors that stopped its stages.
+
+    A stage runs only when the stages it needs succeeded: the basis, then
+    the rotation matrix and its order, then (for order 5) the eigenspaces
+    and the Fourier vectors; the Gorenstein pairing stands alone.  A stage
+    that raises ArithmeticError is recorded under its name in the errors
+    dict, and the fields it would have filled stay None.
+    """
+    summary = dict.fromkeys((
+        "dimension", "fil2_rank", "pole3_rank", "rotation_has_order_5", "eigenvalue_multiset",
+        "fil2_intersections", "fourier_vector_eigenvalues", "gorenstein_pairing_nondegenerate"))
+    errors = {}
+
+    def stage(name, fn, *args):
+        try:
+            return fn(*args)
+        except ArithmeticError as exc:
+            errors[name] = f"{type(exc).__name__}: {exc}"
+            return None
+
+    basis = stage("basis", gdcohom.h3_basis)
+    if basis is not None:
+        summary.update(dimension=basis.dimension, fil2_rank=len(basis.pole2_monomials),
+                       pole3_rank=len(basis.pole3_monomials))
+        M = stage("rotation", gdcohom.alpha_pullback, basis)
+        if M is not None:
+            summary["rotation_has_order_5"] = (gdcohom.matrix_power(M, 5)
+                                               == gdcohom.matrix_power(M, 0))
+        if summary["rotation_has_order_5"]:
+            split = stage("eigenspaces", gdcohom.eigenspace_split, M)
+            if split is not None:
+                summary["eigenvalue_multiset"] = {
+                    f"zeta5^{j}": d for j, d in enumerate(split.dims)}
+                summary["fil2_intersections"] = {
+                    f"zeta5^{j}": d for j, d in enumerate(split.fil2_dims)}
+            eigmap = stage("fourier", gdcohom.fil2_eigenvector_map, M)
+            if eigmap is not None:
+                summary["fourier_vector_eigenvalues"] = {
+                    f"v_{j}": f"zeta5^{e}" for j, e in eigmap.items()}
+    summary["gorenstein_pairing_nondegenerate"] = stage(
+        "gorenstein", gdcohom.gorenstein_pairing_nondegenerate)
+    return summary, errors
 
 
 def run_cohomology(report: VerificationReport):
-    summary, dt = _timed(cohomology_summary)
-    report.add("cohomology-dimension", summary["dimension"] == 10, 10, summary["dimension"], dt)
-    report.add("cohomology-fil2-rank", summary["fil2_rank"] == 5, 5, summary["fil2_rank"])
-    report.add("cohomology-rotation-order", summary["rotation_has_order_5"], True,
-               summary["rotation_has_order_5"])
-    dims = tuple(summary["eigenvalue_multiset"].values())
-    report.add("cohomology-eigenspace-dims", dims == (2, 2, 2, 2, 2), (2, 2, 2, 2, 2), dims)
-    fil = tuple(summary["fil2_intersections"].values())
-    report.add("cohomology-fil2-intersections", fil == (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), fil)
-    report.add("cohomology-gorenstein", summary["gorenstein_pairing_nondegenerate"],
-               True, summary["gorenstein_pairing_nondegenerate"])
+    """The six cohomology checks.  A stage error fails the check it feeds
+    (the Fourier-vector stage feeds cohomology-fil2-intersections); checks
+    whose inputs were never computed are inconclusive."""
+    (summary, errors), dt = _timed(cohomology_summary)
+
+    def add(name, expected, actual, error=None, elapsed_s=0.0):
+        if error is not None:
+            report.add(name, False, expected, error, elapsed_s)
+        elif actual is None:
+            report.add(name, False, expected, "not computed: an earlier stage failed",
+                       elapsed_s, inconclusive=True)
+        else:
+            report.add(name, actual == expected, expected, actual, elapsed_s)
+
+    def values(key):
+        block = summary[key]
+        return None if block is None else tuple(block.values())
+
+    add("cohomology-dimension", 10, summary["dimension"], errors.get("basis"), dt)
+    add("cohomology-fil2-rank", 5, summary["fil2_rank"])
+    add("cohomology-rotation-order", True, summary["rotation_has_order_5"],
+        errors.get("rotation"))
+    add("cohomology-eigenspace-dims", (2, 2, 2, 2, 2), values("eigenvalue_multiset"),
+        errors.get("eigenspaces"))
+    add("cohomology-fil2-intersections", (1, 1, 1, 1, 1), values("fil2_intersections"),
+        errors.get("fourier"))
+    add("cohomology-gorenstein", True, summary["gorenstein_pairing_nondegenerate"],
+        errors.get("gorenstein"))
     return summary
 
 

@@ -8,6 +8,7 @@ prime conductors carry additive-character sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,7 +69,8 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.n, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        return self + (-self._match(other))
+        other = self._match(other)
+        return CyclotomicNumber(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __rsub__(self, other):
         return self._match(other) - self
@@ -101,27 +103,32 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Solve x * self = 1 through the rational multiplication matrix."""
+        """1 / self as the product of its other Galois conjugates over its norm.
+
+        With sigma_a: z -> z^a (a = 1..n-1) the norm N(x) = prod_a sigma_a(x)
+        is rational, so 1/x = prod_(a >= 2) sigma_a(x) / N(x).  The work is
+        done on integer numerators in Z[z]/(z^n - 1), which maps onto Q(zeta_n);
+        a rational element is inverted directly.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in Q(zeta_n)")
+        r = self.as_rational()
+        if r is not None:
+            return CyclotomicNumber.rational(self.n, 1 / r)
         n = self.n
-        d = n - 1
-        # columns: self * z^j expressed over the basis
-        cols = [(self * CyclotomicNumber.zeta_pow(n, j)).coords for j in range(d)]
-        aug = [[cols[j][i] for j in range(d)] + [Fraction(1 if i == 0 else 0)] for i in range(d)]
-        # Gaussian elimination
-        for col in range(d):
-            piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular multiplication matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return CyclotomicNumber(n, tuple(aug[i][d] for i in range(d)))
+        den = math.lcm(*(c.denominator for c in self.coords))
+        x = [c.numerator * (den // c.denominator) for c in self.coords] + [0]
+        prod = [1] + [0] * (n - 1)
+        for a in range(2, n):
+            conj = [0] * n
+            for i, c in enumerate(x):
+                conj[a * i % n] = c
+            prod = _cyclic_mul(prod, conj)
+        full = _cyclic_mul(x, prod)
+        # the norm is full[0] + k (1 + z + ... + z^(n-1)) with k = full[n - 1]
+        norm = full[0] - full[n - 1]
+        top = prod[n - 1]
+        return CyclotomicNumber(n, tuple(Fraction((c - top) * den, norm) for c in prod[:-1]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -129,6 +136,8 @@ class CyclotomicNumber:
         return self * self._match(other).inverse()
 
     def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
         return self._match(other) * self.inverse()
 
     # -- predicates ----------------------------------------------------------
@@ -152,6 +161,18 @@ class CyclotomicNumber:
                 else:
                     parts.append(f"{c}*z{n}^{i}" if i > 1 else f"{c}*z{n}")
         return " + ".join(parts) if parts else "0"
+
+
+def _cyclic_mul(a: list, b: list) -> list:
+    """Product in Z[z]/(z^n - 1) of two length-n coefficient lists."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % n] += x * y
+    return out
 
 
 def _check_conductor(n: int):

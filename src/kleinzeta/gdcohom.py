@@ -13,6 +13,14 @@ order 2 (degree 1, five classes, the Hodge-filtration block) and pole
 order 3 (degree 4, five classes over the monomial complement of the
 ideal).  The cyclic coordinate rotation acts on this 10-dimensional space
 with five 2-dimensional eigenspaces over Q(zeta_5).
+
+Each degree d is echelonized once (`degree_data`).  Its rows are the
+products m * dS/dx_i, each tagged with a column of its own, so one
+reduction of A yields both the harmonic part of A (coordinates over the
+monomial complement) and a lift B_i of the rest; a reduction step costs one
+pass over that echelon.  Matrix powers and the eigenvector check skip zero
+entries, and the eigenspace ranks keep rational entries as Fractions, so
+only the shifted diagonal carries Q(zeta_5) arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CyclotomicNumber
-from .linalg import Echelon, rank, solve_sparse
+from .linalg import Echelon, rank
 
 NVARS = 5
 
@@ -151,45 +159,62 @@ def jacobian_generators() -> list:
 
 
 class DegreeData:
-    """Echelonized image of (R_(d-2))^5 -> R_d, (B_i) -> sum B_i dS/dx_i."""
+    """Echelonized image of (R_(d-2))^5 -> R_d, (B_i) -> sum B_i dS/dx_i.
+
+    The row of each generator product m * dS/dx_i carries, past the monomial
+    columns, a tag column for (i, m) with coefficient 1.  Reducing A against
+    the echelon then leaves the harmonic part of A on the complement columns
+    and minus the lift coefficients on the tag columns, so one reduction
+    both splits A and lifts its ideal part.
+    """
 
     def __init__(self, d: int):
         self.degree = d
         self.monomials = monomials_of_degree(d)
         self.index = {m: i for i, m in enumerate(self.monomials)}
+        # tag column len(monomials) + t belongs to generator product t
+        self.generators = [(i, m) for i in range(NVARS) for m in monomials_of_degree(d - 2)]
         gens = jacobian_generators()
         ech = Echelon()
-        if d >= 2:
-            for g in gens:
-                for m in monomials_of_degree(d - 2):
-                    prod = monomial(m) * g
-                    ech.insert({self.index[e]: c for e, c in prod.terms})
+        tag0 = len(self.monomials)
+        for t, (i, m) in enumerate(self.generators):
+            row = {self.index[e]: c for e, c in (monomial(m) * gens[i]).terms}
+            row[tag0 + t] = Fraction(1)
+            red = ech.reduce(row)
+            if min(red) < tag0:  # a row left with tags only is a syzygy: lifts need none
+                ech.append(red)
         self.echelon = ech
         pivots = set(ech.pivot_cols)
         self.complement = [m for i, m in enumerate(self.monomials) if i not in pivots]
+        self._comp_index = {self.index[m]: j for j, m in enumerate(self.complement)}
 
     @property
     def quotient_dim(self) -> int:
         return len(self.complement)
 
     def split(self, poly: CycPoly):
-        """poly = harmonic + ideal: coordinates over the complement, and the rest."""
-        if poly.is_zero():
-            zero = [Fraction(0)] * self.quotient_dim
-            return zero, poly
-        vec = {self.index[e]: c for e, c in poly.terms}
-        red = self.echelon.reduce(vec)
-        comp_index = {self.index[m]: j for j, m in enumerate(self.complement)}
+        """poly = harmonic + sum_i B_i dS/dx_i: the harmonic part's coordinates
+        over the complement, and the five B_i."""
+        d = self.degree
         coords = [Fraction(0)] * self.quotient_dim
-        harm_terms = {}
-        for col, v in red.items():
-            j = comp_index.get(col)
-            if j is None:
-                raise ArithmeticError("normal form escaped the complement")
-            coords[j] = v
-            harm_terms[self.monomials[col]] = v
-        harmonic = CycPoly.make(harm_terms, poly.degree)
-        return coords, poly - harmonic
+        parts = [dict() for _ in range(NVARS)]
+        if not poly.is_zero():
+            red = self.echelon.reduce({self.index[e]: c for e, c in poly.terms})
+            tag0 = len(self.monomials)
+            for col, v in red.items():
+                if col >= tag0:
+                    i, m = self.generators[col - tag0]
+                    parts[i][m] = -v
+                    continue
+                j = self._comp_index.get(col)
+                if j is None:
+                    raise ArithmeticError("normal form escaped the complement")
+                coords[j] = v
+        return coords, [CycPoly.make(t, max(d - 2, 0)) for t in parts]
+
+    def harmonic(self, coords) -> CycPoly:
+        """The polynomial with the given coordinates over the complement."""
+        return CycPoly.make(dict(zip(self.complement, coords)), self.degree)
 
 
 @lru_cache(maxsize=32)
@@ -205,37 +230,10 @@ def graded_dim(d: int):
 
 def lift_to_jacobian_ideal(A: CycPoly):
     """Solve A = sum_i B_i dS/dx_i; returns the five B_i or None."""
-    d = A.degree
-    if A.is_zero():
-        zero = CycPoly.make({}, max(d - 2, 0))
-        return [zero] * NVARS
-    if d < 2:
+    coords, lift = degree_data(A.degree).split(A)
+    if any(not _czero(c) for c in coords):
         return None
-    data = degree_data(d)
-    lower = monomials_of_degree(d - 2)
-    gens = jacobian_generators()
-    # unknown (i, m) -> column index
-    col_of = {}
-    columns = []
-    for i in range(NVARS):
-        for m in lower:
-            col_of[(i, m)] = len(columns)
-            columns.append((i, m))
-    eq_rows = [dict() for _ in data.monomials]
-    for (i, m), j in col_of.items():
-        for e, c in (monomial(m) * gens[i]).terms:
-            eq_rows[data.index[e]][j] = eq_rows[data.index[e]].get(j, 0) + c
-    rhs = [Fraction(0)] * len(data.monomials)
-    for e, c in A.terms:
-        rhs[data.index[e]] = c
-    sol = solve_sparse(eq_rows, rhs)
-    if sol is None:
-        return None
-    parts = [dict() for _ in range(NVARS)]
-    for j, v in sol.items():
-        i, m = columns[j]
-        parts[i][m] = parts[i].get(m, 0) + v
-    return [CycPoly.make(t, d - 2) for t in parts]
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +283,11 @@ def griffiths_reduce(omega: RationalDifferential, basis: CohomologyBasis | None 
                      first_lift=None) -> list:
     """Coordinates of the class of omega in the 10-element basis.
 
-    first_lift, when given, must be an exact lift of the full numerator
-    (five polynomials with sum_i B_i dS/dx_i = A); it is applied at the
-    first reduction step in place of the solver, which lets callers check
-    that the reduction does not depend on the lift.
+    first_lift, when given, must be an exact lift of the numerator's ideal
+    part (five polynomials with sum_i B_i dS/dx_i = A - harmonic part, which
+    is A itself above pole order 3); it is applied at the
+    first reduction step in place of the one from DegreeData.split, which
+    lets callers check that the reduction does not depend on the lift.
     """
     basis = basis or h3_basis()
     pending = {omega.pole_order: omega.form}
@@ -297,29 +296,20 @@ def griffiths_reduce(omega: RationalDifferential, basis: CohomologyBasis | None 
         A = pending.pop(m, None)
         if A is None or A.is_zero():
             continue
+        data = degree_data(A.degree)
+        coords, B = data.split(A)
         if m == 3:
-            _, ideal_part = degree_data(4).split(A)
-            harmonic3 = harmonic3 + (A - ideal_part)
-            A = ideal_part
-            if A.is_zero():
-                continue
-        else:
+            harmonic3 = harmonic3 + data.harmonic(coords)
+        elif any(not _czero(c) for c in coords):
             # (R/J)_d vanishes for d = 3m-5 > 5, so A is entirely ideal
-            coords, A_ideal = degree_data(A.degree).split(A)
-            if any(not _czero(c) for c in coords):
-                raise ArithmeticError("nonzero harmonic part above the socle degree")
-            A = A_ideal
+            raise ArithmeticError("nonzero harmonic part above the socle degree")
         if first_lift is not None and m == omega.pole_order:
-            B = first_lift
             recomposed = CycPoly.make({}, A.degree)
-            for Bi, g in zip(B, jacobian_generators()):
+            for Bi, g in zip(first_lift, jacobian_generators()):
                 recomposed = recomposed + Bi * g
-            if not (recomposed - A).is_zero():
+            if not (recomposed + data.harmonic(coords) - A).is_zero():
                 raise ValueError("provided lift does not recompose the numerator")
-        else:
-            B = lift_to_jacobian_ideal(A)
-            if B is None:
-                raise ArithmeticError("ideal membership failed during reduction")
+            B = first_lift
         nxt = CycPoly.make({}, 3 * (m - 1) - 5)
         for i in range(NVARS):
             nxt = nxt + B[i].diff(i)
@@ -356,24 +346,31 @@ def alpha_pullback(basis: CohomologyBasis | None = None):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def _sparse_product(A: list, B: list) -> list:
+    """Product of two matrices given as sparse rows {column: entry}."""
+    out = []
+    for arow in A:
+        row = {}
+        for k, a in arow.items():
+            for j, b in B[k].items():
+                row[j] = row[j] + a * b if j in row else a * b
+        out.append({j: v for j, v in row.items() if not _czero(v)})
+    return out
+
+
 def matrix_power(M, e: int):
+    """M^e for a square matrix, as dense rows with Fraction(0) off the support;
+    the products skip zero entries."""
     n = len(M)
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    base = M
+    out = [{i: Fraction(1)} for i in range(n)]
+    base = [{k: v for k, v in enumerate(row) if not _czero(v)} for row in M]
     while e:
         if e & 1:
-            out = [[sum(out[i][k] * base[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        base = [[sum(base[i][k] * base[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            out = _sparse_product(out, base)
         e >>= 1
-    return out
-
-
-def _to_cyclo_matrix(M):
-    out = []
-    for row in M:
-        out.append([c if isinstance(c, CyclotomicNumber)
-                    else CyclotomicNumber.rational(5, c) for c in row])
-    return out
+        if e:
+            base = _sparse_product(base, base)
+    return [[row.get(j, Fraction(0)) for j in range(n)] for row in out]
 
 
 @dataclass(frozen=True)
@@ -385,50 +382,56 @@ class EigenSplit:
 
 def eigenspace_split(M) -> EigenSplit:
     """Kernel dimensions of (M - zeta_5^j) over Q(zeta_5), with the
-    intersection against the pole-order-2 block (first five coordinates)."""
+    intersection against the pole-order-2 block (first five coordinates).
+
+    The dimensions sum to n exactly when M is diagonalizable over Q(zeta_5)
+    with fifth roots of unity as eigenvalues, that is when M^5 = 1 (x^5 - 1
+    is separable), so their sum is the order check and M^5 is not formed.
+    Rational entries stay Fractions; only the shifted diagonal is cyclotomic.
+    """
     n = len(M)
-    ident = matrix_power(M, 0)
-    M5 = matrix_power(M, 5)
-    if M5 != ident:
-        raise ArithmeticError("rotation matrix does not have order dividing 5")
-    Mc = _to_cyclo_matrix(M)
     dims = []
     fil2 = []
     for j in range(5):
-        z = CyclotomicNumber.zeta_pow(5, j)
-        shifted = [[Mc[i][k] - (z if i == k else CyclotomicNumber.zero(5))
-                    for k in range(n)] for i in range(n)]
+        z = Fraction(1) if j == 0 else CyclotomicNumber.zeta_pow(5, j)
+        shifted = [list(row) for row in M]
+        for i in range(n):
+            shifted[i][i] = M[i][i] - z
         dims.append(n - rank(shifted))
-        sub = [[shifted[i][k] for k in range(5)] for i in range(n)]
-        fil2.append(5 - rank(sub))
+        fil2.append(5 - rank([row[:5] for row in shifted]))
     if sum(dims) != n:
-        raise ArithmeticError(f"eigenspace dimensions {dims} do not sum to {n}")
+        raise ArithmeticError(
+            f"eigenspace dimensions {dims} do not sum to {n}: the rotation matrix "
+            "does not have order dividing 5")
     return EigenSplit(tuple(dims), tuple(fil2))
 
 
 def fil2_eigenvector_map(M) -> dict:
     """For each j, check v_j = (zeta^(j(i+1)))_i in the Hodge block is an
     eigenvector of M; returns {j: eigenvalue power}."""
-    Mc = _to_cyclo_matrix(M)
     n = len(M)
     out = {}
     for j in range(5):
-        v = [CyclotomicNumber.zeta_pow(5, j * (i + 1)) for i in range(5)]
-        v += [CyclotomicNumber.zero(5)] * (n - 5)
-        image = [sum((Mc[i][k] * v[k] for k in range(n)), CyclotomicNumber.zero(5))
-                 for i in range(n)]
+        # v_j has support in the first five coordinates; dividing by its
+        # entry zeta^(j(i+1)) is multiplying by zeta^(-j(i+1))
         lam = None
         for i in range(n):
-            if not v[i].is_zero():
-                cand = image[i] / v[i]
-                if lam is None:
-                    lam = cand
-                elif lam != cand:
+            image = CyclotomicNumber.zero(5)
+            for k in range(5):
+                if not _czero(M[i][k]):
+                    image = image + CyclotomicNumber.zeta_pow(5, j * (k + 1)) * M[i][k]
+            if i >= 5:
+                if not image.is_zero():
                     raise ArithmeticError("v_j is not an eigenvector")
-            elif not image[i].is_zero():
+                continue
+            cand = image * CyclotomicNumber.zeta_pow(5, -j * (i + 1))
+            if lam is None:
+                lam = cand
+            elif lam != cand:
                 raise ArithmeticError("v_j is not an eigenvector")
-        power = next(k for k in range(5)
-                     if (lam - CyclotomicNumber.zeta_pow(5, k)).is_zero())
+        power = next((k for k in range(5) if lam == CyclotomicNumber.zeta_pow(5, k)), None)
+        if power is None:
+            raise ArithmeticError(f"eigenvalue {lam} of v_{j} is not a fifth root of unity")
         out[j] = power
     return out
 

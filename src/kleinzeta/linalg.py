@@ -1,12 +1,21 @@
-"""Exact sparse/dense linear algebra over Q or Q(zeta_5).
+"""Exact sparse linear algebra over Q or Q(zeta_5).
 
-Rows are dicts {column index: coefficient}; coefficients may be Fraction or
-CyclotomicNumber (any type with field arithmetic and an is-zero test).
-Everything is deterministic: rows are processed in input order and pivots
-prefer the smallest column index.
+Rows are dicts {column index: coefficient} holding no zero coefficients;
+coefficients may be Fraction or CyclotomicNumber (any type with field
+arithmetic and an is-zero test), mixed within one row.  Everything is
+deterministic: rows are processed in input order and pivots prefer the
+smallest column index.
+
+Elimination keeps row echelon form, not reduced row echelon form: a stored
+row is never revisited once later rows arrive.  That is all that reduction
+modulo the row space (`Echelon.reduce`) and `rank` need; a caller that wants
+the combination behind a reduction carries it in extra tag columns past
+the ones it eliminates (see gdcohom.DegreeData).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def _is_zero(x) -> bool:
@@ -16,10 +25,17 @@ def _is_zero(x) -> bool:
 
 
 class Echelon:
-    """Reduced row echelon form maintained incrementally."""
+    """Row echelon form maintained incrementally.
+
+    Row k has coefficient 1 at pivot_cols[k] and 0 at the pivot columns of
+    rows 0..k-1, so reducing against the rows in order clears every pivot
+    column.  The remainder is unique, because no nonzero vector of the row
+    space vanishes on every pivot column, so it equals the one a fully
+    reduced form would give.
+    """
 
     def __init__(self):
-        self.rows = []          # reduced rows, parallel to pivot_cols
+        self.rows = []          # parallel to pivot_cols
         self.pivot_cols = []
 
     @property
@@ -27,72 +43,39 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, row: dict) -> dict:
-        """Return row reduced modulo the current echelon (fresh dict)."""
-        out = dict(row)
+        """Return row reduced modulo the current echelon (fresh dict, no zeros)."""
+        out = {c: v for c, v in row.items() if not _is_zero(v)}
         for pc, prow in zip(self.pivot_cols, self.rows):
-            c = out.get(pc)
-            if c is None or _is_zero(c):
+            c = out.pop(pc, None)
+            if c is None:
                 continue
             for col, v in prow.items():
-                nv = out.get(col, 0) - c * v
+                if col == pc:
+                    continue
+                old = out.get(col)
+                if old is None:
+                    out[col] = -(c * v)
+                    continue
+                nv = old - c * v
                 if _is_zero(nv):
-                    out.pop(col, None)
+                    del out[col]
                 else:
                     out[col] = nv
-        return {c: v for c, v in out.items() if not _is_zero(v)}
+        return out
 
     def insert(self, row: dict) -> bool:
         """Reduce then insert; returns True if the row added a new pivot."""
-        red = self.reduce(row)
+        return self.append(self.reduce(row))
+
+    def append(self, red: dict) -> bool:
+        """Insert a row that `reduce` returned; False if it is zero."""
         if not red:
             return False
         pc = min(red)
-        inv = red[pc]
-        norm = {c: v / inv for c, v in red.items()}
-        # keep earlier rows fully reduced
-        for i, prow in enumerate(self.rows):
-            c = prow.get(pc)
-            if c is not None and not _is_zero(c):
-                newr = dict(prow)
-                for col, v in norm.items():
-                    nv = newr.get(col, 0) - c * v
-                    if _is_zero(nv):
-                        newr.pop(col, None)
-                    else:
-                        newr[col] = nv
-                self.rows[i] = newr
-        self.rows.append(norm)
+        inv = Fraction(1) / red[pc]
+        self.rows.append({c: v * inv for c, v in red.items()})
         self.pivot_cols.append(pc)
         return True
-
-
-# reserved column key for right-hand sides; sorts after every unknown so it
-# can only become a pivot when a row reduces to "0 = nonzero"
-RHS = 1 << 62
-
-
-def solve_sparse(eq_rows, rhs_values):
-    """One solution of the sparse system, or None if inconsistent.
-
-    eq_rows: list of dicts over unknown indices; rhs_values: parallel list.
-    Free unknowns are set to zero.  Each augmented row encodes
-    sum_j M_j x_j - b = 0 with the RHS column holding -b.
-    """
-    ech = Echelon()
-    for row, b in zip(eq_rows, rhs_values):
-        aug = {k: v for k, v in row.items() if not _is_zero(v)}
-        if not _is_zero(b):
-            aug[RHS] = -b
-        ech.insert(aug)
-    out = {}
-    for pc, row in zip(ech.pivot_cols, ech.rows):
-        if pc == RHS:
-            return None
-        c = row.get(RHS)
-        if c is not None and not _is_zero(c):
-            # pivot row reads x_pc + c = 0 once free unknowns vanish
-            out[pc] = -c
-    return out
 
 
 def rank(matrix) -> int:

@@ -220,19 +220,28 @@ def _fractional_shift_ok(p: int, s: Fraction) -> bool:
     return 0 <= s < 1 and (s == 0 or s.denominator == p)
 
 
+def _h1_core(p: int, ty: str, m: int, s) -> PadicMat2:
+    """h1 without its left factor U(x) and its scalar p^r."""
+    h = _diag_pm(p, m)
+    if ty in ("II", "IV"):
+        h = h * _weyl(p) * _upper(p, s)
+    return h
+
+
+def _h2(p: int, ty: str, n: int, t) -> PadicMat2:
+    h = _diag_pm(p, n)
+    if ty in ("III", "IV"):
+        h = h * _weyl(p) * _upper(p, t)
+    return h
+
+
 def coset_rep(p: int, params: CosetParams):
     """The exact pair (h1, h2) for the given coset parameters."""
     if not _fractional_shift_ok(p, params.s) or not _fractional_shift_ok(p, params.t):
         raise ValueError("s and t must lie in {0, 1/p, ..., (p-1)/p}")
     ty = params.type
-    h1 = _upper(p, params.x) * _diag_pm(p, params.m)
-    if ty in ("II", "IV"):
-        h1 = h1 * _weyl(p) * _upper(p, params.s)
-    h1 = h1.scale(Fraction(p) ** params.r)
-    h2 = _diag_pm(p, params.n)
-    if ty in ("III", "IV"):
-        h2 = h2 * _weyl(p) * _upper(p, params.t)
-    return h1, h2
+    h1 = _upper(p, params.x) * _h1_core(p, ty, params.m, params.s)
+    return h1.scale(Fraction(p) ** params.r), _h2(p, ty, params.n, params.t)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +457,62 @@ def _closed_form(p: int, k, i: int, j: int):
     return (p * top, top * j + p * (p * kb - kd * i), p * p * kc, p * (kc * j + p * kd))
 
 
+def _integral(p: int, mats) -> tuple:
+    """([entries], E) with mats = entries / p^E, E >= 0 least, for matrices
+    over Z[1/p]; entries are row-major integer tuples."""
+    D = max(f.denominator for M in mats for f in M.entries())
+    return ([tuple(f.numerator * (D // f.denominator) for f in M.entries()) for M in mats],
+            _split_p(p, D)[0])
+
+
+def _int_mul(x, y) -> tuple:
+    """Product of two row-major integer 2x2 matrices."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+class _ScanMemo:
+    """What the families of one scan_type call share: the x grid, the entry
+    rules and the kernel factors.
+
+    At x = s = t = 0 the pair is h1_0 = p^r H(m), h2 = h2(n), so the kernels
+    split as K_y = p^-r H^-1 (y h2) and K'_y = p^-r (-H^-1 e12) (y h2).  The
+    left factors depend on m alone and the right ones on n alone; each is
+    formed once, exactly, and kept as integers over a power of p.
+    """
+
+    def __init__(self, p: int, ty: str, grid: _XGrid):
+        self.p, self.type, self.grid = p, ty, grid
+        self.rules = {}         # (na, nb, shift, entry) -> _entry_rule
+        self.left = {}          # m -> _integral([H^-1, -H^-1 e12])
+        self.right = {}         # n -> _integral([e1 h2, alpha h2])
+        L1, L2 = lev_support(p)
+        self.constraints = L1.constraints + L2.constraints
+
+    def kernels(self, m: int, n: int, r: int):
+        """The numerators of K_e1, K'_e1, K_alpha, K'_alpha and the shift:
+        the kernels are the numerators over p^(shift - 2), shift - 2 >= 0 least."""
+        p = self.p
+        if m not in self.left:
+            inv = _h1_core(p, self.type, m, 0).inv()
+            self.left[m] = _integral(p, [inv, inv * PadicMat2.of(p, 0, -1, 0, 0)])
+        if n not in self.right:
+            h2 = _h2(p, self.type, n, 0)
+            self.right[n] = _integral(p, [e1_matrix(p) * h2, alpha_matrix(p) * h2])
+        (lefts, el), (rights, er) = self.left[m], self.right[n]
+        nums = [_int_mul(a, b) for b in rights for a in lefts]
+        e = el + er + r                             # kernels = nums / p^e
+        g = min(_split_p(p, x)[0] for k in nums for x in k if x)
+        target = max(0, e - g)
+        if target >= e:
+            f = p ** (target - e)
+            nums = [tuple(x * f for x in k) for k in nums]
+        else:
+            f = p ** (e - target)
+            nums = [tuple(x // f for x in k) for k in nums]
+        return nums, target + 2
+
+
 class _Family:
     """One coset family (type, m, n, r) and all of its (s, t) = (i/p, j/p).
 
@@ -455,29 +520,17 @@ class _Family:
     A_y = h1_0^-1 y h2 and B_y = -h1_0^-1 e12 y h2.  The shifts s and t enter
     only through unipotent factors, A_y = U(-s) K_y U(t) and
     B_y = U(-s) K'_y U(t), where the kernels K_y, K'_y are A_y, B_y at
-    s = t = 0.  They are computed once, exactly; every (s, t) then costs a
-    few integer operations on p^shift times the entries.
+    s = t = 0.  They come from the scan's memo (_ScanMemo.kernels); every
+    (s, t) then costs a few integer operations on p^shift times the entries.
     """
 
-    def __init__(self, p: int, ty: str, m: int, n: int, r: int, grid: _XGrid, rules: dict):
-        self.p, self.type, self.m, self.n, self.r = p, ty, m, n, r
-        self.grid = grid
-        self.rules = rules      # (na, nb, shift, entry) -> _entry_rule, shared by a scan
-        h1_0, h2 = coset_rep(p, CosetParams(ty, m, n, r))
-        inv = h1_0.inv()
-        minus_inv_e12 = inv * PadicMat2.of(p, 0, -1, 0, 0)
-        kernels = []                                    # K_e1, K'_e1, K_alpha, K'_alpha
-        for y in (e1_matrix(p), alpha_matrix(p)):
-            yh2 = y * h2
-            kernels += [inv * yh2, minus_inv_e12 * yh2]
-        # the entries lie in Z[1/p]: clear the largest denominator, a power of p
-        D = max(f.denominator for M in kernels for f in M.entries())
-        self.kernels = [tuple(f.numerator * (D // f.denominator) for f in M.entries())
-                        for M in kernels]
-        self.shift = _split_p(p, D)[0] + 2
-        L1, L2 = lev_support(p)
-        self.constraints = L1.constraints + L2.constraints
-        self.ivals, self.jvals = _shift_ranges(ty, p)
+    def __init__(self, memo: _ScanMemo, m: int, n: int, r: int):
+        self.p, self.type, self.m, self.n, self.r = memo.p, memo.type, m, n, r
+        self.grid = memo.grid
+        self.rules = memo.rules
+        self.constraints = memo.constraints
+        self.kernels, self.shift = memo.kernels(m, n, r)
+        self.ivals, self.jvals = _shift_ranges(memo.type, memo.p)
 
     def rule(self, i: int, j: int):
         """The meet of the eight entry rules at (s, t) = (i/p, j/p)."""
@@ -522,7 +575,7 @@ def _materialize(grid: _XGrid, rule) -> _XMask:
 
 def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> _XMask:
     """Support mask of one parameter tuple (x free), through its family."""
-    fam = _Family(p, params.type, params.m, params.n, params.r, grid, {})
+    fam = _Family(_ScanMemo(p, params.type, grid), params.m, params.n, params.r)
     return _materialize(grid, fam.rule(int(params.s * p), int(params.t * p)))
 
 
@@ -615,14 +668,14 @@ def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
         raise ValueError(f"unknown coset type {ty!r}")
     grid = _XGrid(p, box)
     table = _TranslateTable(grid)
-    rules = {}
+    memo = _ScanMemo(p, ty, grid)
     nonempty = []
     scanned = 0
     support_empty = True
     all_stable = True
     contrib_combos = []
     for m, n, r in _families(ty, box):
-        fam = _Family(p, ty, m, n, r, grid, rules)
+        fam = _Family(memo, m, n, r)
         for i in fam.ivals:
             for j in fam.jvals:
                 scanned += 1

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,46 @@ def test_cohomology_subcommand(tmp_path):
     assert payload["cohomology"]["fil2_rank"] == 5
     assert payload["cohomology"]["eigenvalue_multiset"] == {
         f"zeta5^{j}": 2 for j in range(5)}
+
+
+def test_cohomology_json_matches_golden(tmp_path):
+    golden = Path(__file__).parent / "data" / "cohomology_golden.json"
+    out = tmp_path / "c.json"
+    assert run(["cohomology", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["cohomology"] == json.loads(golden.read_text())["cohomology"]
+
+
+def _order_two_rotation(basis=None):
+    # a swap of the first two classes: M^2 = 1, so M^5 != 1
+    return [[Fraction(int((i, j) in ((0, 1), (1, 0)) or i == j > 1)) for j in range(10)]
+            for i in range(10)]
+
+
+def _failing_pullback(basis=None):
+    raise ArithmeticError("ideal membership failed during reduction")
+
+
+@pytest.mark.parametrize("pullback, actual", [(_order_two_rotation, "False"),
+                                              (_failing_pullback, "ArithmeticError: ideal")],
+                         ids=["order-two", "arithmetic-error"])
+def test_cohomology_failure_is_a_failing_check(monkeypatch, tmp_path, capsys, pullback, actual):
+    # a bad rotation matrix fails its check and leaves the eigenspace checks
+    # inconclusive; the JSON is still written and the exit code is 1
+    import kleinzeta.cli as climod
+    monkeypatch.setattr(climod.gdcohom, "alpha_pullback", pullback)
+    out = tmp_path / "c.json"
+    assert run(["cohomology", "--json", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert status == {"cohomology-dimension": "pass", "cohomology-fil2-rank": "pass",
+                      "cohomology-rotation-order": "fail",
+                      "cohomology-eigenspace-dims": "inconclusive",
+                      "cohomology-fil2-intersections": "inconclusive",
+                      "cohomology-gorenstein": "pass"}
+    rotation = next(c for c in payload["checks"] if c["name"] == "cohomology-rotation-order")
+    assert rotation["actual"].startswith(actual)
+    assert payload["overall"] == "fail"
+    assert payload["cohomology"]["eigenvalue_multiset"] is None
 
 
 def test_theta_support_subcommand(tmp_path):

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kleinzeta.cyclo import CyclotomicNumber
-from kleinzeta.gdcohom import (CycPoly, RationalDifferential, alpha_pullback,
+from kleinzeta.gdcohom import (CycPoly, RationalDifferential, alpha_pullback, degree_data,
                                eigenspace_split, fil2_eigenvector_map, gorenstein_pairing_matrix,
                                gorenstein_pairing_nondegenerate, graded_dim, griffiths_reduce,
                                h3_basis, jacobian_generators, klein_form, lift_to_jacobian_ideal,
@@ -203,3 +205,93 @@ def test_reduce_handles_cyclotomic_coefficients():
     icoords = griffiths_reduce(RationalDifferential(image, 2), basis)
     lam = z(5, -1)
     assert icoords[:5] == [lam * c for c in coords[:5]]
+
+
+GOLDEN = Path(__file__).parent / "data" / "cohomology_golden.json"
+
+
+def test_alpha_pullback_matches_golden():
+    golden = json.loads(GOLDEN.read_text())["alpha_pullback"]
+    assert [[str(c) for c in row] for row in alpha_pullback()] == golden
+
+
+def _ideal_element(rng, d, density=0.4):
+    """A random sum_i B_i dS/dx_i of degree d, with its B_i."""
+    B = [rand_poly(rng, d - 2, density) for _ in range(5)]
+    A = CycPoly.make({}, d)
+    for Bi, g in zip(B, jacobian_generators()):
+        A = A + Bi * g
+    return A, B
+
+
+def _recompose(B, d):
+    out = CycPoly.make({}, d)
+    for Bi, g in zip(B, jacobian_generators()):
+        out = out + Bi * g
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_ideal_elements_lift_and_recompose(d):
+    rng = random.Random(100 + d)
+    for _ in range(4):
+        A, _ = _ideal_element(rng, d)
+        B = lift_to_jacobian_ideal(A)
+        assert B is not None
+        assert all(Bi.degree == d - 2 or Bi.is_zero() for Bi in B)
+        assert _recompose(B, d) == A
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_elements_off_the_ideal_do_not_lift(d):
+    rng = random.Random(200 + d)
+    data = degree_data(d)
+    for _ in range(4):
+        A, _ = _ideal_element(rng, d)
+        coords = [Fraction(rng.randint(1, 4)) if k == 0 else Fraction(rng.randint(-3, 3))
+                  for k in range(data.quotient_dim)]
+        rng.shuffle(coords)
+        assert lift_to_jacobian_ideal(A + data.harmonic(coords)) is None
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_split_ignores_ideal_summands(d):
+    rng = random.Random(300 + d)
+    data = degree_data(d)
+    for _ in range(4):
+        A = rand_poly(rng, d)
+        I, _ = _ideal_element(rng, d)
+        coords, B = data.split(A)
+        coords_shifted, B_shifted = data.split(A + I)
+        assert coords_shifted == coords
+        # each split recomposes its input
+        assert _recompose(B, d) + data.harmonic(coords) == A
+        assert _recompose(B_shifted, d) + data.harmonic(coords) == A + I
+
+
+def _dense_product(A, B):
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_matrix_power_matches_dense_products():
+    rng = random.Random(17)
+    for n in (1, 3, 6):
+        M = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4
+              else Fraction(0) for _ in range(n)] for _ in range(n)]
+        expected = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for e in range(7):
+            assert matrix_power(M, e) == expected
+            expected = _dense_product(expected, M)
+
+
+def test_eigenspace_split_rejects_rotation_without_order_five():
+    M = alpha_pullback()
+    doubled = [[2 * c for c in row] for row in M]
+    with pytest.raises(ArithmeticError):
+        eigenspace_split(doubled)
+    # a Jordan block for eigenvalue 1: order not dividing 5, no eigenvalue off 1
+    jordan = [[Fraction(int(i == j or j == i + 1)) for j in range(10)] for i in range(10)]
+    with pytest.raises(ArithmeticError):
+        eigenspace_split(jordan)

@@ -193,6 +193,33 @@ def test_type_four_masks_match_bruteforce_rho_at_p11():
     assert members > 0   # the sample reaches the support, not only its complement
 
 
+@pytest.mark.parametrize("p", [3, 11])
+def test_family_kernels_match_coset_rep(p):
+    # the kernels a scan builds from its memoised factors, against the
+    # products of the brute-force coset representatives, entry by entry
+    from kleinzeta.thetasupp import _families, _Family, _ScanMemo, _XGrid
+
+    box = ScanBox()
+    grid = _XGrid(p, box)
+    e12 = PadicMat2.of(p, 0, 1, 0, 0)
+    for ty in COSET_TYPES:
+        memo = _ScanMemo(p, ty, grid)
+        for m, n, r in _families(ty, box):
+            fam = _Family(memo, m, n, r)
+            h1, h2 = coset_rep(p, CosetParams(ty, m, n, r))
+            inv = h1.inv()
+            exact = []
+            for y in (e1_matrix(p), alpha_matrix(p)):
+                exact += [inv * y * h2, (inv * e12 * y * h2).scale(-1)]
+            scale = Fraction(p) ** (fam.shift - 2)
+            got = [tuple(Fraction(x) / scale for x in k) for k in fam.kernels]
+            assert got == [K.entries() for K in exact], (ty, m, n, r)
+            # the least power of p clears the denominators
+            denominators = {f.denominator for K in exact for f in K.entries()}
+            assert max(denominators) == scale
+        assert len(memo.left) <= 2 * box.radius + 1 and len(memo.right) <= 2 * box.radius + 1
+
+
 def test_entry_rule_matches_constraint_pointwise():
     # the valuation/residue rule of one affine entry (na + nb x) / p^shift,
     # against EntryConstraint.satisfied at every grid point; the lev support
