@@ -1,7 +1,7 @@
 """Exact desk-scale verification of the arithmetic of Klein's cubic threefold.
 
 Subpackages:
-  ffield     exact F_{p^k} arithmetic, log/exp vectors and lookup tables
+  ffield     exact F_{p^k} arithmetic and O(q) log/exp index vectors
   counting   point counts (slice Klein counter, naive oracle, curves)
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology
   cyclo      exact Q(zeta_n) arithmetic for prime n

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import (FieldDescriptor, FieldElement, build_field, digitwise_add, field_tables,
-                     log_exp_tables, quadratic_character)
+from .ffield import (FieldDescriptor, FieldElement, build_field, chi_table, digitwise_add,
+                     log_exp_mul, log_exp_tables, quadratic_character)
 
 DEFAULT_WORK_BUDGET = 1_000_000_000  # max q^2 (odd p) / q (p = 2) slice operations
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
@@ -159,23 +159,20 @@ def count_hypersurface_naive(form: HomogeneousForm, F: FieldDescriptor,
     npoints = sum(q ** (n - 1 - i) for i in range(n))
     if npoints > budget:
         raise BudgetExceeded(f"{npoints} projective points exceed the budget {budget}")
-    T = field_tables(F)
-    MUL, ADD = T.mul, T.add
-    maxdeg = form.degree
-    # POW[e][x] = x^e as index
-    POW = [np.zeros(q, dtype=np.int32), np.arange(q, dtype=np.int32)]
-    POW[0][:] = 1
-    for _ in range(2, maxdeg + 1):
-        POW.append(MUL[POW[-1], np.arange(q)])
+    # POW[e][x] = x^e as index; constants are prime-field elements, index n mod p
+    xs = np.arange(q, dtype=np.int64)
+    POW = [np.ones(q, dtype=np.int64), xs]
+    for _ in range(2, form.degree + 1):
+        POW.append(log_exp_mul(F, POW[-1], xs))
     count = 0
     for block in _projective_blocks(q, n):
-        acc = np.zeros(block.shape[1], dtype=np.int32)
+        acc = np.zeros(block.shape[1], dtype=np.int64)
         for exps, coeff in form.terms:
-            mono = np.full(block.shape[1], T.scalar(coeff), dtype=np.int32)
+            mono = np.full(block.shape[1], coeff % F.p, dtype=np.int64)
             for v, e in enumerate(exps):
                 if e:
-                    mono = MUL[mono, POW[e][block[v]]]
-            acc = ADD[acc, mono]
+                    mono = log_exp_mul(F, mono, POW[e][block[v]])
+            acc = digitwise_add(F, acc, mono)
         count += int((acc == 0).sum())
     return count
 
@@ -226,16 +223,14 @@ def count_weierstrass(E: WeierstrassCurve, F: FieldDescriptor) -> int:
                 if lhs == rhs:
                     total += 1
         return total
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    # evaluated by Horner steps on index vectors (constants lie in F_p)
     b2, b4, b6, _ = E.b_invariants
-    T = field_tables(F)
-    MUL, ADD, SQ = T.mul, T.add, T.sq
-    xs = np.arange(q, dtype=np.int32)
-    cubes = MUL[MUL[xs, xs], xs]
-    f = ADD[MUL[T.scalar(4), cubes], ADD[MUL[T.scalar(b2), SQ],
-                                         ADD[MUL[T.scalar(2 * b4), xs],
-                                             np.full(q, T.scalar(b6), dtype=np.int32)]]]
-    return q + 1 + int(T.chi[f].sum())
+    xs = np.arange(q, dtype=np.int64)
+    f = np.full(q, 4 % F.p, dtype=np.int64)
+    for c in (b2, 2 * b4, b6):
+        f = digitwise_add(F, log_exp_mul(F, f, xs), c % F.p)
+    return q + 1 + int(chi_table(F)[f].sum())
 
 
 def quadratic_root_count(a: FieldElement, b: FieldElement, c: FieldElement,

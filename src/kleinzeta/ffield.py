@@ -2,9 +2,11 @@
 
 Elements of F_{p^k} are residue polynomials modulo a fixed monic irreducible
 modulus, stored little-endian in the root.  Every field also has an integer
-index encoding (sum of c_i * p^i), which the counting kernels use to drive
-numpy lookup tables; the scalar FieldElement API and the table API agree by
-construction and are cross-checked in the tests.
+index encoding (sum of c_i * p^i).  The counting kernels work on numpy
+arrays of indices through two O(q) vectors per field, the discrete log and
+exp of one generator: products add logs, and sums add base-p digits.  The
+scalar FieldElement API and the index API agree by construction and are
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_Q = 1 << 40          # hard bound on p^k accepted by build_field
-TABLE_MAX_Q = 1 << 11    # full q x q add/mul tables only below this
 LOG_TABLE_MAX_Q = 1 << 20  # log/exp vectors (and the chi table) only below this
 
 
@@ -61,7 +62,7 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # dense little-endian polynomial arithmetic over F_p (used only at build time
-# and for scalar FieldElement operations; the hot loops use tables)
+# and for scalar FieldElement operations; the hot loops use log/exp vectors)
 
 def _poly_trim(a):
     i = len(a)
@@ -321,19 +322,35 @@ def chi_table(F: FieldDescriptor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy lookup tables, keyed by element index
+# log/exp vectors, keyed by element index
+
+
+def _mul_matrix(h: FieldElement) -> np.ndarray:
+    """k x k matrix of a -> a h on coefficient row vectors: row i holds x^i h."""
+    x = h.field.element([0, 1])
+    rows, cur = [], h
+    for _ in range(h.field.k):
+        rows.append(cur.coeffs)
+        cur = cur * x
+    return np.array(rows, dtype=np.int64)
 
 
 @lru_cache(maxsize=64)
 def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
+    # coefficient rows of g^0 .. g^(n - 1) times the matrix of g^n give
+    # g^n .. g^(2n - 1); squaring the matrix doubles n
     F = FieldDescriptor(p, k, modulus)
     q = F.q
-    g = _find_generator(F)
-    exp = np.empty(q - 1, dtype=np.int64)
-    cur = F.one()
-    for e in range(q - 1):
-        exp[e] = cur.index
-        cur = cur * g
+    powers = np.zeros((q - 1, k), dtype=np.int64)
+    powers[0, 0] = 1
+    step = _mul_matrix(_find_generator(F))
+    n = 1
+    while n < q - 1:
+        m = min(n, q - 1 - n)
+        powers[n:n + m] = powers[:m] @ step % p
+        step = step @ step % p
+        n += m
+    exp = powers @ (p ** np.arange(k, dtype=np.int64))
     log = np.zeros(q, dtype=np.int64)
     log[exp] = np.arange(q - 1)
     log.setflags(write=False)
@@ -344,7 +361,7 @@ def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
 def log_exp_tables(F: FieldDescriptor) -> tuple:
     """(log, exp) for one generator g: exp[e] is the index of g^e, e < q - 1,
     and log inverts it on nonzero indices (log[0] is 0 and means nothing).
-    O(q) memory; the only generator walk in the package."""
+    O(q) memory; the package's only field-arithmetic table."""
     if F.q > LOG_TABLE_MAX_Q:
         raise ValueError(f"q = {F.q} too large for log/exp tables")
     return _log_exp_cached(F.p, F.k, F.modulus)
@@ -352,50 +369,25 @@ def log_exp_tables(F: FieldDescriptor) -> tuple:
 
 def digitwise_add(F: FieldDescriptor, a, b) -> np.ndarray:
     """Index of a + b, elementwise over broadcast index arrays: the base-p
-    digits of the index encoding add mod p."""
+    digits of the index encoding add mod p (for p = 2, bitwise xor)."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if F.p == 2:
+        return a ^ b
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
     weight = 1
     for _ in range(F.k):
-        out += (a // weight % F.p + b // weight % F.p) % F.p * weight
+        out += (a // weight + b // weight) % F.p * weight
         weight *= F.p
     return out
 
 
-class FieldTables:
-    """Read-only q x q index tables for one field: built once, shared freely."""
-
-    def __init__(self, F: FieldDescriptor):
-        q = F.q
-        if q > TABLE_MAX_Q:
-            raise ValueError(f"q = {q} too large for full arithmetic tables")
-        self.field = F
-        self.q = q
-
-        idx = np.arange(q, dtype=np.int64)
-        self.add = digitwise_add(F, idx[:, None], idx[None, :]).astype(np.int32)
-
-        # multiplication through the discrete-log/exp pair: g^a g^b = g^(a+b)
-        _, exp = log_exp_tables(F)
-        e = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[np.ix_(exp, exp)] = exp[(e[:, None] + e[None, :]) % (q - 1)]
-        self.mul = mul.astype(np.int32)
-        self.sq = self.mul[idx, idx].copy()
-        self.chi = None if F.p == 2 else chi_table(F)
-
-        for arr in (self.add, self.mul, self.sq):
-            arr.setflags(write=False)
-
-    def scalar(self, n: int) -> int:
-        """Index of the image of the rational integer n in the field."""
-        return (n % self.field.p)
-
-    def index_mul(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def index_add(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
+def log_exp_mul(F: FieldDescriptor, a, b) -> np.ndarray:
+    """Index of a b, elementwise over broadcast index arrays: the discrete
+    logs add mod q - 1, and a zero factor gives zero."""
+    log, exp = log_exp_tables(F)
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = exp[(log[a] + log[b]) % (F.q - 1)]
+    return np.where((a == 0) | (b == 0), 0, out)
 
 
 def _find_generator(F: FieldDescriptor) -> FieldElement:
@@ -408,12 +400,3 @@ def _find_generator(F: FieldDescriptor) -> FieldElement:
         if all((g ** ((q - 1) // ell)) != F.one() for ell in fac):
             return g
     raise RuntimeError("no generator found")  # unreachable for a true field
-
-
-@lru_cache(maxsize=64)
-def _tables_cached(p: int, k: int, modulus: tuple) -> FieldTables:
-    return FieldTables(FieldDescriptor(p, k, modulus))
-
-
-def field_tables(F: FieldDescriptor) -> FieldTables:
-    return _tables_cached(F.p, F.k, F.modulus)

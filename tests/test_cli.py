@@ -1,11 +1,14 @@
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kleinzeta.cache import ConflictingRecords, cached_count
+from kleinzeta import cache as cachemod
+from kleinzeta.cache import ConflictingRecords, cached_count, record_count
 from kleinzeta.cli import main
+from kleinzeta.counting import CountRecord
 from kleinzeta.lfunc import InconsistentCounts
 
 
@@ -152,9 +155,10 @@ def test_verify_l3_with_warm_cache(tmp_path, capsys):
 
 def test_verify_l3_poisoned_cache_fails_check(tmp_path, capsys):
     # a wrong count breaks the Weil bound of its power sum: a failing
-    # check (exit 1), not a usage error (exit 2)
+    # check (exit 1), not a usage error (exit 2); 121 = #P^4(F_3) is the
+    # largest count the cache itself accepts at (3, 1)
     cache = tmp_path / "c.jsonl"
-    tower = {1: 99999999999, 2: 820, 3: 20440, 4: 538084, 5: 14445865}
+    tower = {1: 121, 2: 820, 3: 20440, 4: 538084, 5: 14445865}
     with open(cache, "w") as fh:
         for k, n in tower.items():
             fh.write(json.dumps({"p": 3, "k": k, "count": n,
@@ -184,6 +188,62 @@ def test_cached_count_rejects_conflicting_records(tmp_path):
     with pytest.raises(ConflictingRecords) as err:
         cached_count(cache, 3, 1)
     assert isinstance(err.value, InconsistentCounts)
+
+
+_TOWER_LINES = [json.dumps({"p": 3, "k": k, "count": n, "algorithm": "slice-chi",
+                            "version": "0.1.0"})
+                for k, n in {1: 40, 2: 820, 3: 20440, 4: 538084, 5: 14445865}.items()]
+
+
+@pytest.mark.parametrize("bad", [
+    _TOWER_LINES[2][:25],                                       # truncated line
+    _TOWER_LINES[2].replace("20440", '"20440"'),                # non-integer count
+    _TOWER_LINES[0].replace("40", "99999999999", 1),            # count > #P^4(F_3)
+], ids=["truncated", "non-integer", "out-of-bound"])
+def test_verify_l3_bad_record_fails_check(tmp_path, capsys, bad):
+    # a record the cache cannot trust fails the counting route (exit 1); it
+    # is neither skipped nor taken on trust
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("\n".join(_TOWER_LINES[1:] + [bad]) + "\n")
+    out = tmp_path / "l3.json"
+    assert run(["verify-l3", "--cache", str(cache), "--json", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["l3-counting-route"]["status"] == "fail"
+    assert "BadRecord" in checks["l3-counting-route"]["actual"]
+    assert checks["l3-product-route"]["status"] == "pass"
+    assert checks["l3-purity"]["status"] == "inconclusive"
+    assert cache.read_text().count("\n") == 5   # nothing was recounted or appended
+
+
+def test_cached_count_parses_once_and_sees_appends(tmp_path, monkeypatch):
+    # an unchanged file is parsed once; a record appended by record_count,
+    # or by anyone else, is seen by the next lookup
+    parsed = []
+    parse = cachemod._parse_record
+    monkeypatch.setattr(cachemod, "_parse_record", lambda line: parsed.append(line) or parse(line))
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("\n".join(_TOWER_LINES[:2]) + "\n")
+    past = cache.stat().st_mtime_ns - 10 ** 10
+
+    def age():  # an old mtime, so the parse is memoised
+        os.utime(cache, ns=(past, past))
+
+    age()
+    for _ in range(3):
+        assert cached_count(cache, 3, 1) == 40 and cached_count(cache, 3, 3) is None
+    assert len(parsed) == 2
+    record_count(cache, CountRecord(3, 3, 20440, "slice-chi", 0.0))
+    age()
+    assert cached_count(cache, 3, 3) == 20440
+    with open(cache, "a") as fh:
+        fh.write(_TOWER_LINES[3] + "\n")
+    age()                                   # only the size tells the change
+    assert cached_count(cache, 3, 4) == 538084
+    with open(cache, "a") as fh:
+        fh.write(json.dumps({"p": 3, "k": 1, "count": 41}) + "\n")
+    age()
+    with pytest.raises(ConflictingRecords):
+        cached_count(cache, 3, 1)
 
 
 @pytest.mark.parametrize("argv", [["count", "--p", "3", "--k", "1"],

@@ -40,8 +40,8 @@ def test_fast_equals_naive(q, p, k):
 
 
 def test_counts_past_the_tower_match_prediction():
-    # F_729 and F_625 were out of reach of the earlier fiber counter
-    for p, k in [(3, 6), (5, 4)]:
+    # F_729, F_625 and F_6561 were out of reach of the earlier fiber counter
+    for p, k in [(3, 6), (5, 4), (3, 8)]:
         assert count_klein_fast(build_field(p, k)) == hecke.predicted_count(p, k)
 
 
@@ -76,6 +76,16 @@ def test_hyperplane_counts_are_projective_spaces():
         assert count_hypersurface_naive(x0cubed, F) == expected
 
 
+def test_naive_oracle_reads_coefficients():
+    # x0^2 - x1^2 = (x0 - x1)(x0 + x1): two hyperplanes meeting in a P^2.
+    # For q = 3 mod 4, x0^2 + x1^2 would cut out that P^2 alone.
+    form = HomogeneousForm.from_dict(5, {(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): -1})
+    for p, k in [(3, 1), (7, 1), (3, 3)]:
+        q = p ** k
+        expected = 2 * (q ** 3 + q ** 2 + q + 1) - (q ** 2 + q + 1)
+        assert count_hypersurface_naive(form, build_field(p, k)) == expected
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
         count_klein_fast(build_field(3, 5), budget=10 ** 4)  # F_243 needs 243^2
@@ -107,18 +117,30 @@ def test_weierstrass_bad_reduction():
         count_weierstrass(CM_CURVE, build_field(11))
 
 
+def _direct_weierstrass_count(E, F):
+    total = 1
+    for x in F.elements():
+        for y in F.elements():
+            lhs = y * y + F.element([E.a1]) * x * y + F.element([E.a3]) * y
+            rhs = (x * x * x + F.element([E.a2]) * x * x
+                   + F.element([E.a4]) * x + F.element([E.a6]))
+            total += lhs == rhs
+    return total
+
+
 def test_weierstrass_generic_curve_matches_direct_enumeration():
     E = WeierstrassCurve(1, 0, 1, -1, 2)   # discriminant -2262 = -2*3*13*29
     for p in (5, 7, 17):
         F = build_field(p)
-        direct = 1
-        for x in F.elements():
-            for y in F.elements():
-                lhs = y * y + F.element([E.a1]) * x * y + F.element([E.a3]) * y
-                rhs = (x * x * x + F.element([E.a2]) * x * x
-                       + F.element([E.a4]) * x + F.element([E.a6]))
-                direct += lhs == rhs
-        assert count_weierstrass(E, F) == direct
+        assert count_weierstrass(E, F) == _direct_weierstrass_count(E, F)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_weierstrass_extension_fields_match_direct_enumeration(p, k):
+    F = build_field(p, k)
+    # CM_CURVE has discriminant -11^3, the second curve -6242 = -2*3121
+    for E in (CM_CURVE, WeierstrassCurve(1, 1, 1, 2, -3)):
+        assert count_weierstrass(E, F) == _direct_weierstrass_count(E, F)
 
 
 def test_quadratic_root_count_examples():

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from kleinzeta.ffield import (build_field, chi_table, field_arith,
-                              field_tables, is_irreducible, is_prime, quadratic_character)
+from kleinzeta.ffield import (_find_generator, build_field, chi_table, digitwise_add, field_arith,
+                              is_irreducible, is_prime, log_exp_mul, log_exp_tables,
+                              quadratic_character)
 
 
 def test_build_field_prime_field():
@@ -97,7 +99,7 @@ def test_quadratic_character_split_counts(p, k):
 
 
 def test_quadratic_character_beyond_full_tables():
-    # q = 3^8 = 6561 exceeds the q x q table cap but not the chi cap
+    # q = 3^8 = 6561: the chi table is O(q), capped at LOG_TABLE_MAX_Q = 2^20
     F = build_field(3, 8)
     tab = chi_table(F)
     assert int((tab == 1).sum()) == (F.q - 1) // 2
@@ -113,17 +115,46 @@ def test_quadratic_character_multiplicative():
                 == quadratic_character(a) * quadratic_character(b))
 
 
+def _scalar_walk(F):
+    """The generator walk one FieldElement product at a time: the reference
+    for the vectorized log/exp build."""
+    g = _find_generator(F)
+    exp = []
+    cur = F.one()
+    for _ in range(F.q - 1):
+        exp.append(cur.index)
+        cur = cur * g
+    assert cur == F.one()
+    log = [0] * F.q
+    for e, idx in enumerate(exp):
+        log[idx] = e
+    return log, exp
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 11)] + [(3, k) for k in range(1, 9)]
+                         + [(5, k) for k in range(1, 5)] + [(7, k) for k in range(1, 4)]
+                         + [(13, 2)])
+def test_log_exp_tables_match_scalar_walk(p, k):
+    F = build_field(p, k)
+    log, exp = log_exp_tables(F)
+    ref_log, ref_exp = _scalar_walk(F)
+    assert exp.tolist() == ref_exp
+    assert log.tolist() == ref_log
+
+
 def test_tables_match_scalar_ops():
+    # log/exp products and digit sums against FieldElement * and +, over F_27
+    # and over F_32, where digitwise_add is a bitwise xor
     rng = random.Random(5)
-    F = build_field(3, 3)
-    T = field_tables(F)
-    for _ in range(300):
-        i, j = rng.randrange(F.q), rng.randrange(F.q)
-        a, b = F.from_index(i), F.from_index(j)
-        assert int(T.add[i, j]) == (a + b).index
-        assert int(T.mul[i, j]) == (a * b).index
-    for i in range(F.q):
-        assert int(T.sq[i]) == (F.from_index(i) ** 2).index
+    for F in (build_field(3, 3), build_field(2, 5)):
+        i = np.array([rng.randrange(F.q) for _ in range(300)] + [0, 0, 5])
+        j = np.array([rng.randrange(F.q) for _ in range(300)] + [0, 7, 0])
+        products = log_exp_mul(F, i, j)
+        sums = digitwise_add(F, i, j)
+        for a, b, prod, total in zip(i.tolist(), j.tolist(), products.tolist(), sums.tolist()):
+            x, y = F.from_index(a), F.from_index(b)
+            assert prod == (x * y).index
+            assert total == (x + y).index
 
 
 def test_index_roundtrip():
