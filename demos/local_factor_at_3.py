@@ -7,8 +7,8 @@ counts anything: it expands the product of the five character twists of
 the CM quadratic.  Both must land on the same integer polynomial, which
 factors as (1 + 3x + 27x^2) times an irreducible degree-8 cofactor.
 
-The full tower takes well under a second (k = 5 is 243^2 slice
-operations); counts are cached under KLEINZETA_CACHE afterwards.
+The full tower takes a few milliseconds (k = 5 is one pass over 243
+slice elements); counts are cached under KLEINZETA_CACHE afterwards.
 """
 
 import time

@@ -1,6 +1,6 @@
 """Append-only JSONL cache for point counts.
 
-Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-chi",
+Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-delsarte",
 "version": "0.1.0"}; re-runs consult the cache unless asked not to.  The
 path comes from an explicit argument, the KLEINZETA_CACHE environment
 variable, or a per-user default, in that order.  The file is parsed once

@@ -17,21 +17,24 @@ closed form (Lidl-Niederreiter, Finite Fields, Thm 5.48):
     q = 2^k: N1 = q^3 + q sum_{u != 0} (-1)^Tr(u^11)
 
 (the second by Artin-Schreier: x^2 + x = c is solvable iff Tr(c) = 0).
-Cost O(q^2) for odd q and O(q k) for q = 2^k, in O(q) memory, on the
-field's discrete-log/exp vectors.
+For odd q the monomial substitution u = x3 x4^4, v = x3^3 x4, of
+determinant -11, turns the sum over the curve into one over the line
+u = 4v - 1 (Delsarte 1951; Shioda 1986).  Cost O(q k) for every q, in O(q)
+memory, on the field's discrete-log/exp vectors.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import (FieldDescriptor, FieldElement, build_field, chi_table, digitwise_add,
-                     log_exp_mul, log_exp_tables, quadratic_character)
+from .ffield import (LOG_TABLE_MAX_Q, FieldDescriptor, FieldElement, build_field, chi_table,
+                     digitwise_add, log_exp_mul, log_exp_tables, quadratic_character)
 
-DEFAULT_WORK_BUDGET = 1_000_000_000  # max q^2 (odd p) / q (p = 2) slice operations
+DEFAULT_WORK_BUDGET = LOG_TABLE_MAX_Q  # max q slice operations: the log/exp cap
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
 
 
@@ -86,25 +89,36 @@ def klein_cubic_form() -> HomogeneousForm:
 
 
 def _odd_slice_sum(F: FieldDescriptor) -> int:
-    """sum_{x3 != 0} chi(-x3) R(x3), one x3 row of O(q) vectors at a time.
+    """sum_{x3 != 0} chi(-x3) R(x3) in one O(q) pass (Delsarte's reduction).
 
-    With x3 = g^l and x4 = g^j, a root of x3 x4^4 + 1 = 4 x3^3 x4 is a j
-    with zech[l + 4j] = log(4) + 3l + j (mod q - 1), where
-    g^zech[n] = g^n + 1; x4 = 0 is never a root.  chi(-x3) = (-1)^(l + m/2).
+    The sum runs over the torus points of x3 x4^4 - 4 x3^3 x4 + 1 = 0 (x4 = 0
+    is never a root), weighted by chi(-x3).  Put u = x3 x4^4, v = x3^3 x4,
+    so the curve becomes the line u = 4v - 1.  With m = q - 1 and
+    (a, b) = (log x3, log x4), the logs (log u, log v) = (a + 4b, 3a + b)
+    are the image of the exponent matrix [[1, 4], [3, 1]], of determinant
+    -11, acting on (Z/m)^2:
+
+    * its kernel is {(a, -3a) : 11 a = 0}, so every fibre has
+      g = gcd(11, m) points;
+    * (U, V) is in the image iff 11 b = 3U - V (mod m) is solvable, i.e.
+      3U = V (mod g), i.e. U = 4V (mod g) (multiply by 4; 12 = 1 mod 11);
+    * a = U - 4b = U (mod 2), since m is even, so chi(x3) = (-1)^U on the
+      whole fibre.
+
+    Hence, with chi(-1) = (-1)^(m/2),
+
+        sum = chi(-1) g sum_{v != 0, u = 4v - 1 != 0, log u = 4 log v (mod g)} (-1)^(log u),
+
+    which for g = 1 is chi(-1) (sum_u chi(u) - chi(-1)) = -1.
     """
     log, exp = log_exp_tables(F)
     m = F.q - 1
-    plus_one = digitwise_add(F, exp, 1)
-    zech = np.where(plus_one == 0, -1, log[plus_one])  # -1: g^n + 1 = 0
-    zech_ext = np.tile(zech, 5)                        # l + 4j < 5m unreduced
-    ramp = np.tile(np.arange(m), 2)
-    log4 = int(log[4 % F.p])
-    total = 0
-    for l in range(m):
-        start = (log4 + 3 * l) % m
-        roots = int(np.count_nonzero(zech_ext[l:l + 4 * m:4] == ramp[start:start + m]))
-        total += roots if (l + m // 2) % 2 == 0 else -roots
-    return total
+    g = math.gcd(11, m)
+    lv = np.arange(m)
+    u = digitwise_add(F, exp[(lv + int(log[4 % F.p])) % m], F.p - 1)  # 4v + (-1)
+    lu = log[u]
+    hit = (u != 0) & ((lu - 4 * lv) % g == 0)
+    return (-1) ** (m // 2) * g * int((1 - 2 * (lu[hit] % 2)).sum())
 
 
 def _char2_slice_sum(F: FieldDescriptor) -> int:
@@ -118,16 +132,15 @@ def _char2_slice_sum(F: FieldDescriptor) -> int:
     return int(m - 2 * trace[n * 11 % m].sum())
 
 
-def _check_budget(p: int, q: int, budget: int) -> None:
-    work = q if p == 2 else q * q
-    if work > budget:
-        raise BudgetExceeded(f"{work} slice operations exceed the budget {budget}")
+def _check_budget(q: int, budget: int) -> None:
+    if q > budget:
+        raise BudgetExceeded(f"{q} slice operations exceed the budget {budget}")
 
 
 def count_klein_fast(F: FieldDescriptor, *, budget: int = DEFAULT_WORK_BUDGET) -> int:
     """#X(P^4(F_q)) for the Klein cubic by the x1 = 1 slice count."""
     q = F.q
-    _check_budget(F.p, q, budget)
+    _check_budget(q, budget)
     slice_sum = _char2_slice_sum(F) if F.p == 2 else _odd_slice_sum(F)
     n1 = q ** 3 + q * slice_sum
     affine = (q - 1) * n1 + q * q * (q - 1) + q * (2 * q - 1)
@@ -305,11 +318,12 @@ class CountRecord:
 
 def count_klein(p: int, k: int, *, budget: int = DEFAULT_WORK_BUDGET) -> CountRecord:
     """Count with timing, through the fast counter.  The budget is checked
-    before the field is built, since finding a modulus can itself be slow."""
-    _check_budget(p, p ** k, budget)
+    before the field is built, so a field past the log/exp cap is refused
+    before its modulus is searched."""
+    _check_budget(p ** k, budget)
     F = build_field(p, k)
     t0 = time.perf_counter()
     n = count_klein_fast(F, budget=budget)
     dt = time.perf_counter() - t0
-    algo = "slice-trace" if p == 2 else "slice-chi"
+    algo = "slice-trace" if p == 2 else "slice-delsarte"
     return CountRecord(p, k, n, algo, dt)

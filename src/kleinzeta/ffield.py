@@ -192,6 +192,10 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
     lexicographic order of the non-leading coefficient tuple
     (c_0, ..., c_{k-1}), c_0 most significant.  Counts are modulus
     independent, but a pinned modulus keeps caches reproducible.
+
+    For k >= 2 the search starts at c_0 = 1: a candidate with c_0 = 0 is
+    divisible by x, hence reducible, so skipping the first p^(k-1)
+    candidates returns the same modulus without Rabin-testing them.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -201,7 +205,7 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
         raise ValueError(f"field size {p}^{k} exceeds the supported bound 2^40")
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
-    for idx in range(p ** k):
+    for idx in range(p ** (k - 1), p ** k):  # c0 = idx // p^(k-1) >= 1
         digits = []
         rest = idx
         for _ in range(k):

@@ -200,8 +200,9 @@ def test_criterion_8_purity_of_counting_route_factors(store):
                 assert real == predicted, f"count/prediction split at ({p},{k})"
                 counts.append(real)
             else:
-                # beyond the work budget the verified trace identity supplies
-                # the tail of the tower
+                # only (23, 5) is past the work budget (23^5 > LOG_TABLE_MAX_Q);
+                # the verified trace identity supplies it
+                assert (p, k) == (23, 5)
                 counts.append(predicted)
         L = lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, p))
         assert lfunc.weil_bound_check(L, rel_tol=1e-6), f"purity failed at {p}"

@@ -9,6 +9,7 @@ from kleinzeta import cache as cachemod
 from kleinzeta.cache import ConflictingRecords, cached_count, record_count
 from kleinzeta.cli import main
 from kleinzeta.counting import CountRecord
+from kleinzeta.hecke import predicted_count
 from kleinzeta.lfunc import InconsistentCounts
 
 
@@ -23,7 +24,7 @@ def test_count_subcommand_and_cache(tmp_path, capsys):
     assert "count-p3-k1" in first and "pass" in first
     assert cache.exists()
     rec = json.loads(cache.read_text().splitlines()[0])
-    assert rec == {"p": 3, "k": 1, "count": 40, "algorithm": "slice-chi",
+    assert rec == {"p": 3, "k": 1, "count": 40, "algorithm": "slice-delsarte",
                    "version": rec["version"]}
     # second run hits the cache
     assert run(["count", "--p", "3", "--k", "1", "--cache", str(cache)]) == 0
@@ -35,6 +36,24 @@ def test_count_subcommand_and_cache(tmp_path, capsys):
 def test_count_no_cache(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     assert run(["count", "--p", "2", "--k", "2", "--cache", str(cache), "--no-cache"]) == 0
+    assert not cache.exists()
+
+
+def test_count_f3_10_is_genuine(tmp_path, capsys):
+    # F_59049 is within the work budget: counted, checked against the
+    # trace identity's prediction, and recorded
+    cache = tmp_path / "c.jsonl"
+    assert run(["count", "--p", "3", "--k", "10", "--cache", str(cache)]) == 0
+    expected = predicted_count(3, 10)
+    assert f"#X(P^4(F_3^10)) = {expected}" in capsys.readouterr().out
+    assert json.loads(cache.read_text())["count"] == expected
+
+
+def test_count_past_the_budget_is_a_usage_error(tmp_path, capsys):
+    # 23^5 is past the log/exp cap: BudgetExceeded exits 2 and records nothing
+    cache = tmp_path / "c.jsonl"
+    assert run(["count", "--p", "23", "--k", "5", "--cache", str(cache)]) == 2
+    assert "6436343 slice operations exceed the budget" in capsys.readouterr().err
     assert not cache.exists()
 
 

@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from kleinzeta import hecke
-from kleinzeta.counting import (BadReduction, BudgetExceeded, CM_CURVE, CountRecord,
-                                HomogeneousForm, WeierstrassCurve, count_hypersurface_naive,
-                                count_klein_fast, count_weierstrass, fermat_cover_substitution,
-                                klein_cubic_form, quadratic_root_count, verify_fermat_cover)
-from kleinzeta.ffield import build_field
+from kleinzeta import counting, hecke
+from kleinzeta.counting import (DEFAULT_WORK_BUDGET, BadReduction, BudgetExceeded, CM_CURVE,
+                                CountRecord, HomogeneousForm, WeierstrassCurve, _odd_slice_sum,
+                                count_hypersurface_naive, count_klein, count_klein_fast,
+                                count_weierstrass, fermat_cover_substitution, klein_cubic_form,
+                                quadratic_root_count, verify_fermat_cover)
+from kleinzeta.ffield import (LOG_TABLE_MAX_Q, build_field, digitwise_add, is_prime,
+                              log_exp_tables)
 
 # independently frozen oracle values (naive enumeration, plus the trace rule
 # cross-checked at the curve level)
@@ -86,11 +89,72 @@ def test_naive_oracle_reads_coefficients():
         assert count_hypersurface_naive(form, build_field(p, k)) == expected
 
 
+def _quadratic_slice_sum(F):
+    """sum_{x3 != 0} chi(-x3) R(x3), one x3 row of O(q) vectors at a time:
+    the O(q^2) reference for the closed form of _odd_slice_sum.
+
+    With x3 = g^l and x4 = g^j, a root of x3 x4^4 + 1 = 4 x3^3 x4 is a j
+    with zech[l + 4j] = log(4) + 3l + j (mod q - 1), where
+    g^zech[n] = g^n + 1; x4 = 0 is never a root.  chi(-x3) = (-1)^(l + m/2).
+    """
+    log, exp = log_exp_tables(F)
+    m = F.q - 1
+    plus_one = digitwise_add(F, exp, 1)
+    zech = np.where(plus_one == 0, -1, log[plus_one])  # -1: g^n + 1 = 0
+    zech_ext = np.tile(zech, 5)                        # l + 4j < 5m unreduced
+    ramp = np.tile(np.arange(m), 2)
+    log4 = int(log[4 % F.p])
+    total = 0
+    for l in range(m):
+        start = (log4 + 3 * l) % m
+        roots = int(np.count_nonzero(zech_ext[l:l + 4 * m:4] == ramp[start:start + m]))
+        total += roots if (l + m // 2) % 2 == 0 else -roots
+    return total
+
+
+# every odd field the suite counts: the odd primes to 100, the fields
+# of the naive-oracle and prediction tests, the towers of criterion 8 that
+# fit the O(q^2) reference, and F_23, F_67, F_89, F_243, F_529, F_3125,
+# where gcd(11, q - 1) = 11
+_ODD_COUNTED = sorted({(p, 1) for p in range(3, 101) if is_prime(p)}
+                      | {(3, k) for k in (1, 2, 3, 4, 5, 6, 8)} | {(5, k) for k in range(1, 6)}
+                      | {(7, k) for k in range(1, 6)} | {(13, k) for k in range(1, 5)}
+                      | {(23, k) for k in range(1, 4)})
+
+
+@pytest.mark.parametrize("p,k", _ODD_COUNTED)
+def test_odd_slice_sum_equals_quadratic_reference(p, k):
+    F = build_field(p, k)
+    assert _odd_slice_sum(F) == _quadratic_slice_sum(F)
+
+
+def test_odd_slice_sum_is_minus_one_off_the_degree_11_fibres():
+    # for q != 1 mod 11 the exponent map is a bijection and the sum is -1,
+    # i.e. t_1 = 0; every odd prime power q <= 3^8
+    fields = [(p, k) for p in range(3, 3 ** 8 + 1) if is_prime(p)
+              for k in range(1, 9) if p ** k <= 3 ** 8]
+    checked = 0
+    for p, k in fields:
+        if (p ** k - 1) % 11:
+            assert _odd_slice_sum(build_field(p, k)) == -1, (p, k)
+            checked += 1
+    assert checked == 791
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
-        count_klein_fast(build_field(3, 5), budget=10 ** 4)  # F_243 needs 243^2
+        count_klein_fast(build_field(3, 5), budget=100)  # F_243 needs 243
     with pytest.raises(BudgetExceeded):
         count_hypersurface_naive(klein_cubic_form(), build_field(31), budget=10 ** 5)
+
+
+def test_default_budget_is_the_log_exp_cap(monkeypatch):
+    # one limit: a field past the log/exp cap is refused before its modulus
+    # is searched
+    assert DEFAULT_WORK_BUDGET == LOG_TABLE_MAX_Q
+    monkeypatch.setattr(counting, "build_field", lambda p, k: pytest.fail("field was built"))
+    with pytest.raises(BudgetExceeded):
+        count_klein(23, 5)
 
 
 def test_count_record_bound():

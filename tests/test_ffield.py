@@ -33,6 +33,28 @@ def test_build_field_rejects_bad_input():
         build_field(3, 0)
 
 
+def _lexicographic_modulus(p, k):
+    """The full search, c0 = 0 candidates included: the reference for the
+    modulus build_field returns."""
+    for idx in range(p ** k):
+        digits = []
+        rest = idx
+        for _ in range(k):
+            digits.append(rest % p)
+            rest //= p
+        modulus = tuple(reversed(digits)) + (1,)
+        if is_irreducible(modulus, p):
+            return modulus
+    raise AssertionError("no irreducible modulus")
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(2, 11)] + [(3, k) for k in range(2, 9)]
+                         + [(5, k) for k in range(2, 5)] + [(7, 2), (7, 3), (13, 2), (13, 3),
+                                                            (23, 2)])
+def test_build_field_modulus_matches_full_search(p, k):
+    assert build_field(p, k).modulus == _lexicographic_modulus(p, k)
+
+
 def test_build_field_deterministic():
     assert build_field(3, 5).modulus == build_field(3, 5).modulus
     assert build_field(7, 3).modulus == build_field(7, 3).modulus
