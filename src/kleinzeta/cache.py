@@ -99,15 +99,14 @@ def record_count(path: Path, rec: CountRecord) -> None:
                              "algorithm": rec.algorithm, "version": VERSION}) + "\n")
 
 
-def count_with_cache(p: int, k: int, *, cache_path=None, no_cache: bool = False,
-                     budget=None) -> tuple:
+def count_with_cache(p: int, k: int, *, cache_path=None, no_cache: bool = False) -> tuple:
     """(count, hit) -- consult the cache first, then count and record."""
     path = resolve_cache_path(cache_path)
     if not no_cache:
         hit = cached_count(path, p, k)
         if hit is not None:
             return hit, True
-    rec = count_klein(p, k) if budget is None else count_klein(p, k, budget=budget)
+    rec = count_klein(p, k)
     if not no_cache:
         record_count(path, rec)
     return rec.count, False

@@ -64,9 +64,6 @@ class VerificationReport:
             "checks": [vars(c) for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def print_table(self, out=None) -> None:
         out = out or sys.stdout
         width = max((len(c.name) for c in self.checks), default=4)

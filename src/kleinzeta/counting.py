@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import (LOG_TABLE_MAX_Q, FieldDescriptor, FieldElement, build_field, chi_table,
-                     digitwise_add, log_exp_mul, log_exp_tables, quadratic_character)
+from .ffield import (LOG_TABLE_MAX_Q, FieldDescriptor, build_field, chi_table, digitwise_add,
+                     log_exp_mul, log_exp_tables)
 
-DEFAULT_WORK_BUDGET = LOG_TABLE_MAX_Q  # max q slice operations: the log/exp cap
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
 
 
@@ -132,15 +131,9 @@ def _char2_slice_sum(F: FieldDescriptor) -> int:
     return int(m - 2 * trace[n * 11 % m].sum())
 
 
-def _check_budget(q: int, budget: int) -> None:
-    if q > budget:
-        raise BudgetExceeded(f"{q} slice operations exceed the budget {budget}")
-
-
-def count_klein_fast(F: FieldDescriptor, *, budget: int = DEFAULT_WORK_BUDGET) -> int:
+def count_klein_fast(F: FieldDescriptor) -> int:
     """#X(P^4(F_q)) for the Klein cubic by the x1 = 1 slice count."""
     q = F.q
-    _check_budget(q, budget)
     slice_sum = _char2_slice_sum(F) if F.p == 2 else _odd_slice_sum(F)
     n1 = q ** 3 + q * slice_sum
     affine = (q - 1) * n1 + q * q * (q - 1) + q * (2 * q - 1)
@@ -246,21 +239,6 @@ def count_weierstrass(E: WeierstrassCurve, F: FieldDescriptor) -> int:
     return q + 1 + int(chi_table(F)[f].sum())
 
 
-def quadratic_root_count(a: FieldElement, b: FieldElement, c: FieldElement,
-                         F: FieldDescriptor | None = None) -> int:
-    """Number of roots of a x^2 + b x + c in F_q (odd characteristic)."""
-    F = F or a.field
-    if F.p == 2:
-        raise ValueError("quadratic root count by discriminant needs odd characteristic")
-    if not a.is_zero():
-        four = F.element([4])
-        disc = b * b - four * a * c
-        return 1 + quadratic_character(disc, F)
-    if not b.is_zero():
-        return 1
-    return F.q if c.is_zero() else 0
-
-
 # ---------------------------------------------------------------------------
 # Fermat cover of degree 11
 
@@ -316,14 +294,15 @@ class CountRecord:
             raise ValueError("hypersurface count exceeds #P^4(F_q)")
 
 
-def count_klein(p: int, k: int, *, budget: int = DEFAULT_WORK_BUDGET) -> CountRecord:
-    """Count with timing, through the fast counter.  The budget is checked
-    before the field is built, so a field past the log/exp cap is refused
-    before its modulus is searched."""
-    _check_budget(p ** k, budget)
+def count_klein(p: int, k: int) -> CountRecord:
+    """Count with timing, through the fast counter.  A field past the log/exp
+    cap is refused before its modulus is searched."""
+    q = p ** k
+    if q > LOG_TABLE_MAX_Q:
+        raise BudgetExceeded(f"{q} slice operations exceed the budget {LOG_TABLE_MAX_Q}")
     F = build_field(p, k)
     t0 = time.perf_counter()
-    n = count_klein_fast(F, budget=budget)
+    n = count_klein_fast(F)
     dt = time.perf_counter() - t0
     algo = "slice-trace" if p == 2 else "slice-delsarte"
     return CountRecord(p, k, n, algo, dt)

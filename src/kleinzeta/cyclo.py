@@ -178,7 +178,3 @@ def _cyclic_mul(a: list, b: list) -> list:
 def _check_conductor(n: int):
     if n < 3 or not is_prime(n):
         raise ValueError(f"conductor {n} must be an odd prime")
-
-
-def zeta(n: int) -> CyclotomicNumber:
-    return CyclotomicNumber.zeta_pow(n, 1)

@@ -276,36 +276,6 @@ class FieldElement:
         return f"{list(self.coeffs)} in {self.field}"
 
 
-def field_arith(a: FieldElement, b, op: str, e: int | None = None) -> FieldElement:
-    """Dispatcher form of the element operations: add/sub/mul/inv/pow."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        if e is None:
-            raise ValueError("pow requires an exponent")
-        return a ** e
-    raise ValueError(f"unknown op {op!r}")
-
-
-def quadratic_character(a: FieldElement, F: FieldDescriptor | None = None) -> int:
-    """0 for a = 0, +1 for a nonzero square, -1 otherwise.  Odd q only."""
-    F = F or a.field
-    if F.p == 2:
-        raise ValueError("quadratic character undefined in characteristic 2")
-    if a.is_zero():
-        return 0
-    if F.q <= LOG_TABLE_MAX_Q:
-        return int(chi_table(F)[a.index])
-    r = a ** ((F.q - 1) // 2)
-    return 1 if r == F.one() else -1
-
-
 @lru_cache(maxsize=32)
 def _chi_table_cached(p: int, k: int, modulus: tuple) -> np.ndarray:
     # chi(g^e) = (-1)^e, read off the parity of the discrete log

@@ -228,14 +228,6 @@ def graded_dim(d: int):
     return data.quotient_dim, list(data.complement)
 
 
-def lift_to_jacobian_ideal(A: CycPoly):
-    """Solve A = sum_i B_i dS/dx_i; returns the five B_i or None."""
-    coords, lift = degree_data(A.degree).split(A)
-    if any(not _czero(c) for c in coords):
-        return None
-    return lift
-
-
 # ---------------------------------------------------------------------------
 # rational differentials and reduction
 

@@ -21,7 +21,6 @@ from .ffield import is_prime
 from .lfunc import BAD_PRIME, LocalFactor
 
 SPLIT_RESIDUES = frozenset({1, 3, 4, 5, 9})      # nonzero squares mod 11
-QR_MOD_11 = SPLIT_RESIDUES
 # discrete log base 2 in (Z/11)^*; 2 is a primitive root
 DLOG2_MOD_11 = {1: 0, 2: 1, 4: 2, 8: 3, 5: 4, 10: 5, 9: 6, 7: 7, 3: 8, 6: 9}
 INV2_MOD_11 = 6
@@ -81,7 +80,7 @@ def distinguished_generator(p: int) -> QuadInt:
     """
     a, b = solve_norm_form(p)
     g = QuadInt(a, b)
-    if g.residue_at_ramified_prime() not in QR_MOD_11:
+    if g.residue_at_ramified_prime() not in SPLIT_RESIDUES:
         g = QuadInt(-a, -b)
     if g.norm != p:
         raise ArithmeticError(f"norm-form solution does not have norm {p}")

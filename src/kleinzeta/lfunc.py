@@ -10,13 +10,11 @@ equation supplies the top half of the coefficients.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 H3_DEGREE = 10
-WEIGHT = 3
 BAD_PRIME = 11
 
 
@@ -67,14 +65,6 @@ class LocalFactor:
                     f"functional equation broken at c_{10 - j}: "
                     f"{self.coeffs[10 - j]} != p^{3 * (5 - j)} * c_{j}")
 
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p, "coeffs": list(self.coeffs)})
-
-    @staticmethod
-    def from_json(s: str) -> "LocalFactor":
-        d = json.loads(s)
-        return LocalFactor(int(d["p"]), tuple(int(c) for c in d["coeffs"]))
-
 
 def power_sums_to_local_factor(ps: PowerSums) -> LocalFactor:
     """Newton's identities (exact) plus the weight-3 functional equation."""
@@ -106,11 +96,6 @@ def local_factor_power_sums(L: LocalFactor, m: int = 5) -> list:
                 acc += (-1) ** (k - j - 1) * e[k - j] * t[j - 1]
         t.append(acc)
     return t
-
-
-def local_factor_counts(L: LocalFactor, m: int = 5) -> list:
-    """Hypothetical #X(F_{p^k}) sequence reproducing this local factor."""
-    return [_even_part(L.p, k) - t for k, t in enumerate(local_factor_power_sums(L, m), start=1)]
 
 
 def _poly_derivative(c):

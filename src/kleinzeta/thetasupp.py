@@ -37,7 +37,6 @@ route the tests hold the scanner to.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,15 +157,6 @@ def lev_support(p: int):
                          EntryConstraint(1), EntryConstraint(0)))
     L2 = LatticeSpec(p, (EntryConstraint(-1, True), EntryConstraint(-1),
                          EntryConstraint(1), EntryConstraint(-1, True)))
-    return L1, L2
-
-
-def para_support(p: int):
-    """Support of phi^para: ([p Zp, p^-1 Zp; p^3 Zp, p Zp], p^-1 M2(Zp))."""
-    L1 = LatticeSpec(p, (EntryConstraint(1), EntryConstraint(-1),
-                         EntryConstraint(3), EntryConstraint(1)))
-    L2 = LatticeSpec(p, (EntryConstraint(-1), EntryConstraint(-1),
-                         EntryConstraint(-1), EntryConstraint(-1)))
     return L1, L2
 
 
@@ -637,9 +627,6 @@ class ScanReport:
             "status": self.status,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _families(ty: str, box: ScanBox):
     """(m, n, r) of every family of the type inside the box, m outer, r inner."""
@@ -845,46 +832,3 @@ def archimedean_equivariance(t1: float, t2: float, x, sign: str) -> float:
         return abs(p_minus(moved) - phase * p_minus(x))
     raise ValueError("sign must be '+' or '-'")
 
-
-# ---------------------------------------------------------------------------
-# paramodular groups (4x4 membership tests)
-
-
-def _sp4_form():
-    J = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    return J
-
-
-def is_symplectic4(g) -> bool:
-    """g^T J g = J for the standard degree-2 symplectic form."""
-    J = _sp4_form()
-    n = 4
-    gt = [[Fraction(g[j][i]) for j in range(n)] for i in range(n)]
-    JG = [[sum(Fraction(J[i][k]) * Fraction(g[k][j]) for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    M = [[sum(gt[i][k] * JG[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return all(M[i][j] == J[i][j] for i in range(n) for j in range(n))
-
-
-def _entry_in(val: Fraction, scale: Fraction, offset: int = 0) -> bool:
-    """val lies in offset + scale * Z."""
-    return ((Fraction(val) - offset) / scale).denominator == 1
-
-
-def in_paramodular(g, N: int) -> bool:
-    """Membership in K(N) (integral pattern with one N^-1 slot)."""
-    pattern = [[1, 1, 1, N], [N, 1, N, N], [1, 1, 1, N], [1, Fraction(1, N), 1, 1]]
-    if not all(_entry_in(Fraction(g[i][j]), Fraction(pattern[i][j]))
-               for i in range(4) for j in range(4)):
-        return False
-    return is_symplectic4(g)
-
-
-def in_paramodular_lev(g, N: int) -> bool:
-    """Membership in K(N)^lev (the canonical-level refinement of K(N))."""
-    scales = [[1, 1, 1, N], [N, N, N, N * N], [1, 1, 1, N], [1, 1, 1, N]]
-    offsets = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
-    if not all(_entry_in(Fraction(g[i][j]), Fraction(scales[i][j]), offsets[i][j])
-               for i in range(4) for j in range(4)):
-        return False
-    return is_symplectic4(g)

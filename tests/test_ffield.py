@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from kleinzeta.ffield import (_find_generator, build_field, chi_table, digitwise_add, field_arith,
-                              is_irreducible, is_prime, log_exp_mul, log_exp_tables,
-                              quadratic_character)
+from kleinzeta.ffield import (_find_generator, build_field, chi_table, digitwise_add,
+                              is_irreducible, is_prime, log_exp_mul, log_exp_tables)
 
 
 def test_build_field_prime_field():
@@ -60,25 +59,23 @@ def test_build_field_deterministic():
     assert build_field(7, 3).modulus == build_field(7, 3).modulus
 
 
-def test_field_arith_examples():
+def test_field_element_examples():
     F5 = build_field(5)
     two, three = F5.element([2]), F5.element([3])
-    assert field_arith(two, three, "mul") == F5.element([1])
+    assert two * three == F5.element([1])
 
     F11 = build_field(11)
     two = F11.element([2])
-    assert field_arith(two, None, "inv") == F11.element([6])
-    assert field_arith(two, None, "pow", e=10) == F11.one()
+    assert two.inverse() == F11.element([6])
+    assert two ** 10 == F11.one()
 
 
-def test_field_arith_errors():
+def test_field_element_errors():
     F5, F7 = build_field(5), build_field(7)
     with pytest.raises(ValueError):
-        field_arith(F5.one(), F7.one(), "add")
+        F5.one() + F7.one()
     with pytest.raises(ZeroDivisionError):
-        field_arith(F5.zero(), None, "inv")
-    with pytest.raises(ValueError):
-        field_arith(F5.one(), F5.one(), "frob")
+        F5.zero().inverse()
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 1), (7, 2), (3, 4)])
@@ -97,18 +94,27 @@ def test_extension_arithmetic_against_modulus():
     assert x * x == F.element([-1])
 
 
+def _euler_character(a):
+    """Euler's criterion a^((q - 1)/2), one scalar power per element: the
+    reference for the chi table."""
+    if a.is_zero():
+        return 0
+    return 1 if a ** ((a.field.q - 1) // 2) == a.field.one() else -1
+
+
 def test_quadratic_character_examples():
     F11 = build_field(11)
-    assert quadratic_character(F11.one()) == 1
-    assert quadratic_character(F11.zero()) == 0
+    chi = chi_table(F11)
+    assert chi[F11.one().index] == _euler_character(F11.one()) == 1
+    assert chi[F11.zero().index] == _euler_character(F11.zero()) == 0
     # Euler criterion: 2^5 = 32 = -1 mod 11
-    assert quadratic_character(F11.element([2])) == -1
+    assert chi[F11.element([2]).index] == _euler_character(F11.element([2])) == -1
 
 
 def test_quadratic_character_char2_raises():
     F4 = build_field(2, 2)
     with pytest.raises(ValueError):
-        quadratic_character(F4.one())
+        chi_table(F4)
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (3, 4), (5, 3), (7, 2), (11, 2)])
@@ -131,10 +137,11 @@ def test_quadratic_character_multiplicative():
     rng = random.Random(11)
     F = build_field(13, 2)
     elems = list(F.elements())
+    chi = chi_table(F)
     for _ in range(200):
         a, b = rng.choice(elems), rng.choice(elems)
-        assert (quadratic_character(a * b)
-                == quadratic_character(a) * quadratic_character(b))
+        assert chi[(a * b).index] == chi[a.index] * chi[b.index]
+        assert chi[a.index] == _euler_character(a)
 
 
 def _scalar_walk(F):
