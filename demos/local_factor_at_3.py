@@ -13,16 +13,17 @@ slice elements); counts are cached under KLEINZETA_CACHE afterwards.
 
 import time
 
-from kleinzeta.cache import count_with_cache
+from kleinzeta.cache import CountCache, count_with_cache
 from kleinzeta.hecke import h3_local_factor_product
 from kleinzeta.lfunc import counts_to_power_sums, power_sums_to_local_factor, weil_bound_check
 from kleinzeta.reference import FACTOR3_DEGREE8, FACTOR3_QUADRATIC, reference_degree10_at_3
 
 print("counting the tower over F_{3^k} ...")
+cache = CountCache()
 counts = []
 for k in range(1, 6):
     t0 = time.time()
-    n, cached = count_with_cache(3, k)
+    n, cached = count_with_cache(cache, 3, k)
     counts.append(n)
     src = "cache" if cached else f"{time.time() - t0:.1f}s"
     print(f"  #X(F_{3 ** k:>3}) = {n:>12}   [{src}]")

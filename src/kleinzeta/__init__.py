@@ -1,13 +1,16 @@
 """Exact desk-scale verification of the arithmetic of Klein's cubic threefold.
 
-Subpackages:
+Modules:
   ffield     exact F_{p^k} arithmetic and O(q) log/exp index vectors
   counting   point counts (slice Klein counter, naive oracle, curves)
+  cache      append-only JSONL cache of point counts, read once per run
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology
   cyclo      exact Q(zeta_n) arithmetic for prime n
   hecke      Q(sqrt(-11)) splitting, coefficients, character twists
+  linalg     exact sparse row echelon forms and ranks
   gdcohom    pole-order reduction of the middle de Rham cohomology
   thetasupp  p-adic Schwartz-support scans and local cancellation checks
+  reference  the pinned factorization of the degree-10 local factor at p = 3
   cli        verification harness with JSON reports
 """
 

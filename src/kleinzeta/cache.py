@@ -3,17 +3,18 @@
 Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-delsarte",
 "version": "0.1.0"}; re-runs consult the cache unless asked not to.  The
 path comes from an explicit argument, the KLEINZETA_CACHE environment
-variable, or a per-user default, in that order.  The file is parsed once
-per state (inode, size and modification time).  A malformed line, or a count
-above #P^4(F_q), is an error, and so are two records that give different
-counts for the same (p, k): never a silent choice.
+variable, or a per-user default, in that order.  Each run holds one
+CountCache: it parses the file at most once, on its first lookup, and adds
+every count the run records to what it parsed, so a change another writer
+makes to the file mid-run is seen by the next run.  A malformed line, or a
+count above #P^4(F_q), is an error, and so are two records that give
+different counts for the same (p, k): never a silent choice.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 from .counting import CountRecord, count_klein
@@ -23,15 +24,6 @@ VERSION = "0.1.0"
 CACHE_ENV = "KLEINZETA_CACHE"
 
 
-def resolve_cache_path(explicit=None) -> Path:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "kleinzeta" / "counts.jsonl"
-
-
 class ConflictingRecords(InconsistentCounts):
     """The cache holds records with different counts for the same (p, k)."""
 
@@ -39,13 +31,6 @@ class ConflictingRecords(InconsistentCounts):
 class BadRecord(InconsistentCounts):
     """A cache line is not a well-formed record, or its count cannot be a
     point count of a hypersurface in P^4(F_{p^k})."""
-
-
-# resolved path -> ((st_ino, st_size, st_mtime_ns), {(p, k): set of counts})
-_parsed: dict = {}
-# a file whose mtime is this close to the parse may be rewritten within one
-# timestamp tick, keeping size and mtime, so it is not memoised yet
-_RACY_NS = 100_000_000
 
 
 def _parse_record(line: str) -> tuple:
@@ -61,52 +46,53 @@ def _parse_record(line: str) -> tuple:
     return (p, k), n
 
 
-def _records(path: Path) -> dict:
-    """{(p, k): counts} for the whole file, parsed once per file state."""
-    key = path.resolve()
-    st = key.stat()
-    stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
-    hit = _parsed.get(key)
-    if hit is not None and hit[0] == stamp:
-        return hit[1]
-    parsed_at = time.time_ns()
-    table = {}
-    with open(key) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                pk, n = _parse_record(line)
-                table.setdefault(pk, set()).add(n)
-    if st.st_mtime_ns < parsed_at - _RACY_NS:
-        _parsed[key] = (stamp, table)
-    return table
+class CountCache:
+    """The count cache of one run; its path is None when the cache is off."""
+
+    def __init__(self, path=None, *, off: bool = False):
+        self.path = None if off else Path(
+            path or os.environ.get(CACHE_ENV)
+            or Path.home() / ".cache" / "kleinzeta" / "counts.jsonl")
+        self._table = None      # {(p, k): set of counts}, once parsed
+
+    def _counts(self) -> dict:
+        if self._table is None:
+            table = {}
+            if self.path.exists():
+                with open(self.path) as fh:
+                    for line in fh:
+                        line = line.strip()
+                        if line:
+                            pk, n = _parse_record(line)
+                            table.setdefault(pk, set()).add(n)
+            self._table = table
+        return self._table
 
 
-def cached_count(path: Path, p: int, k: int) -> int | None:
-    if not path.exists():
-        return None
-    counts = _records(path).get((p, k), set())
+def cached_count(cache: CountCache, p: int, k: int) -> int | None:
+    counts = cache._counts().get((p, k), set())
     if len(counts) > 1:
-        raise ConflictingRecords(f"{path} holds counts {sorted(counts)} for (p, k) = ({p}, {k})")
+        raise ConflictingRecords(
+            f"{cache.path} holds counts {sorted(counts)} for (p, k) = ({p}, {k})")
     return next(iter(counts), None)
 
 
-def record_count(path: Path, rec: CountRecord) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _parsed.pop(path.resolve(), None)
-    with open(path, "a") as fh:
+def record_count(cache: CountCache, rec: CountRecord) -> None:
+    cache.path.parent.mkdir(parents=True, exist_ok=True)
+    with open(cache.path, "a") as fh:
         fh.write(json.dumps({"p": rec.p, "k": rec.k, "count": rec.count,
                              "algorithm": rec.algorithm, "version": VERSION}) + "\n")
+    if cache._table is not None:    # else the first lookup reads it from the file
+        cache._table.setdefault((rec.p, rec.k), set()).add(rec.count)
 
 
-def count_with_cache(p: int, k: int, *, cache_path=None, no_cache: bool = False) -> tuple:
-    """(count, hit) -- consult the cache first, then count and record."""
-    path = resolve_cache_path(cache_path)
-    if not no_cache:
-        hit = cached_count(path, p, k)
+def count_with_cache(cache: CountCache, p: int, k: int) -> tuple:
+    """(count, hit) -- consult the run's cache first, then count and record."""
+    if cache.path is not None:
+        hit = cached_count(cache, p, k)
         if hit is not None:
             return hit, True
     rec = count_klein(p, k)
-    if not no_cache:
-        record_count(path, rec)
+    if cache.path is not None:
+        record_count(cache, rec)
     return rec.count, False

@@ -85,10 +85,9 @@ def _timed(fn, *args, **kwargs):
 # check batteries
 
 
-def run_count(report: VerificationReport, p: int, k: int, *, cache_path, no_cache):
+def run_count(report: VerificationReport, cache: cachemod.CountCache, p: int, k: int):
     try:
-        (n, hit), dt = _timed(cachemod.count_with_cache, p, k, cache_path=cache_path,
-                              no_cache=no_cache)
+        (n, hit), dt = _timed(cachemod.count_with_cache, cache, p, k)
     except lfunc.InconsistentCounts as exc:
         # conflicting cache records fail the check, not the usage
         report.add(f"count-p{p}-k{k}", False, "one count per (p, k)",
@@ -104,12 +103,11 @@ def run_count(report: VerificationReport, p: int, k: int, *, cache_path, no_cach
     return n
 
 
-def run_verify_l3(report: VerificationReport, *, cache_path, no_cache):
+def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
     target = reference_degree10_at_3()
     t0 = time.perf_counter()
     try:
-        counts = [cachemod.count_with_cache(3, k, cache_path=cache_path, no_cache=no_cache)[0]
-                  for k in range(1, 6)]
+        counts = [cachemod.count_with_cache(cache, 3, k)[0] for k in range(1, 6)]
         L_counting = lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, 3))
         actual = list(L_counting.coeffs)
     except (lfunc.InconsistentCounts, ArithmeticError) as exc:
@@ -129,13 +127,13 @@ def run_verify_l3(report: VerificationReport, *, cache_path, no_cache):
     return L_counting
 
 
-def run_trace_sweep(report: VerificationReport, max_p: int, *, cache_path, no_cache):
+def run_trace_sweep(report: VerificationReport, cache: cachemod.CountCache, max_p: int):
     for p in hecke.primes_up_to(max_p):
         if p == lfunc.BAD_PRIME:
             continue
         t0 = time.perf_counter()
         try:
-            n, _ = cachemod.count_with_cache(p, 1, cache_path=cache_path, no_cache=no_cache)
+            n, _ = cachemod.count_with_cache(cache, p, 1)
         except lfunc.InconsistentCounts as exc:
             n = f"{type(exc).__name__}: {exc}"
         expected = hecke.predicted_count(p, 1)
@@ -336,17 +334,18 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k != "command"}
     report = VerificationReport("kleinzeta", VERSION, {"command": args.command, **config})
     try:
+        if "cache" in args:     # the subcommands that count
+            cache = cachemod.CountCache(args.cache, off=args.no_cache)
         if args.command == "count":
-            n = run_count(report, args.p, args.k, cache_path=args.cache,
-                          no_cache=args.no_cache)
+            n = run_count(report, cache, args.p, args.k)
             if n is not None:
                 print(f"#X(P^4(F_{args.p}^{args.k})) = {n}")
             return _finish(report, args.json)
         if args.command == "verify-l3":
-            run_verify_l3(report, cache_path=args.cache, no_cache=args.no_cache)
+            run_verify_l3(report, cache)
             return _finish(report, args.json)
         if args.command == "trace-sweep":
-            run_trace_sweep(report, args.max, cache_path=args.cache, no_cache=args.no_cache)
+            run_trace_sweep(report, cache, args.max)
             return _finish(report, args.json)
         if args.command == "hecke-table":
             run_hecke_table(report, args.max, args.out)
@@ -362,8 +361,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             sweep_max = 20 if args.quick else args.max
             if not args.quick:
-                run_verify_l3(report, cache_path=args.cache, no_cache=args.no_cache)
-            run_trace_sweep(report, sweep_max, cache_path=args.cache, no_cache=args.no_cache)
+                run_verify_l3(report, cache)
+            run_trace_sweep(report, cache, sweep_max)
             fermat = counting.verify_fermat_cover()
             report.add("fermat-cover", fermat, True, fermat)
             run_cm_structure(report, 60 if args.quick else 200)

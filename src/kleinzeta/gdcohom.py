@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CyclotomicNumber
-from .linalg import Echelon, rank
+from .linalg import Echelon, _is_zero, rank
 
 NVARS = 5
 
@@ -54,10 +54,6 @@ def monomials_of_degree(d: int, nvars: int = NVARS) -> list:
     return mons
 
 
-def _czero(x) -> bool:
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
-
-
 @dataclass(frozen=True)
 class CycPoly:
     """Homogeneous polynomial in x_0..x_4, coefficients in Q or Q(zeta_5)."""
@@ -66,7 +62,7 @@ class CycPoly:
 
     @staticmethod
     def make(terms: dict, degree: int | None = None) -> "CycPoly":
-        clean = {e: c for e, c in terms.items() if not _czero(c)}
+        clean = {e: c for e, c in terms.items() if not _is_zero(c)}
         if clean:
             degrees = {sum(e) for e in clean}
             if len(degrees) != 1:
@@ -104,7 +100,7 @@ class CycPoly:
         return self + (-other)
 
     def scale(self, f) -> "CycPoly":
-        if _czero(f):
+        if _is_zero(f):
             return CycPoly.make({}, self.degree)
         return CycPoly(self.degree, tuple((e, c * f) for e, c in self.terms))
 
@@ -292,7 +288,7 @@ def griffiths_reduce(omega: RationalDifferential, basis: CohomologyBasis | None 
         coords, B = data.split(A)
         if m == 3:
             harmonic3 = harmonic3 + data.harmonic(coords)
-        elif any(not _czero(c) for c in coords):
+        elif any(not _is_zero(c) for c in coords):
             # (R/J)_d vanishes for d = 3m-5 > 5, so A is entirely ideal
             raise ArithmeticError("nonzero harmonic part above the socle degree")
         if first_lift is not None and m == omega.pole_order:
@@ -346,7 +342,7 @@ def _sparse_product(A: list, B: list) -> list:
         for k, a in arow.items():
             for j, b in B[k].items():
                 row[j] = row[j] + a * b if j in row else a * b
-        out.append({j: v for j, v in row.items() if not _czero(v)})
+        out.append({j: v for j, v in row.items() if not _is_zero(v)})
     return out
 
 
@@ -355,7 +351,7 @@ def matrix_power(M, e: int):
     the products skip zero entries."""
     n = len(M)
     out = [{i: Fraction(1)} for i in range(n)]
-    base = [{k: v for k, v in enumerate(row) if not _czero(v)} for row in M]
+    base = [{k: v for k, v in enumerate(row) if not _is_zero(v)} for row in M]
     while e:
         if e & 1:
             out = _sparse_product(out, base)
@@ -410,7 +406,7 @@ def fil2_eigenvector_map(M) -> dict:
         for i in range(n):
             image = CyclotomicNumber.zero(5)
             for k in range(5):
-                if not _czero(M[i][k]):
+                if not _is_zero(M[i][k]):
                     image = image + CyclotomicNumber.zeta_pow(5, j * (k + 1)) * M[i][k]
             if i >= 5:
                 if not image.is_zero():

@@ -108,16 +108,7 @@ def val_p(p: int, f: Fraction) -> int | None:
     """p-adic valuation of a rational; None for 0."""
     if f == 0:
         return None
-    v = 0
-    n = f.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = f.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _split_p(p, f.numerator)[0] - _split_p(p, f.denominator)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +161,10 @@ def in_support_pair(x1: PadicMat2, x2: PadicMat2, supports) -> bool:
 
 
 COSET_TYPES = ("I", "II", "III", "IV")
+# whether h1 and h2 of each coset type carry the Weyl factor w U(s), w U(t)
+_WEYL = {"I": (False, False), "II": (True, False), "III": (False, True), "IV": (True, True)}
+# each type's family constraint n = m + 2r + shift
+_N_SHIFT = {"I": 0, "II": 2, "III": -2, "IV": 0}
 
 
 @dataclass(frozen=True)
@@ -186,11 +181,7 @@ class CosetParams:
         if self.type not in COSET_TYPES:
             raise ValueError(f"unknown coset type {self.type!r}")
         m, n, r = self.m, self.n, self.r
-        ok = {"I": m + 2 * r == n,
-              "II": 2 * r + m + 2 == n,
-              "III": m == n + 2 - 2 * r,
-              "IV": 2 * r + m == n}[self.type]
-        if not ok:
+        if n != m + 2 * r + _N_SHIFT[self.type]:
             raise ValueError(f"type {self.type} constraint broken for (m,n,r)=({m},{n},{r})")
 
 
@@ -213,14 +204,14 @@ def _fractional_shift_ok(p: int, s: Fraction) -> bool:
 def _h1_core(p: int, ty: str, m: int, s) -> PadicMat2:
     """h1 without its left factor U(x) and its scalar p^r."""
     h = _diag_pm(p, m)
-    if ty in ("II", "IV"):
+    if _WEYL[ty][0]:
         h = h * _weyl(p) * _upper(p, s)
     return h
 
 
 def _h2(p: int, ty: str, n: int, t) -> PadicMat2:
     h = _diag_pm(p, n)
-    if ty in ("III", "IV"):
+    if _WEYL[ty][1]:
         h = h * _weyl(p) * _upper(p, t)
     return h
 
@@ -436,8 +427,7 @@ def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals
 def _shift_ranges(ty: str, p: int):
     """The numerators i, j of s = i/p and t = j/p: a shift is free only in the
     components that carry the Weyl factor."""
-    return (range(p) if ty in ("II", "IV") else range(1),
-            range(p) if ty in ("III", "IV") else range(1))
+    return tuple(range(p) if weyl else range(1) for weyl in _WEYL[ty])
 
 
 def _closed_form(p: int, k, i: int, j: int):
@@ -571,13 +561,10 @@ def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> _XMask:
 
 def _beta_possible(params: CosetParams) -> bool:
     """Torus support of the Whittaker newform: diag(a, 1) values vanish off
-    units.  Components carrying the Weyl factor are unconstrained here."""
-    ok = True
-    if params.type in ("I", "III"):   # h1 is (scalar) U(x) diag(p^m, 1)
-        ok = ok and params.m == 0
-    if params.type in ("I", "II"):    # h2 is diag(p^n, 1)
-        ok = ok and params.n == 0
-    return ok
+    units.  Components carrying the Weyl factor are unconstrained here; a
+    component without it is (scalar) U(x) diag(p^m, 1) or diag(p^n, 1)."""
+    weyl1, weyl2 = _WEYL[params.type]
+    return (weyl1 or params.m == 0) and (weyl2 or params.n == 0)
 
 
 def _canceled_mask(mask: _XMask, table: _TranslateTable) -> _XMask:
@@ -631,7 +618,7 @@ class ScanReport:
 def _families(ty: str, box: ScanBox):
     """(m, n, r) of every family of the type inside the box, m outer, r inner."""
     R = box.radius
-    shift = {"I": 0, "II": 2, "III": -2, "IV": 0}[ty]
+    shift = _N_SHIFT[ty]
     for m in range(-R, R + 1):
         for r in range(-R, R + 1):
             n = m + 2 * r + shift

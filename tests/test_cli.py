@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import cache as cachemod
-from kleinzeta.cache import ConflictingRecords, cached_count, record_count
+from kleinzeta.cache import ConflictingRecords, CountCache, cached_count, record_count
 from kleinzeta.cli import main
 from kleinzeta.counting import CountRecord
 from kleinzeta.hecke import predicted_count
@@ -37,6 +37,23 @@ def test_count_no_cache(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     assert run(["count", "--p", "2", "--k", "2", "--cache", str(cache), "--no-cache"]) == 0
     assert not cache.exists()
+
+
+def test_count_reads_a_file_rewritten_between_runs(tmp_path, capsys):
+    # a record rewritten in place to the same size, its mtime put back, is
+    # what the next run in the same process reads: the file now says 49
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"p": 3, "k": 1, "count": 40}) + "\n")
+    past = cache.stat().st_mtime_ns - 10 ** 10
+    os.utime(cache, ns=(past, past))
+    argv = ["count", "--p", "3", "--k", "1", "--cache", str(cache)]
+    assert run(argv) == 0
+    cache.write_text(json.dumps({"p": 3, "k": 1, "count": 49}) + "\n")
+    os.utime(cache, ns=(past, past))
+    out = tmp_path / "r.json"
+    assert run(argv + ["--json", str(out)]) == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["status"] == "fail" and check["actual"] == "49"
 
 
 def test_count_f3_10_is_genuine(tmp_path, capsys):
@@ -199,10 +216,11 @@ def _write_cache(path, records):
 
 
 def test_cached_count_rejects_conflicting_records(tmp_path):
-    cache = tmp_path / "c.jsonl"
-    _write_cache(cache, [(3, 1, 40), (3, 2, 820), (3, 1, 40)])
-    assert cached_count(cache, 3, 1) == 40      # duplicates that agree are fine
-    _write_cache(cache, [(3, 1, 40), (3, 2, 820), (3, 1, 41)])
+    path = tmp_path / "c.jsonl"
+    _write_cache(path, [(3, 1, 40), (3, 2, 820), (3, 1, 40)])
+    assert cached_count(CountCache(path), 3, 1) == 40   # duplicates that agree are fine
+    _write_cache(path, [(3, 1, 40), (3, 2, 820), (3, 1, 41)])
+    cache = CountCache(path)
     assert cached_count(cache, 3, 2) == 820
     with pytest.raises(ConflictingRecords) as err:
         cached_count(cache, 3, 1)
@@ -235,34 +253,28 @@ def test_verify_l3_bad_record_fails_check(tmp_path, capsys, bad):
 
 
 def test_cached_count_parses_once_and_sees_appends(tmp_path, monkeypatch):
-    # an unchanged file is parsed once; a record appended by record_count,
-    # or by anyone else, is seen by the next lookup
+    # one CountCache parses each line once however often it is looked up,
+    # and sees what it records without reading the file again; a new
+    # CountCache sees lines another writer appended, a conflicting one too
     parsed = []
     parse = cachemod._parse_record
     monkeypatch.setattr(cachemod, "_parse_record", lambda line: parsed.append(line) or parse(line))
-    cache = tmp_path / "c.jsonl"
-    cache.write_text("\n".join(_TOWER_LINES[:2]) + "\n")
-    past = cache.stat().st_mtime_ns - 10 ** 10
-
-    def age():  # an old mtime, so the parse is memoised
-        os.utime(cache, ns=(past, past))
-
-    age()
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(_TOWER_LINES[:2]) + "\n")
+    cache = CountCache(path)
     for _ in range(3):
         assert cached_count(cache, 3, 1) == 40 and cached_count(cache, 3, 3) is None
     assert len(parsed) == 2
     record_count(cache, CountRecord(3, 3, 20440, "slice-chi", 0.0))
-    age()
     assert cached_count(cache, 3, 3) == 20440
-    with open(cache, "a") as fh:
+    assert len(parsed) == 2
+    with open(path, "a") as fh:
         fh.write(_TOWER_LINES[3] + "\n")
-    age()                                   # only the size tells the change
-    assert cached_count(cache, 3, 4) == 538084
-    with open(cache, "a") as fh:
+    assert cached_count(CountCache(path), 3, 4) == 538084
+    with open(path, "a") as fh:
         fh.write(json.dumps({"p": 3, "k": 1, "count": 41}) + "\n")
-    age()
     with pytest.raises(ConflictingRecords):
-        cached_count(cache, 3, 1)
+        cached_count(CountCache(path), 3, 1)
 
 
 @pytest.mark.parametrize("argv", [["count", "--p", "3", "--k", "1"],
