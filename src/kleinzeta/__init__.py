@@ -1,7 +1,7 @@
 """Exact desk-scale verification of the arithmetic of Klein's cubic threefold.
 
 Modules:
-  ffield     exact F_{p^k} arithmetic and O(q) log/exp index vectors
+  ffield     F_{p^k} construction and its O(q) log/exp index vectors
   counting   point counts (slice Klein counter, naive oracle, curves)
   cache      append-only JSONL cache of point counts, read once per run
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology

@@ -334,6 +334,8 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k != "command"}
     report = VerificationReport("kleinzeta", VERSION, {"command": args.command, **config})
     try:
+        if getattr(args, "max", 2) < 2:     # a sweep with no primes checks nothing
+            raise ValueError(f"--max {args.max} leaves no primes to check; use --max >= 2")
         if "cache" in args:     # the subcommands that count
             cache = cachemod.CountCache(args.cache, off=args.no_cache)
         if args.command == "count":

@@ -21,6 +21,10 @@ For odd q the monomial substitution u = x3 x4^4, v = x3^3 x4, of
 determinant -11, turns the sum over the curve into one over the line
 u = 4v - 1 (Delsarte 1951; Shioda 1986).  Cost O(q k) for every q, in O(q)
 memory, on the field's discrete-log/exp vectors.
+
+The naive projective oracle evaluates an integer-coefficient `gdcohom.CycPoly`
+on all of P^(n-1)(F_q).  It shares no equation with the slice counter, and
+at p = 2 it also counts the Weierstrass curves.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .ffield import (LOG_TABLE_MAX_Q, FieldDescriptor, build_field, chi_table, digitwise_add,
                      log_exp_mul, log_exp_tables)
+from .gdcohom import CycPoly, klein_form
 
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
 
@@ -43,44 +49,6 @@ class BudgetExceeded(ValueError):
 
 class BadReduction(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# forms
-
-
-@dataclass(frozen=True)
-class HomogeneousForm:
-    nvars: int
-    degree: int
-    terms: tuple  # sorted tuple of (exponent-tuple, int coeff), no zeros
-
-    @staticmethod
-    def from_dict(nvars: int, terms: dict) -> "HomogeneousForm":
-        clean = {e: c for e, c in terms.items() if c != 0}
-        if not clean:
-            raise ValueError("zero form has no degree")
-        degrees = {sum(e) for e in clean}
-        if len(degrees) != 1:
-            raise ValueError("form is not homogeneous")
-        (degree,) = degrees
-        if any(len(e) != nvars for e in clean):
-            raise ValueError("exponent tuple length mismatch")
-        return HomogeneousForm(nvars, degree, tuple(sorted(clean.items())))
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
-
-
-def klein_cubic_form() -> HomogeneousForm:
-    """x0^2 x1 + x1^2 x2 + x2^2 x3 + x3^2 x4 + x4^2 x0."""
-    terms = {}
-    for i in range(5):
-        e = [0] * 5
-        e[i] = 2
-        e[(i + 1) % 5] = 1
-        terms[tuple(e)] = 1
-    return HomogeneousForm.from_dict(5, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +126,22 @@ def _projective_blocks(q: int, nvars: int):
         yield block
 
 
-def count_hypersurface_naive(form: HomogeneousForm, F: FieldDescriptor,
+def count_hypersurface_naive(form: CycPoly, F: FieldDescriptor,
                              budget: int = NAIVE_POINT_BUDGET) -> int:
-    """Exhaustive evaluation over projective representatives.  Exact oracle."""
-    q, n = F.q, form.nvars
+    """Exhaustive evaluation over projective representatives.  Exact oracle.
+
+    The form is a CycPoly with integer coefficients (ints, or Fractions of
+    denominator 1), reduced mod p; its exponent tuples give the number of
+    variables."""
+    if form.is_zero():
+        raise ValueError("zero form has no degree")
+    nvars = {len(e) for e, _ in form.terms}
+    if len(nvars) != 1:
+        raise ValueError("exponent tuples of mixed length")
+    for _, c in form.terms:
+        if not isinstance(c, (int, Fraction)) or Fraction(c).denominator != 1:
+            raise ValueError(f"coefficient {c!r} is not an integer")
+    q, (n,) = F.q, nvars
     npoints = sum(q ** (n - 1 - i) for i in range(n))
     if npoints > budget:
         raise BudgetExceeded(f"{npoints} projective points exceed the budget {budget}")
@@ -174,7 +154,7 @@ def count_hypersurface_naive(form: HomogeneousForm, F: FieldDescriptor,
     for block in _projective_blocks(q, n):
         acc = np.zeros(block.shape[1], dtype=np.int64)
         for exps, coeff in form.terms:
-            mono = np.full(block.shape[1], coeff % F.p, dtype=np.int64)
+            mono = np.full(block.shape[1], int(coeff) % F.p, dtype=np.int64)
             for v, e in enumerate(exps):
                 if e:
                     mono = log_exp_mul(F, mono, POW[e][block[v]])
@@ -209,6 +189,12 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
+    def projective_form(self) -> CycPoly:
+        """Y^2 Z + a1 XYZ + a3 YZ^2 - X^3 - a2 X^2 Z - a4 XZ^2 - a6 Z^3 in (X, Y, Z)."""
+        return CycPoly.make({(0, 2, 1): 1, (1, 1, 1): self.a1, (0, 1, 2): self.a3,
+                             (3, 0, 0): -1, (2, 0, 1): -self.a2, (1, 0, 2): -self.a4,
+                             (0, 0, 3): -self.a6})
+
 
 # conductor-121 CM curve housing a_p(f); pinned against the grossencharacter
 # rule and the degree-10 factor at p = 3 (hard test failures on disagreement)
@@ -219,16 +205,9 @@ def count_weierstrass(E: WeierstrassCurve, F: FieldDescriptor) -> int:
     """#E(F_q) including the point at infinity."""
     if E.discriminant % F.p == 0:
         raise BadReduction(f"curve has bad reduction at {F.p}")
-    q = F.q
     if F.p == 2:
-        total = 1
-        for x in F.elements():
-            for y in F.elements():
-                lhs = y * y + F.element([E.a1]) * x * y + F.element([E.a3]) * y
-                rhs = x * x * x + F.element([E.a2]) * x * x + F.element([E.a4]) * x + F.element([E.a6])
-                if lhs == rhs:
-                    total += 1
-        return total
+        return count_hypersurface_naive(E.projective_form(), F)
+    q = F.q
     # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
     # evaluated by Horner steps on index vectors (constants lie in F_p)
     b2, b4, b6, _ = E.b_invariants
@@ -255,14 +234,14 @@ def _cover_exponents() -> list[tuple]:
     return out
 
 
-def fermat_cover_substitution() -> HomogeneousForm:
+def fermat_cover_substitution() -> CycPoly:
     """The Klein form with each x_i replaced by its monomial in y_0..y_4."""
     sub = _cover_exponents()
     terms = {}
-    for exps, coeff in klein_cubic_form().terms:
+    for exps, coeff in klein_form().terms:
         new = tuple(sum(exps[v] * sub[v][j] for v in range(5)) for j in range(5))
         terms[new] = terms.get(new, 0) + coeff
-    return HomogeneousForm.from_dict(5, terms)
+    return CycPoly.make(terms)
 
 
 def verify_fermat_cover() -> bool:
@@ -273,7 +252,7 @@ def verify_fermat_cover() -> bool:
         e = [8] * 5
         e[i] += 11
         expected[tuple(e)] = 1
-    return lhs.term_dict() == expected
+    return lhs.dict() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Exact arithmetic in F_p and F_{p^k}.
 
 Elements of F_{p^k} are residue polynomials modulo a fixed monic irreducible
-modulus, stored little-endian in the root.  Every field also has an integer
-index encoding (sum of c_i * p^i).  The counting kernels work on numpy
-arrays of indices through two O(q) vectors per field, the discrete log and
-exp of one generator: products add logs, and sums add base-p digits.  The
-scalar FieldElement API and the index API agree by construction and are
-cross-checked in the tests.
+modulus, stored little-endian in the root, and are encoded as the integer
+index sum of c_i * p^i.  The counting kernels work on numpy arrays of
+indices through two O(q) vectors per field, the discrete log and exp of one
+generator: products add logs, and sums add base-p digits.  Polynomial
+arithmetic on coefficient lists serves only to build the field (modulus,
+generator, first walk step).
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense little-endian polynomial arithmetic over F_p (used only at build time
-# and for scalar FieldElement operations; the hot loops use log/exp vectors)
+# dense little-endian polynomial arithmetic over F_p on coefficient lists,
+# used only at build time; the hot loops use log/exp vectors
 
 def _poly_trim(a):
     i = len(a)
@@ -156,31 +156,6 @@ class FieldDescriptor:
     def q(self) -> int:
         return self.p ** self.k
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
-
-    def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            coeffs = tuple((list(coeffs) + [0] * self.k)[: self.k])
-        return FieldElement(self, coeffs)
-
-    def from_index(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.q:
-            raise ValueError(f"index {idx} out of range for q={self.q}")
-        coeffs = []
-        for _ in range(self.k):
-            idx, c = divmod(idx, self.p)
-            coeffs.append(c)
-        return FieldElement(self, tuple(coeffs))
-
-    def elements(self):
-        for idx in range(self.q):
-            yield self.from_index(idx)
-
     def __repr__(self):
         return f"F_{self.p}^{self.k}"
 
@@ -218,64 +193,6 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
     raise RuntimeError("no irreducible modulus found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    field: FieldDescriptor
-    coeffs: tuple
-
-    def _check(self, other: "FieldElement"):
-        if self.field != other.field:
-            raise ValueError("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        F = self.field
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(F.modulus), F.p)
-        return F.element(prod)
-
-    def __pow__(self, e: int):
-        F = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = _poly_powmod(list(self.coeffs), e, list(F.modulus), F.p)
-        return F.element(out)
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero field element")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def index(self) -> int:
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * self.field.p + c
-        return idx
-
-    def __repr__(self):
-        return f"{list(self.coeffs)} in {self.field}"
-
-
 @lru_cache(maxsize=32)
 def _chi_table_cached(p: int, k: int, modulus: tuple) -> np.ndarray:
     # chi(g^e) = (-1)^e, read off the parity of the discrete log
@@ -299,13 +216,12 @@ def chi_table(F: FieldDescriptor) -> np.ndarray:
 # log/exp vectors, keyed by element index
 
 
-def _mul_matrix(h: FieldElement) -> np.ndarray:
+def _mul_matrix(F: FieldDescriptor, h: list) -> np.ndarray:
     """k x k matrix of a -> a h on coefficient row vectors: row i holds x^i h."""
-    x = h.field.element([0, 1])
     rows, cur = [], h
-    for _ in range(h.field.k):
-        rows.append(cur.coeffs)
-        cur = cur * x
+    for _ in range(F.k):
+        rows.append(cur + [0] * (F.k - len(cur)))
+        cur = _poly_mulmod(cur, [0, 1], F.modulus, F.p)
     return np.array(rows, dtype=np.int64)
 
 
@@ -317,7 +233,7 @@ def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
     q = F.q
     powers = np.zeros((q - 1, k), dtype=np.int64)
     powers[0, 0] = 1
-    step = _mul_matrix(_find_generator(F))
+    step = _mul_matrix(F, _find_generator(F))
     n = 1
     while n < q - 1:
         m = min(n, q - 1 - n)
@@ -364,13 +280,15 @@ def log_exp_mul(F: FieldDescriptor, a, b) -> np.ndarray:
     return np.where((a == 0) | (b == 0), 0, out)
 
 
-def _find_generator(F: FieldDescriptor) -> FieldElement:
-    q = F.q
+def _find_generator(F: FieldDescriptor) -> list:
+    """Coefficients of the nonzero element of least index whose order is q - 1."""
+    q, p = F.q, F.p
     fac = prime_factors(q - 1)
     for idx in range(1, q):
-        g = F.from_index(idx)
-        if g.is_zero():
-            continue
-        if all((g ** ((q - 1) // ell)) != F.one() for ell in fac):
+        g, rest = [], idx
+        while rest:
+            rest, c = divmod(rest, p)
+            g.append(c)
+        if all(_poly_powmod(g, (q - 1) // ell, F.modulus, p) != [1] for ell in fac):
             return g
     raise RuntimeError("no generator found")  # unreachable for a true field

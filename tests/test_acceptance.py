@@ -13,7 +13,7 @@ import pytest
 
 from kleinzeta import counting, gdcohom, hecke, lfunc, thetasupp
 from kleinzeta.counting import (CM_CURVE, BudgetExceeded, count_hypersurface_naive, count_klein,
-                                count_klein_fast, klein_cubic_form)
+                                count_klein_fast)
 from kleinzeta.ffield import build_field
 from kleinzeta.reference import reference_degree10_at_3
 
@@ -83,7 +83,7 @@ def test_criterion_2_trace_identity_sweep(store):
 
 def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
-    S = klein_cubic_form()
+    S = gdcohom.klein_form()
     for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]:
         F = build_field(p, k)
         assert count_klein_fast(F) == count_hypersurface_naive(S, F), f"oracle split at q={F.q}"

@@ -16,7 +16,6 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 
 # Public names that only tests call, each kept for a reason.
 ALLOWED = {
-    "count_hypersurface_naive": "the naive projective oracle the fast counter is proved equal to",
     "coset_rep": "the brute-force rho route the closed-form theta scans are checked against",
     "local_factor_power_sums": "the Newton round-trip reference for power_sums_to_local_factor",
     "AP_SAMPLES": "frozen reference coefficients the Hecke computation is checked against",

@@ -311,6 +311,25 @@ def test_config_error_exit_code(tmp_path, capsys):
                 str(tmp_path / "nodir" / "h.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["trace-sweep"], ["report"], ["report", "--quick"],
+                                  ["hecke-table", "--out", "h.csv"]],
+                         ids=["trace-sweep", "report", "report-quick", "hecke-table"])
+def test_empty_sweep_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
+    # a --max below 2 leaves no prime to check: exit 2 before any work,
+    # with no report, cache or table written
+    import kleinzeta.cli as climod
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(climod.hecke, "primes_up_to", no_work)
+    monkeypatch.chdir(tmp_path)
+    extra = [] if argv[0] == "hecke-table" else ["--cache", "c.jsonl"]
+    assert run(argv + ["--max", "1", "--json", "r.json"] + extra) == 2
+    assert "--max" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failing_check_exit_code(monkeypatch, tmp_path, capsys):
     import kleinzeta.cli as climod
     monkeypatch.setattr(climod.hecke, "predicted_count", lambda p, k: -1)

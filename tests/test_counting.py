@@ -1,14 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from kleinzeta import counting, hecke
 from kleinzeta.counting import (BadReduction, BudgetExceeded, CM_CURVE, CountRecord,
-                                HomogeneousForm, WeierstrassCurve, _odd_slice_sum,
-                                count_hypersurface_naive, count_klein, count_klein_fast,
-                                count_weierstrass, fermat_cover_substitution, klein_cubic_form,
-                                verify_fermat_cover)
+                                WeierstrassCurve, _odd_slice_sum, count_hypersurface_naive,
+                                count_klein, count_klein_fast, count_weierstrass,
+                                fermat_cover_substitution, verify_fermat_cover)
+from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.ffield import (LOG_TABLE_MAX_Q, build_field, digitwise_add, is_prime,
                               log_exp_tables)
+from kleinzeta.gdcohom import CycPoly, klein_form
 
 # independently frozen oracle values (naive enumeration, plus the trace rule
 # cross-checked at the curve level)
@@ -16,8 +19,9 @@ KNOWN_COUNTS = {(3, 1): 40, (3, 2): 820, (2, 1): 15, (2, 2): 85, (5, 1): 156, (2
 
 
 def test_klein_form_shape():
-    S = klein_cubic_form()
-    assert S.degree == 3 and S.nvars == 5 and len(S.terms) == 5
+    S = klein_form()
+    assert S.degree == 3 and len(S.terms) == 5
+    assert {len(e) for e, _ in S.terms} == {5}
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 1), (2, 2), (5, 1)])
@@ -29,7 +33,7 @@ def test_fast_counter_f23_equals_naive_and_prediction():
     F = build_field(23)
     n = count_klein_fast(F)
     assert n == KNOWN_COUNTS[(23, 1)]
-    assert n == count_hypersurface_naive(klein_cubic_form(), F)
+    assert n == count_hypersurface_naive(klein_form(), F)
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1),
@@ -37,7 +41,7 @@ def test_fast_counter_f23_equals_naive_and_prediction():
                                    (16, 2, 4), (25, 5, 2), (27, 3, 3), (32, 2, 5)])
 def test_fast_equals_naive(q, p, k):
     F = build_field(p, k)
-    assert count_klein_fast(F) == count_hypersurface_naive(klein_cubic_form(), F)
+    assert count_klein_fast(F) == count_hypersurface_naive(klein_form(), F)
 
 
 def test_counts_past_the_tower_match_prediction():
@@ -67,8 +71,8 @@ def test_prime_field_counts_against_tableless_loop():
 
 def test_hyperplane_counts_are_projective_spaces():
     # x0 = 0 cuts out P^3; the same holds for the cube of the coordinate
-    x0 = HomogeneousForm.from_dict(5, {(1, 0, 0, 0, 0): 1})
-    x0cubed = HomogeneousForm.from_dict(5, {(3, 0, 0, 0, 0): 1})
+    x0 = CycPoly.make({(1, 0, 0, 0, 0): 1})
+    x0cubed = CycPoly.make({(3, 0, 0, 0, 0): 1})
     for p, k in [(3, 1), (2, 2), (5, 1)]:
         F = build_field(p, k)
         q = F.q
@@ -80,7 +84,7 @@ def test_hyperplane_counts_are_projective_spaces():
 def test_naive_oracle_reads_coefficients():
     # x0^2 - x1^2 = (x0 - x1)(x0 + x1): two hyperplanes meeting in a P^2.
     # For q = 3 mod 4, x0^2 + x1^2 would cut out that P^2 alone.
-    form = HomogeneousForm.from_dict(5, {(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): -1})
+    form = CycPoly.make({(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): -1})
     for p, k in [(3, 1), (7, 1), (3, 3)]:
         q = p ** k
         expected = 2 * (q ** 3 + q ** 2 + q + 1) - (q ** 2 + q + 1)
@@ -139,9 +143,27 @@ def test_odd_slice_sum_is_minus_one_off_the_degree_11_fibres():
     assert checked == 791
 
 
+def test_naive_oracle_rejects_the_zero_form():
+    with pytest.raises(ValueError, match="zero form has no degree"):
+        count_hypersurface_naive(CycPoly.make({}), build_field(3))
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), CyclotomicNumber.zeta_pow(5, 1)])
+def test_naive_oracle_rejects_non_integer_coefficients(coeff):
+    form = CycPoly.make({(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): coeff})
+    with pytest.raises(ValueError, match="not an integer"):
+        count_hypersurface_naive(form, build_field(3))
+
+
+def test_naive_oracle_rejects_mixed_exponent_lengths():
+    form = CycPoly.make({(1, 0, 0, 0, 0): 1, (0, 1, 0): 1})
+    with pytest.raises(ValueError, match="mixed length"):
+        count_hypersurface_naive(form, build_field(3))
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
-        count_hypersurface_naive(klein_cubic_form(), build_field(31), budget=10 ** 5)
+        count_hypersurface_naive(klein_form(), build_field(31), budget=10 ** 5)
 
 
 def test_default_budget_is_the_log_exp_cap(monkeypatch):
@@ -178,14 +200,8 @@ def test_weierstrass_bad_reduction():
 
 
 def _direct_weierstrass_count(E, F):
-    total = 1
-    for x in F.elements():
-        for y in F.elements():
-            lhs = y * y + F.element([E.a1]) * x * y + F.element([E.a3]) * y
-            rhs = (x * x * x + F.element([E.a2]) * x * x
-                   + F.element([E.a4]) * x + F.element([E.a6]))
-            total += lhs == rhs
-    return total
+    # the naive oracle on the projective cubic; (0 : 1 : 0) is among its points
+    return count_hypersurface_naive(E.projective_form(), F)
 
 
 def test_weierstrass_generic_curve_matches_direct_enumeration():
@@ -203,6 +219,14 @@ def test_weierstrass_extension_fields_match_direct_enumeration(p, k):
         assert count_weierstrass(E, F) == _direct_weierstrass_count(E, F)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_weierstrass_char2_matches_cm_route(k):
+    # at p = 2 count_weierstrass runs the naive oracle, so the independent
+    # check is the CM route: #E(F_2^k) = 2^k + 1 - (alpha^k + beta^k)
+    expected = 2 ** k + 1 - hecke.satake_power_sum(2, k)
+    assert count_weierstrass(CM_CURVE, build_field(2, k)) == expected
+
+
 def test_fermat_cover_identity():
     assert verify_fermat_cover()
 
@@ -211,5 +235,5 @@ def test_fermat_cover_substitution_shape():
     sub = fermat_cover_substitution()
     # each substituted variable has degree 17, so the image has degree 51
     assert sub.degree == 51
-    assert sub.term_dict()[(8, 8, 8, 19, 8)] == 1  # image of x0^2 x1
+    assert sub.dict()[(8, 8, 8, 19, 8)] == 1  # image of x0^2 x1
     assert len(sub.terms) == 5
