@@ -8,25 +8,23 @@ the CM quadratic.  Both must land on the same integer polynomial, which
 factors as (1 + 3x + 27x^2) times an irreducible degree-8 cofactor.
 
 The full tower takes a few milliseconds (k = 5 is one pass over 243
-slice elements); counts are cached under KLEINZETA_CACHE afterwards.
+slice elements).
 """
 
 import time
 
-from kleinzeta.cache import CountCache, count_with_cache
+from kleinzeta.counting import count_klein
 from kleinzeta.hecke import h3_local_factor_product
 from kleinzeta.lfunc import counts_to_power_sums, power_sums_to_local_factor, weil_bound_check
 from kleinzeta.reference import FACTOR3_DEGREE8, FACTOR3_QUADRATIC, reference_degree10_at_3
 
 print("counting the tower over F_{3^k} ...")
-cache = CountCache()
 counts = []
 for k in range(1, 6):
     t0 = time.time()
-    n, cached = count_with_cache(cache, 3, k)
+    n = count_klein(3, k).count
     counts.append(n)
-    src = "cache" if cached else f"{time.time() - t0:.1f}s"
-    print(f"  #X(F_{3 ** k:>3}) = {n:>12}   [{src}]")
+    print(f"  #X(F_{3 ** k:>3}) = {n:>12}   [{time.time() - t0:.1f}s]")
 
 ps = counts_to_power_sums(counts, 3)
 print("\nFrobenius power sums on H^3:", list(ps.values))

@@ -7,18 +7,17 @@ that trace is 5 p a_p when p = 1 mod 11 and zero otherwise.  The sweep
 makes the dichotomy visible: only 23, 67, 89 (below 100) move.
 """
 
-from kleinzeta.cache import CountCache, count_with_cache
+from kleinzeta.counting import count_klein
 from kleinzeta.hecke import ap_f, primes_up_to, split_type, trace_prediction
 
 BOUND = 100
-cache = CountCache()
 
 print(f"{'p':>4} {'split':>9} {'a_p':>5} {'t_1 pred':>9} {'#X(F_p)':>10} {'P^3 part':>10} note")
 for p in primes_up_to(BOUND):
     if p == 11:
         print(f"{p:>4} {'ramified':>9}     -         -          -          -  (bad prime, skipped)")
         continue
-    n, _ = count_with_cache(cache, p, 1)
+    n = count_klein(p, 1).count
     even = 1 + p + p * p + p ** 3
     t1 = trace_prediction(p)
     assert n == even - t1

@@ -1,27 +1,24 @@
 """Append-only JSONL cache for point counts.
 
 Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-delsarte",
-"version": "0.1.0"}; re-runs consult the cache unless asked not to.  The
-path comes from an explicit argument, the KLEINZETA_CACHE environment
-variable, or a per-user default, in that order.  Each run holds one
-CountCache: it parses the file at most once, on its first lookup, and adds
-every count the run records to what it parsed, so a change another writer
-makes to the file mid-run is seen by the next run.  A malformed line, or a
-count above #P^4(F_q), is an error, and so are two records that give
-different counts for the same (p, k): never a silent choice.
+"version": "0.1.0"}.  The cache is used only when a run is given its path;
+without one, every count is computed and no file is written.  Each run holds
+one CountCache: it parses the file at most once, on its first lookup, and
+adds every count the run records to what it parsed, so a change another
+writer makes to the file mid-run is seen by the next run.  A malformed
+line, or a count above #P^4(F_q), is an error, and so are two records that
+give different counts for the same (p, k): never a silent choice.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .counting import CountRecord, count_klein
 from .lfunc import InconsistentCounts
 
 VERSION = "0.1.0"
-CACHE_ENV = "KLEINZETA_CACHE"
 
 
 class ConflictingRecords(InconsistentCounts):
@@ -37,7 +34,7 @@ def _parse_record(line: str) -> tuple:
     try:
         rec = json.loads(line)
         p, k, n = rec["p"], rec["k"], rec["count"]
-        # k >= 40 would mean q >= 2^40, past what build_field accepts
+        # k < 40 keeps q = p^k cheap to form from outside input (build_field stops at 2^20)
         if not all(type(v) is int for v in (p, k, n)) or p < 2 or not 1 <= k < 40:
             raise ValueError("p, k and count must be integers with p >= 2, 1 <= k < 40")
         CountRecord(p, k, n, "", 0.0)  # checks the #P^4(F_q) bound
@@ -49,10 +46,8 @@ def _parse_record(line: str) -> tuple:
 class CountCache:
     """The count cache of one run; its path is None when the cache is off."""
 
-    def __init__(self, path=None, *, off: bool = False):
-        self.path = None if off else Path(
-            path or os.environ.get(CACHE_ENV)
-            or Path.home() / ".cache" / "kleinzeta" / "counts.jsonl")
+    def __init__(self, path):
+        self.path = None if path is None else Path(path)
         self._table = None      # {(p, k): set of counts}, once parsed
 
     def _counts(self) -> dict:

@@ -1,7 +1,7 @@
 """Batch verification harness and report emission.
 
 Subcommands:
-  count         one Klein-cubic point count, cached
+  count         one Klein-cubic point count
   verify-l3     the flagship degree-10 identity at p = 3 (counting route
                 vs the pinned factorization vs the CM product route)
   trace-sweep   counts against the trace prediction for good primes <= B
@@ -9,6 +9,8 @@ Subcommands:
   cohomology    middle-cohomology dimensions, rotation eigenspaces, pairing
   theta-support coset scan certificates and local cancellation checks
   report        run everything and write one JSON report
+
+The counting subcommands read and append a count cache only with --cache.
 
 Exit status: 0 when every check passes, 1 on any failure, 2 on bad usage.
 """
@@ -266,9 +268,8 @@ def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox
 # argument plumbing
 
 
-def _add_cache_flags(sp):
-    sp.add_argument("--cache", default=None, help="cache file path (JSONL)")
-    sp.add_argument("--no-cache", action="store_true", help="do not read or write the cache")
+def _add_cache_flag(sp):
+    sp.add_argument("--cache", default=None, help="count cache file (JSONL); none if omitted")
 
 
 def _add_json_flag(sp):
@@ -283,16 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count", help="count points over F_{p^k}")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
-    _add_cache_flags(sp)
+    _add_cache_flag(sp)
     _add_json_flag(sp)
 
     sp = sub.add_parser("verify-l3", help="flagship degree-10 identity at p = 3")
-    _add_cache_flags(sp)
+    _add_cache_flag(sp)
     _add_json_flag(sp)
 
     sp = sub.add_parser("trace-sweep", help="count vs trace prediction for good p <= B")
     sp.add_argument("--max", type=int, default=100)
-    _add_cache_flags(sp)
+    _add_cache_flag(sp)
     _add_json_flag(sp)
 
     sp = sub.add_parser("hecke-table", help="write the coefficient table as CSV")
@@ -311,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="run the full battery")
     sp.add_argument("--max", type=int, default=100, help="trace-sweep prime bound")
-    sp.add_argument("--quick", action="store_true",
-                    help="limit the sweep to p <= 20 and skip the p = 3 tower")
-    _add_cache_flags(sp)
+    _add_cache_flag(sp)
     _add_json_flag(sp)
     return ap
 
@@ -337,7 +336,7 @@ def main(argv=None) -> int:
         if getattr(args, "max", 2) < 2:     # a sweep with no primes checks nothing
             raise ValueError(f"--max {args.max} leaves no primes to check; use --max >= 2")
         if "cache" in args:     # the subcommands that count
-            cache = cachemod.CountCache(args.cache, off=args.no_cache)
+            cache = cachemod.CountCache(args.cache)
         if args.command == "count":
             n = run_count(report, cache, args.p, args.k)
             if n is not None:
@@ -361,13 +360,11 @@ def main(argv=None) -> int:
                                       types=types)
             return _finish(report, args.json, {"certificates": certs})
         if args.command == "report":
-            sweep_max = 20 if args.quick else args.max
-            if not args.quick:
-                run_verify_l3(report, cache)
-            run_trace_sweep(report, cache, sweep_max)
+            run_verify_l3(report, cache)
+            run_trace_sweep(report, cache, args.max)
             fermat = counting.verify_fermat_cover()
             report.add("fermat-cover", fermat, True, fermat)
-            run_cm_structure(report, 60 if args.quick else 200)
+            run_cm_structure(report, 200)
             run_cohomology(report)
             certs = run_theta_support(report, 11, thetasupp.ScanBox())
             return _finish(report, args.json, {"certificates": certs})

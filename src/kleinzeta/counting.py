@@ -36,15 +36,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import (LOG_TABLE_MAX_Q, FieldDescriptor, build_field, chi_table, digitwise_add,
+from .ffield import (BudgetExceeded, FieldDescriptor, build_field, chi_table, digitwise_add,
                      log_exp_mul, log_exp_tables)
 from .gdcohom import CycPoly, klein_form
 
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
-
-
-class BudgetExceeded(ValueError):
-    pass
 
 
 class BadReduction(ValueError):
@@ -126,8 +122,7 @@ def _projective_blocks(q: int, nvars: int):
         yield block
 
 
-def count_hypersurface_naive(form: CycPoly, F: FieldDescriptor,
-                             budget: int = NAIVE_POINT_BUDGET) -> int:
+def count_hypersurface_naive(form: CycPoly, F: FieldDescriptor) -> int:
     """Exhaustive evaluation over projective representatives.  Exact oracle.
 
     The form is a CycPoly with integer coefficients (ints, or Fractions of
@@ -143,8 +138,8 @@ def count_hypersurface_naive(form: CycPoly, F: FieldDescriptor,
             raise ValueError(f"coefficient {c!r} is not an integer")
     q, (n,) = F.q, nvars
     npoints = sum(q ** (n - 1 - i) for i in range(n))
-    if npoints > budget:
-        raise BudgetExceeded(f"{npoints} projective points exceed the budget {budget}")
+    if npoints > NAIVE_POINT_BUDGET:
+        raise BudgetExceeded(f"{npoints} projective points exceed the budget {NAIVE_POINT_BUDGET}")
     # POW[e][x] = x^e as index; constants are prime-field elements, index n mod p
     xs = np.arange(q, dtype=np.int64)
     POW = [np.ones(q, dtype=np.int64), xs]
@@ -274,11 +269,8 @@ class CountRecord:
 
 
 def count_klein(p: int, k: int) -> CountRecord:
-    """Count with timing, through the fast counter.  A field past the log/exp
-    cap is refused before its modulus is searched."""
-    q = p ** k
-    if q > LOG_TABLE_MAX_Q:
-        raise BudgetExceeded(f"{q} slice operations exceed the budget {LOG_TABLE_MAX_Q}")
+    """Count with timing, through the fast counter.  build_field refuses a
+    field past the log/exp limit with BudgetExceeded."""
     F = build_field(p, k)
     t0 = time.perf_counter()
     n = count_klein_fast(F)

@@ -16,8 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_Q = 1 << 40          # hard bound on p^k accepted by build_field
-LOG_TABLE_MAX_Q = 1 << 20  # log/exp vectors (and the chi table) only below this
+LOG_TABLE_MAX_Q = 1 << 20  # largest q with log/exp vectors, hence largest q build_field accepts
+
+
+class BudgetExceeded(ValueError):
+    pass
 
 
 def is_prime(n: int) -> bool:
@@ -176,8 +179,8 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** k >= MAX_Q:
-        raise ValueError(f"field size {p}^{k} exceeds the supported bound 2^40")
+    if p ** k > LOG_TABLE_MAX_Q:
+        raise BudgetExceeded(f"q = {p ** k} exceeds the log/exp limit {LOG_TABLE_MAX_Q}")
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
     for idx in range(p ** (k - 1), p ** k):  # c0 = idx // p^(k-1) >= 1

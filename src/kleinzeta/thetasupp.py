@@ -260,6 +260,11 @@ class ScanBox:
     x_val_range: int = 4     # |v_p(x)| bound
     x_res_exponent: int = 3  # x units scanned mod p^this
 
+    def __post_init__(self):
+        # a negative bound scans nothing, which must not read as a refutation
+        if min(self.radius, self.x_val_range, self.x_res_exponent) < 0:
+            raise ValueError(f"scan box bounds must be >= 0: {self}")
+
 
 class _XGrid:
     """The scanned x values: 0, and u p^v laid out flat, one row of unit

@@ -21,7 +21,7 @@ PURITY_PRIMES = (2, 3, 5, 7, 13, 23)
 
 
 class CountStore:
-    """Genuine counts at the counter's default budget; None beyond it."""
+    """Genuine counts for every field build_field accepts; None beyond them."""
 
     def __init__(self):
         self.counts = {}
@@ -200,7 +200,7 @@ def test_criterion_8_purity_of_counting_route_factors(store):
                 assert real == predicted, f"count/prediction split at ({p},{k})"
                 counts.append(real)
             else:
-                # only (23, 5) is past the work budget (23^5 > LOG_TABLE_MAX_Q);
+                # only (23, 5) is past the field-size limit (23^5 > LOG_TABLE_MAX_Q);
                 # the verified trace identity supplies it
                 assert (p, k) == (23, 5)
                 counts.append(predicted)

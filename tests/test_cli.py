@@ -7,8 +7,9 @@ import pytest
 
 from kleinzeta import cache as cachemod
 from kleinzeta.cache import ConflictingRecords, CountCache, cached_count, record_count
-from kleinzeta.cli import main
+from kleinzeta.cli import build_parser, main
 from kleinzeta.counting import CountRecord
+from kleinzeta.ffield import LOG_TABLE_MAX_Q
 from kleinzeta.hecke import predicted_count
 from kleinzeta.lfunc import InconsistentCounts
 
@@ -33,10 +34,30 @@ def test_count_subcommand_and_cache(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 1
 
 
-def test_count_no_cache(tmp_path, capsys):
-    cache = tmp_path / "c.jsonl"
-    assert run(["count", "--p", "2", "--k", "2", "--cache", str(cache), "--no-cache"]) == 0
-    assert not cache.exists()
+def test_count_without_cache_writes_no_file(tmp_path, monkeypatch, capsys):
+    # without --cache the count is computed and nothing is written: not in
+    # the home or working directory, nor where the retired variable points
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("KLEINZETA_CACHE", str(tmp_path / "env.jsonl"))
+    monkeypatch.chdir(tmp_path)
+    assert run(["count", "--p", "2", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "#X(P^4(F_2^2)) = 85" in out and "cached" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["count", "--p", "3", "--no-cache"], ["verify-l3", "--no-cache"],
+                                  ["trace-sweep", "--no-cache"], ["report", "--no-cache"],
+                                  ["report", "--quick"]],
+                         ids=["count-no-cache", "verify-l3-no-cache", "trace-sweep-no-cache",
+                              "report-no-cache", "report-quick"])
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-1] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_count_reads_a_file_rewritten_between_runs(tmp_path, capsys):
@@ -57,7 +78,7 @@ def test_count_reads_a_file_rewritten_between_runs(tmp_path, capsys):
 
 
 def test_count_f3_10_is_genuine(tmp_path, capsys):
-    # F_59049 is within the work budget: counted, checked against the
+    # F_59049 is within the field-size limit: counted, checked against the
     # trace identity's prediction, and recorded
     cache = tmp_path / "c.jsonl"
     assert run(["count", "--p", "3", "--k", "10", "--cache", str(cache)]) == 0
@@ -70,7 +91,7 @@ def test_count_past_the_budget_is_a_usage_error(tmp_path, capsys):
     # 23^5 is past the log/exp cap: BudgetExceeded exits 2 and records nothing
     cache = tmp_path / "c.jsonl"
     assert run(["count", "--p", "23", "--k", "5", "--cache", str(cache)]) == 2
-    assert "6436343 slice operations exceed the budget" in capsys.readouterr().err
+    assert f"q = 6436343 exceeds the log/exp limit {LOG_TABLE_MAX_Q}" in capsys.readouterr().err
     assert not cache.exists()
 
 
@@ -296,13 +317,17 @@ def test_conflicting_cache_records_fail_check(tmp_path, capsys, argv):
     assert "ConflictingRecords" in failed[0]["actual"]
 
 
-def test_report_quick(tmp_path):
-    out = tmp_path / "report.json"
-    assert run(["report", "--quick", "--cache", str(tmp_path / "c.jsonl"),
-                "--json", str(out)]) == 0
-    payload = json.loads(out.read_text())
+def test_report_without_cache(tmp_path, monkeypatch):
+    # the full battery counts everything and writes only its report
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert run(["report", "--json", "report.json"]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["overall"] == "pass"
-    assert "certificates" in payload and payload["certificates"]["IV"]["status"] == "certified"
+    assert len(payload["checks"]) == 42
+    assert all(c["status"] == "pass" for c in payload["checks"])
+    assert payload["certificates"]["IV"]["status"] == "certified"
+    assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -311,9 +336,8 @@ def test_config_error_exit_code(tmp_path, capsys):
                 str(tmp_path / "nodir" / "h.csv")]) == 2
 
 
-@pytest.mark.parametrize("argv", [["trace-sweep"], ["report"], ["report", "--quick"],
-                                  ["hecke-table", "--out", "h.csv"]],
-                         ids=["trace-sweep", "report", "report-quick", "hecke-table"])
+@pytest.mark.parametrize("argv", [["trace-sweep"], ["report"], ["hecke-table", "--out", "h.csv"]],
+                         ids=["trace-sweep", "report", "hecke-table"])
 def test_empty_sweep_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     # a --max below 2 leaves no prime to check: exit 2 before any work,
     # with no report, cache or table written
@@ -335,3 +359,28 @@ def test_failing_check_exit_code(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(climod.hecke, "predicted_count", lambda p, k: -1)
     assert run(["count", "--p", "3", "--k", "1", "--cache", str(tmp_path / "c.jsonl")]) == 1
     assert "fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ty", ["I", "IV"])
+def test_theta_support_negative_box_is_a_usage_error(monkeypatch, tmp_path, capsys, ty):
+    # a negative radius scans no combination, which must not refute the
+    # paper: exit 2 before any scan, with no report written
+    import kleinzeta.cli as climod
+    monkeypatch.setattr(climod.thetasupp, "scan_type",
+                        lambda *a: pytest.fail("scan started"))
+    monkeypatch.chdir(tmp_path)
+    assert run(["theta-support", "--box", "-1", "--type", ty, "--json", "t.json"]) == 2
+    assert "scan box bounds must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_examples_parse():
+    # a flag removed from the parser must not linger in the docs
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("kleinzeta ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kleinzeta import counting, hecke
-from kleinzeta.counting import (BadReduction, BudgetExceeded, CM_CURVE, CountRecord,
-                                WeierstrassCurve, _odd_slice_sum, count_hypersurface_naive,
-                                count_klein, count_klein_fast, count_weierstrass,
-                                fermat_cover_substitution, verify_fermat_cover)
+from kleinzeta import ffield, hecke
+from kleinzeta.counting import (NAIVE_POINT_BUDGET, BadReduction, BudgetExceeded, CM_CURVE,
+                                CountRecord, WeierstrassCurve, _odd_slice_sum,
+                                count_hypersurface_naive, count_klein, count_klein_fast,
+                                count_weierstrass, fermat_cover_substitution,
+                                verify_fermat_cover)
 from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.ffield import (LOG_TABLE_MAX_Q, build_field, digitwise_add, is_prime,
                               log_exp_tables)
@@ -162,15 +163,17 @@ def test_naive_oracle_rejects_mixed_exponent_lengths():
 
 
 def test_budget_enforced():
-    with pytest.raises(BudgetExceeded):
-        count_hypersurface_naive(klein_form(), build_field(31), budget=10 ** 5)
+    # #P^4(F_43) = 3500201 projective points, past NAIVE_POINT_BUDGET
+    with pytest.raises(BudgetExceeded, match="3500201 projective points exceed the budget "
+                                             f"{NAIVE_POINT_BUDGET}$"):
+        count_hypersurface_naive(klein_form(), build_field(43))
 
 
 def test_default_budget_is_the_log_exp_cap(monkeypatch):
-    # one limit: a field past the log/exp cap is refused before its modulus
-    # is searched
-    monkeypatch.setattr(counting, "build_field", lambda p, k: pytest.fail("field was built"))
-    with pytest.raises(BudgetExceeded, match=f"6436343 slice operations exceed the budget "
+    # one limit: build_field refuses a field past the log/exp cap before
+    # its modulus is searched
+    monkeypatch.setattr(ffield, "is_irreducible", lambda *a: pytest.fail("modulus searched"))
+    with pytest.raises(BudgetExceeded, match=f"q = 6436343 exceeds the log/exp limit "
                                              f"{LOG_TABLE_MAX_Q}$"):
         count_klein(23, 5)
 

@@ -11,10 +11,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, KLEINZETA_CACHE=str(tmp_path / "counts.jsonl"))
+    # run from an empty home and working directory: a demo writes no file
+    env = dict(os.environ, HOME=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert list(tmp_path.iterdir()) == []

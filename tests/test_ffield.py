@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from kleinzeta.ffield import (_find_generator, _poly_mulmod, _poly_powmod, build_field, chi_table,
-                              digitwise_add, is_irreducible, is_prime, log_exp_mul,
-                              log_exp_tables)
+from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, _find_generator, _poly_mulmod,
+                              _poly_powmod, build_field, chi_table, digitwise_add,
+                              is_irreducible, is_prime, log_exp_mul, log_exp_tables)
 
 
 # reference arithmetic: coefficient lists through the build-time polynomial
@@ -59,9 +59,20 @@ def test_build_field_rejects_bad_input():
     with pytest.raises(ValueError):
         build_field(8, 1)       # not prime
     with pytest.raises(ValueError):
-        build_field(2, 41)      # over the size bound
-    with pytest.raises(ValueError):
         build_field(3, 0)
+
+
+@pytest.mark.parametrize("p, k", [(2, 21), (1048583, 1), (2, 41)])
+def test_build_field_refuses_fields_past_the_log_exp_limit(p, k):
+    # the one field-size limit: every kernel needs the O(q) log/exp vectors
+    with pytest.raises(BudgetExceeded, match=f"q = {p ** k} exceeds the log/exp limit "
+                                             f"{LOG_TABLE_MAX_Q}$"):
+        build_field(p, k)
+
+
+def test_build_field_accepts_the_log_exp_limit():
+    F = build_field(2, 20)
+    assert F.q == LOG_TABLE_MAX_Q and is_irreducible(F.modulus, 2)
 
 
 def _lexicographic_modulus(p, k):

@@ -355,6 +355,19 @@ def test_scan_type_one_contributing_structure():
             assert not c.beta_possible
 
 
+@pytest.mark.parametrize("field", ["radius", "x_val_range", "x_res_exponent"])
+def test_scan_box_rejects_negative_bounds(field):
+    # an empty box scans nothing; it must not come back refuted
+    with pytest.raises(ValueError, match=f"{field}=-1"):
+        ScanBox(**{field: -1})
+
+
+@pytest.mark.parametrize("ty", ["I", "IV"])
+@pytest.mark.parametrize("radius", [0, 1])
+def test_scan_tiny_box_stays_inconclusive(radius, ty):
+    assert scan_type(11, ty, ScanBox(radius=radius)).status == "inconclusive"
+
+
 def test_scan_report_serializes():
     rep = scan_type(3, "IV", ScanBox(radius=2))
     d = rep.to_dict()
