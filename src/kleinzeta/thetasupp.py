@@ -31,8 +31,12 @@ polynomial in the numerators of s and t.  Each entry is then decided by
 valuations alone, except in the one row of the x grid where its two terms
 have equal valuation: there membership is a residue class of the unit u.
 Boolean arrays are built only for tuples whose support is not empty on
-valuations.  PadicMat2, coset_rep and rho_act stay as the brute-force
-route the tests hold the scanner to.
+valuations.  A mask over the x grid is one bool array with x = 0 in its
+last slot, and the grid's translate table gathers each orbit x + j/p; a
+grid whose table would pass MAX_GRID_TRANSLATES entries is refused with
+BudgetExceeded.  PadicMat2 (integer numerators over one denominator),
+coset_rep and rho_act stay as the brute-force route the tests hold the
+scanner to; the scanner forms its kernels with the same PadicMat2 products.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import CyclotomicNumber
-from .ffield import is_prime
+from .ffield import BudgetExceeded, is_prime
 
 # ---------------------------------------------------------------------------
 # exact 2x2 matrices
@@ -52,43 +56,60 @@ from .ffield import is_prime
 
 @dataclass(frozen=True)
 class PadicMat2:
-    """Exact-rational 2x2 matrix with a reference prime."""
-    p: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    """Exact rational 2x2 matrix: integer numerators a, b, c, d (row major)
+    over one denominator den > 0, in lowest terms, so equal matrices compare
+    equal."""
+    a: int
+    b: int
+    c: int
+    d: int
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        g = math.gcd(self.a, self.b, self.c, self.d, self.den)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            for name in ("a", "b", "c", "d", "den"):
+                object.__setattr__(self, name, getattr(self, name) // g)
 
     @staticmethod
-    def of(p, a, b, c, d) -> "PadicMat2":
-        return PadicMat2(p, Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+    def of(a, b, c, d) -> "PadicMat2":
+        fs = [Fraction(e) for e in (a, b, c, d)]
+        den = math.lcm(*(f.denominator for f in fs))
+        return PadicMat2(*(f.numerator * (den // f.denominator) for f in fs), den)
 
     @staticmethod
-    def identity(p: int) -> "PadicMat2":
-        return PadicMat2.of(p, 1, 0, 0, 1)
+    def identity() -> "PadicMat2":
+        return PadicMat2(1, 0, 0, 1)
 
     def __mul__(self, other: "PadicMat2") -> "PadicMat2":
-        return PadicMat2(self.p,
-                         self.a * other.a + self.b * other.c,
+        return PadicMat2(self.a * other.a + self.b * other.c,
                          self.a * other.b + self.b * other.d,
                          self.c * other.a + self.d * other.c,
-                         self.c * other.b + self.d * other.d)
+                         self.c * other.b + self.d * other.d,
+                         self.den * other.den)
 
     def scale(self, f) -> "PadicMat2":
         f = Fraction(f)
-        return PadicMat2(self.p, self.a * f, self.b * f, self.c * f, self.d * f)
+        n = f.numerator
+        return PadicMat2(self.a * n, self.b * n, self.c * n, self.d * n,
+                         self.den * f.denominator)
 
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        return Fraction(self.a * self.d - self.b * self.c, self.den * self.den)
 
     def inv(self) -> "PadicMat2":
-        dt = self.det()
+        dt = self.a * self.d - self.b * self.c      # det * den^2
         if dt == 0:
             raise ZeroDivisionError("singular 2x2 matrix")
-        return PadicMat2(self.p, self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+        k = self.den
+        return PadicMat2(k * self.d, -k * self.b, -k * self.c, k * self.a, dt)
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(Fraction(e, self.den) for e in (self.a, self.b, self.c, self.d))
 
 
 def rho_act(h1: PadicMat2, h2: PadicMat2, x: PadicMat2) -> PadicMat2:
@@ -97,11 +118,11 @@ def rho_act(h1: PadicMat2, h2: PadicMat2, x: PadicMat2) -> PadicMat2:
 
 
 def e1_matrix(p: int) -> PadicMat2:
-    return PadicMat2.of(p, 0, Fraction(1, p), 0, 0)
+    return PadicMat2(0, 1, 0, 0, p)
 
 
 def alpha_matrix(p: int) -> PadicMat2:
-    return PadicMat2.of(p, Fraction(1, p), 0, 0, Fraction(-1, p))
+    return PadicMat2(1, 0, 0, -1, p)
 
 
 def val_p(p: int, f: Fraction) -> int | None:
@@ -185,16 +206,16 @@ class CosetParams:
             raise ValueError(f"type {self.type} constraint broken for (m,n,r)=({m},{n},{r})")
 
 
-def _upper(p: int, x) -> PadicMat2:
-    return PadicMat2.of(p, 1, x, 0, 1)
+def _upper(x) -> PadicMat2:
+    return PadicMat2.of(1, x, 0, 1)
 
 
 def _diag_pm(p: int, m: int) -> PadicMat2:
-    return PadicMat2.of(p, Fraction(p) ** m, 0, 0, 1)
+    return PadicMat2.of(Fraction(p) ** m, 0, 0, 1)
 
 
 def _weyl(p: int) -> PadicMat2:
-    return PadicMat2.of(p, 0, -1, p * p, 0)
+    return PadicMat2(0, -1, p * p, 0)
 
 
 def _fractional_shift_ok(p: int, s: Fraction) -> bool:
@@ -205,14 +226,14 @@ def _h1_core(p: int, ty: str, m: int, s) -> PadicMat2:
     """h1 without its left factor U(x) and its scalar p^r."""
     h = _diag_pm(p, m)
     if _WEYL[ty][0]:
-        h = h * _weyl(p) * _upper(p, s)
+        h = h * _weyl(p) * _upper(s)
     return h
 
 
 def _h2(p: int, ty: str, n: int, t) -> PadicMat2:
     h = _diag_pm(p, n)
     if _WEYL[ty][1]:
-        h = h * _weyl(p) * _upper(p, t)
+        h = h * _weyl(p) * _upper(t)
     return h
 
 
@@ -221,7 +242,7 @@ def coset_rep(p: int, params: CosetParams):
     if not _fractional_shift_ok(p, params.s) or not _fractional_shift_ok(p, params.t):
         raise ValueError("s and t must lie in {0, 1/p, ..., (p-1)/p}")
     ty = params.type
-    h1 = _upper(p, params.x) * _h1_core(p, ty, params.m, params.s)
+    h1 = _upper(params.x) * _h1_core(p, ty, params.m, params.s)
     return h1.scale(Fraction(p) ** params.r), _h2(p, ty, params.n, params.t)
 
 
@@ -266,32 +287,51 @@ class ScanBox:
             raise ValueError(f"scan box bounds must be >= 0: {self}")
 
 
+# Entries of the translate table _XGrid.targets; (p - 1) (grid size + 1)
+# stays below it for every p <= 31 at the default box.
+MAX_GRID_TRANSLATES = 2 ** 23
+
+
 class _XGrid:
-    """The scanned x values: 0, and u p^v laid out flat, one row of unit
-    residues u per valuation v."""
+    """The scanned x values: u p^v laid out flat, one row of unit residues u
+    per valuation v, and then x = 0.
+
+    A mask over the grid is a bool array of length size + 1, with x = 0 in
+    its last slot.  Row j - 1 of `targets` holds the position of the
+    translate x + j/p of every point, x = 0 included; position size + 1
+    stands for a translate off the grid (never happens with the default
+    box) and is read through one appended False.
+    """
 
     def __init__(self, p: int, box: ScanBox):
-        self.p = p
-        self.box = box
-        mod = p ** box.x_res_exponent
-        self.mod = mod
-        self.units = np.array([u for u in range(1, mod) if u % p], dtype=np.int64)
-        self.nu = len(self.units)
-        lut = np.full(mod, -1, dtype=np.int64)
-        lut[self.units] = np.arange(self.nu)
-        self.unit_index = lut
+        self.p, self.box = p, box
+        self.mod = mod = p ** box.x_res_exponent
         self.vals = list(range(-box.x_val_range, box.x_val_range + 1))
+        self.nu = (p - 1) * mod // p      # units mod p^e: none when e = 0
         self.size = len(self.vals) * self.nu
+        translates = (p - 1) * (self.size + 1)
+        if translates > MAX_GRID_TRANSLATES:
+            raise BudgetExceeded(f"p = {p}: the x grid needs {translates} translates, "
+                                 f"over the limit {MAX_GRID_TRANSLATES}")
+        self.units = np.array([u for u in range(1, mod) if u % p], dtype=np.int64)
+        self.unit_index = lut = np.full(mod, -1, dtype=np.int64)
+        lut[self.units] = np.arange(self.nu)
+        self.targets = np.empty((p - 1, self.size + 1), dtype=np.intp)
+        for v in self.vals:
+            for j in range(1, p):
+                self.targets[j - 1, self.row(v)] = self.flat_index(*_translate(self, v, j))
+        self.targets[:, self.size] = self.flat_index(np.full(p - 1, -1),
+                                                     lut[np.arange(1, p) % mod])
 
     def row(self, v: int) -> slice:
         k = v + self.box.x_val_range
         return slice(k * self.nu, (k + 1) * self.nu)
 
     def flat_index(self, vp: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Flat positions of (v', unit index) points; self.size marks a
+        """Flat positions of (v', unit index) points; self.size + 1 marks a
         valuation v' outside the grid."""
         R = self.box.x_val_range
-        return np.where(np.abs(vp) <= R, (vp + R) * self.nu + idx, self.size)
+        return np.where(np.abs(vp) <= R, (vp + R) * self.nu + idx, self.size + 1)
 
     def congruent(self, g: int, a: int, b: int) -> np.ndarray:
         """The units u with v_p(a + b u) >= g, for b prime to p.
@@ -309,6 +349,20 @@ class _XGrid:
         if u0 >= self.mod:
             return np.zeros(self.nu, dtype=bool)
         return self.units == u0
+
+    def canceled(self, mask: np.ndarray) -> np.ndarray:
+        """Points whose whole orbit x + j/p (j = 0..p-1) stays in the mask."""
+        return mask & np.append(mask, False)[self.targets].all(axis=0)
+
+    def count(self, mask: np.ndarray) -> dict:
+        sums = mask[:self.size].reshape(len(self.vals), self.nu).sum(axis=1)
+        return {"zero": bool(mask[self.size]),
+                "by_val": {v: int(c) for v, c in zip(self.vals, sums)}}
+
+    def is_zp(self, mask: np.ndarray) -> bool:
+        """Whether the mask is exactly Z_p: x = 0 and every v >= 0."""
+        split = self.row(0).start
+        return bool(mask[split:].all()) and not mask[:split].any()
 
 
 def _translate(grid: _XGrid, v: int, j: int):
@@ -332,51 +386,6 @@ def _translate(grid: _XGrid, v: int, j: int):
         Mw[div] //= p
         w[div] += 1
     return w - 1, grid.unit_index[Mw % mod]
-
-
-class _TranslateTable:
-    """Gather indices for x -> x + j/p (j = 1..p-1) on the flat grid.
-
-    Row j - 1 of `targets` holds the flat position of every point's
-    translate, and `zero_targets[j - 1]` that of j/p itself.  Position
-    grid.size stands for a translate off the grid (never happens with the
-    default box) and always reads False.
-    """
-
-    def __init__(self, grid: _XGrid):
-        p = grid.p
-        js = np.arange(1, p)
-        self.zero_targets = grid.flat_index(np.full(p - 1, -1), grid.unit_index[js % grid.mod])
-        self.targets = np.empty((p - 1, grid.size), dtype=np.intp)
-        for v in grid.vals:
-            for j in range(1, p):
-                self.targets[j - 1, grid.row(v)] = grid.flat_index(*_translate(grid, v, j))
-
-
-class _XMask:
-    """Boolean membership over the x grid: a flag for x = 0 and one flat
-    array over the (v, u) points."""
-
-    def __init__(self, grid: _XGrid, zero: bool, flat: np.ndarray):
-        self.grid = grid
-        self.zero = zero
-        self.flat = flat
-
-    @property
-    def by_val(self) -> dict:
-        return {v: self.flat[self.grid.row(v)] for v in self.grid.vals}
-
-    def count(self):
-        sums = self.flat.reshape(len(self.grid.vals), self.grid.nu).sum(axis=1)
-        return {"zero": bool(self.zero),
-                "by_val": {v: int(c) for v, c in zip(self.grid.vals, sums)}}
-
-    def is_empty(self) -> bool:
-        return not self.zero and not self.flat.any()
-
-    def equals_zp_pattern(self) -> bool:
-        split = self.grid.row(0).start
-        return self.zero and bool(self.flat[split:].all()) and not self.flat[:split].any()
 
 
 def _split_p(p: int, n: int):
@@ -429,10 +438,11 @@ def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals
     return zero, bits, tests
 
 
-def _shift_ranges(ty: str, p: int):
-    """The numerators i, j of s = i/p and t = j/p: a shift is free only in the
-    components that carry the Weyl factor."""
-    return tuple(range(p) if weyl else range(1) for weyl in _WEYL[ty])
+def _shifts(ty: str, p: int):
+    """The numerators (i, j) of s = i/p and t = j/p: a shift is free only in
+    the components that carry the Weyl factor."""
+    ivals, jvals = (range(p) if weyl else range(1) for weyl in _WEYL[ty])
+    return [(i, j) for i in ivals for j in jvals]
 
 
 def _closed_form(p: int, k, i: int, j: int):
@@ -442,35 +452,26 @@ def _closed_form(p: int, k, i: int, j: int):
     return (p * top, top * j + p * (p * kb - kd * i), p * p * kc, p * (kc * j + p * kd))
 
 
-def _integral(p: int, mats) -> tuple:
-    """([entries], E) with mats = entries / p^E, E >= 0 least, for matrices
-    over Z[1/p]; entries are row-major integer tuples."""
-    D = max(f.denominator for M in mats for f in M.entries())
-    return ([tuple(f.numerator * (D // f.denominator) for f in M.entries()) for M in mats],
-            _split_p(p, D)[0])
+class _Scan:
+    """One scan_type call: the x grid, the entry rules and the kernels of
+    every family (type, m, n, r).
 
-
-def _int_mul(x, y) -> tuple:
-    """Product of two row-major integer 2x2 matrices."""
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
-class _ScanMemo:
-    """What the families of one scan_type call share: the x grid, the entry
-    rules and the kernel factors.
-
-    At x = s = t = 0 the pair is h1_0 = p^r H(m), h2 = h2(n), so the kernels
-    split as K_y = p^-r H^-1 (y h2) and K'_y = p^-r (-H^-1 e12) (y h2).  The
-    left factors depend on m alone and the right ones on n alone; each is
-    formed once, exactly, and kept as integers over a power of p.
+    With h1 = U(x) h1_0, the rho-image of y in {e1, alpha} is A_y + B_y x with
+    A_y = h1_0^-1 y h2 and B_y = -h1_0^-1 e12 y h2.  The shifts s and t enter
+    only through unipotent factors, A_y = U(-s) K_y U(t) and
+    B_y = U(-s) K'_y U(t), where the kernels K_y, K'_y are A_y, B_y at
+    s = t = 0.  There h1_0 = p^r H(m) and h2 = h2(n), so
+    K_y = p^-r H^-1 (y h2) and K'_y = p^-r (-H^-1 e12) (y h2): the left
+    factors depend on m alone and the right ones on n alone, and each is
+    formed once.  Every (s, t) then costs a few integer operations on
+    p^shift times the entries.
     """
 
     def __init__(self, p: int, ty: str, grid: _XGrid):
         self.p, self.type, self.grid = p, ty, grid
         self.rules = {}         # (na, nb, shift, entry) -> _entry_rule
-        self.left = {}          # m -> _integral([H^-1, -H^-1 e12])
-        self.right = {}         # n -> _integral([e1 h2, alpha h2])
+        self.left = {}          # m -> (H^-1, -H^-1 e12)
+        self.right = {}         # n -> (e1 h2, alpha h2)
         L1, L2 = lev_support(p)
         self.constraints = L1.constraints + L2.constraints
 
@@ -480,48 +481,21 @@ class _ScanMemo:
         p = self.p
         if m not in self.left:
             inv = _h1_core(p, self.type, m, 0).inv()
-            self.left[m] = _integral(p, [inv, inv * PadicMat2.of(p, 0, -1, 0, 0)])
+            self.left[m] = (inv, inv * PadicMat2(0, -1, 0, 0))
         if n not in self.right:
             h2 = _h2(p, self.type, n, 0)
-            self.right[n] = _integral(p, [e1_matrix(p) * h2, alpha_matrix(p) * h2])
-        (lefts, el), (rights, er) = self.left[m], self.right[n]
-        nums = [_int_mul(a, b) for b in rights for a in lefts]
-        e = el + er + r                             # kernels = nums / p^e
-        g = min(_split_p(p, x)[0] for k in nums for x in k if x)
-        target = max(0, e - g)
-        if target >= e:
-            f = p ** (target - e)
-            nums = [tuple(x * f for x in k) for k in nums]
-        else:
-            f = p ** (e - target)
-            nums = [tuple(x // f for x in k) for k in nums]
-        return nums, target + 2
+            self.right[n] = (e1_matrix(p) * h2, alpha_matrix(p) * h2)
+        ks = [(a * b).scale(Fraction(p) ** -r) for b in self.right[n] for a in self.left[m]]
+        den = max(k.den for k in ks)                # a power of p, so the lcm
+        nums = [tuple(e * (den // k.den) for e in (k.a, k.b, k.c, k.d)) for k in ks]
+        return nums, _split_p(p, den)[0] + 2
 
-
-class _Family:
-    """One coset family (type, m, n, r) and all of its (s, t) = (i/p, j/p).
-
-    With h1 = U(x) h1_0, the rho-image of y in {e1, alpha} is A_y + B_y x with
-    A_y = h1_0^-1 y h2 and B_y = -h1_0^-1 e12 y h2.  The shifts s and t enter
-    only through unipotent factors, A_y = U(-s) K_y U(t) and
-    B_y = U(-s) K'_y U(t), where the kernels K_y, K'_y are A_y, B_y at
-    s = t = 0.  They come from the scan's memo (_ScanMemo.kernels); every
-    (s, t) then costs a few integer operations on p^shift times the entries.
-    """
-
-    def __init__(self, memo: _ScanMemo, m: int, n: int, r: int):
-        self.p, self.type, self.m, self.n, self.r = memo.p, memo.type, m, n, r
-        self.grid = memo.grid
-        self.rules = memo.rules
-        self.constraints = memo.constraints
-        self.kernels, self.shift = memo.kernels(m, n, r)
-        self.ivals, self.jvals = _shift_ranges(memo.type, memo.p)
-
-    def rule(self, i: int, j: int):
-        """The meet of the eight entry rules at (s, t) = (i/p, j/p)."""
-        p, shift, grid = self.p, self.shift, self.grid
+    def rule(self, family, i: int, j: int):
+        """The meet of the eight entry rules at (s, t) = (i/p, j/p), for the
+        family's (kernels, shift)."""
+        p, grid = self.p, self.grid
+        (KA1, KB1, KA2, KB2), shift = family
         zero, bits, tests = True, (1 << len(grid.vals)) - 1, ()
-        KA1, KB1, KA2, KB2 = self.kernels
         entries = _closed_form(p, KA1, i, j) + _closed_form(p, KA2, i, j)
         slopes = _closed_form(p, KB1, i, j) + _closed_form(p, KB2, i, j)
         for e, (na, nb) in enumerate(zip(entries, slopes)):
@@ -537,31 +511,29 @@ class _Family:
             tests += rule[2]
         return zero, bits, tests
 
-    def params(self, i: int, j: int) -> CosetParams:
-        return CosetParams(self.type, self.m, self.n, self.r,
-                           Fraction(i, self.p), Fraction(j, self.p))
 
-
-def _materialize(grid: _XGrid, rule) -> _XMask:
+def _materialize(grid: _XGrid, rule) -> np.ndarray:
     """The mask of a (zero, bits, tests) rule: arrays only for its live rows."""
     zero, bits, tests = rule
-    flat = np.zeros(grid.size, dtype=bool)
+    mask = np.zeros(grid.size + 1, dtype=bool)
+    mask[grid.size] = zero
     for k, v in enumerate(grid.vals):
         if bits >> k & 1:
-            flat[grid.row(v)] = True
+            mask[grid.row(v)] = True
     for k, g, exact, a, b in tests:
         if bits >> k & 1:
             hit = grid.congruent(g, a, b)
             if exact:
                 hit &= ~grid.congruent(g + 1, a, b)
-            flat[grid.row(grid.vals[k])] &= hit
-    return _XMask(grid, zero, flat)
+            mask[grid.row(grid.vals[k])] &= hit
+    return mask
 
 
-def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> _XMask:
+def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> np.ndarray:
     """Support mask of one parameter tuple (x free), through its family."""
-    fam = _Family(_ScanMemo(p, params.type, grid), params.m, params.n, params.r)
-    return _materialize(grid, fam.rule(int(params.s * p), int(params.t * p)))
+    scan = _Scan(p, params.type, grid)
+    family = scan.kernels(params.m, params.n, params.r)
+    return _materialize(grid, scan.rule(family, int(params.s * p), int(params.t * p)))
 
 
 def _beta_possible(params: CosetParams) -> bool:
@@ -570,18 +542,6 @@ def _beta_possible(params: CosetParams) -> bool:
     component without it is (scalar) U(x) diag(p^m, 1) or diag(p^n, 1)."""
     weyl1, weyl2 = _WEYL[params.type]
     return (weyl1 or params.m == 0) and (weyl2 or params.n == 0)
-
-
-def _canceled_mask(mask: _XMask, table: _TranslateTable) -> _XMask:
-    """Points whose whole orbit x + j/p (j = 0..p-1) stays in support."""
-    ext = np.append(mask.flat, False)
-    zero = mask.zero and bool(ext[table.zero_targets].all())
-    return _XMask(mask.grid, zero, mask.flat & ext[table.targets].all(axis=0))
-
-
-def _difference(a: _XMask, b: _XMask) -> _XMask:
-    """Points of a not in b."""
-    return _XMask(a.grid, a.zero and not b.zero, a.flat & ~b.flat)
 
 
 @dataclass
@@ -632,11 +592,9 @@ def _families(ty: str, box: ScanBox):
 
 
 def _combo_iter(ty: str, p: int, box: ScanBox):
-    ivals, jvals = _shift_ranges(ty, p)
     for m, n, r in _families(ty, box):
-        for i in ivals:
-            for j in jvals:
-                yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
+        for i, j in _shifts(ty, p):
+            yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
 
 
 def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
@@ -646,63 +604,52 @@ def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
     if ty not in COSET_TYPES:
         raise ValueError(f"unknown coset type {ty!r}")
     grid = _XGrid(p, box)
-    table = _TranslateTable(grid)
-    memo = _ScanMemo(p, ty, grid)
-    nonempty = []
-    scanned = 0
-    support_empty = True
-    all_stable = True
-    contrib_combos = []
+    scan = _Scan(p, ty, grid)
+    scanned, nonempty, contrib_combos = 0, [], []
     for m, n, r in _families(ty, box):
-        fam = _Family(memo, m, n, r)
-        for i in fam.ivals:
-            for j in fam.jvals:
-                scanned += 1
-                rule = fam.rule(i, j)
-                if not rule[0] and not rule[1]:
-                    continue
-                mask = _materialize(grid, rule)
-                if mask.is_empty():
-                    continue
-                support_empty = False
-                params = fam.params(i, j)
-                canceled = _canceled_mask(mask, table)
-                survivors = _difference(mask, canceled)
-                stable = survivors.is_empty()
-                all_stable = all_stable and stable
-                beta = _beta_possible(params)
-                if beta:
-                    contributing = survivors
-                else:
-                    contributing = _XMask(grid, False, np.zeros(grid.size, dtype=bool))
-                nonempty.append(ComboResult(
-                    m, n, r, str(params.s), str(params.t), beta,
-                    mask.count(), contributing.count(), stable))
-                if not contributing.is_empty():
-                    contrib_combos.append((params, contributing))
-    claims = _evaluate_claims(ty, p, contrib_combos, support_empty, all_stable)
+        family = scan.kernels(m, n, r)
+        for i, j in _shifts(ty, p):
+            scanned += 1
+            rule = scan.rule(family, i, j)
+            if not rule[0] and not rule[1]:
+                continue
+            mask = _materialize(grid, rule)
+            if not mask.any():
+                continue
+            params = CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
+            survivors = mask & ~grid.canceled(mask)
+            beta = _beta_possible(params)
+            contributing = survivors if beta else np.zeros_like(mask)
+            nonempty.append(ComboResult(
+                m, n, r, str(params.s), str(params.t), beta,
+                grid.count(mask), grid.count(contributing), not survivors.any()))
+            if contributing.any():
+                contrib_combos.append((params, contributing))
+    claims = _evaluate_claims(ty, p, grid, contrib_combos, nonempty)
+    # a box too small to certify proves nothing either way
     box_ok = box.radius >= 2 and box.x_val_range >= 2 and box.x_res_exponent >= 2
-    if all(claims.values()):
-        status = "certified" if box_ok else "inconclusive"
+    if not box_ok:
+        status = "inconclusive"
     else:
-        status = "refuted"
+        status = "certified" if all(claims.values()) else "refuted"
     return ScanReport(p, ty, box, scanned, nonempty, claims, status)
 
 
-def _evaluate_claims(ty, p, contrib_combos, support_empty, all_stable) -> dict:
+def _evaluate_claims(ty, p, grid, contrib_combos, nonempty) -> dict:
     at_origin = all(
         (c.m, c.n, c.r) == (0, 0, 0) for c, _ in contrib_combos)
-    zp_pattern = all(mask.equals_zp_pattern() for _, mask in contrib_combos)
+    zp_pattern = all(grid.is_zp(mask) for _, mask in contrib_combos)
     if ty == "I":
         return {
             "contributing_only_at_origin": at_origin and len(contrib_combos) == 1,
             "contributing_x_is_Zp": zp_pattern,
         }
     if ty == "II":
-        return {"in_support_translation_stable_hence_canceled": all_stable,
+        stable = all(c.support_translation_stable for c in nonempty)
+        return {"in_support_translation_stable_hence_canceled": stable,
                 "no_surviving_contribution": len(contrib_combos) == 0}
     if ty == "III":
-        return {"support_empty": support_empty}
+        return {"support_empty": not nonempty}
     # Type IV: survivors exactly at the origin with s + t integral.  Every
     # in-support tuple off that set must be translation stable, i.e. canceled;
     # with no beta filter here, "canceled or contributing" is how the scan
@@ -721,34 +668,26 @@ def _evaluate_claims(ty, p, contrib_combos, support_empty, all_stable) -> dict:
 
 
 def _is_gamma0_p2(g: PadicMat2, p: int) -> bool:
-    ents = g.entries()
-    if any(e.denominator != 1 for e in ents):
-        return False
-    if int(g.c) % (p * p) != 0:
-        return False
-    return int(g.det()) % p != 0
+    return g.den == 1 and g.c % (p * p) == 0 and g.det() % p != 0
 
 
 def default_invariance_samples(p: int):
     """Deterministic pairs from Gamma_0(p^2) x Gamma_0(p^2) with equal dets."""
-    def U(x):
-        return _upper(p, x)
-
     def L(c):
-        return PadicMat2.of(p, 1, 0, c, 1)
+        return PadicMat2(1, 0, c, 1)
 
     # det(2 - p^2) pair is a p-adic unit for every odd p
     return [
-        (PadicMat2.identity(p), PadicMat2.identity(p)),
-        (U(1), U(-1)),
-        (U(3), U(-3)),
-        (U(p), U(-p)),
-        (L(p * p), PadicMat2.identity(p)),
-        (PadicMat2.identity(p), L(p * p)),
+        (PadicMat2.identity(), PadicMat2.identity()),
+        (_upper(1), _upper(-1)),
+        (_upper(3), _upper(-3)),
+        (_upper(p), _upper(-p)),
+        (L(p * p), PadicMat2.identity()),
+        (PadicMat2.identity(), L(p * p)),
         (L(2 * p * p), L(-p * p)),
-        (U(1) * L(p * p), L(p * p) * U(-2)),
-        (PadicMat2.of(p, 1, 0, 0, 2), PadicMat2.of(p, 2, 0, 0, 1)),
-        (PadicMat2.of(p, 2, 1, p * p, 1), PadicMat2.of(p, 1, 1, 0, 2 - p * p)),
+        (_upper(1) * L(p * p), L(p * p) * _upper(-2)),
+        (PadicMat2(1, 0, 0, 2), PadicMat2(2, 0, 0, 1)),
+        (PadicMat2(2, 1, p * p, 1), PadicMat2(1, 1, 0, 2 - p * p)),
     ]
 
 
@@ -756,11 +695,11 @@ def default_invariance_probes(p: int):
     e1, al = e1_matrix(p), alpha_matrix(p)
     return [
         (e1, al),
-        (PadicMat2.identity(p), PadicMat2.identity(p)),
+        (PadicMat2.identity(), PadicMat2.identity()),
         (e1.scale(p), al.scale(p)),
-        (e1, PadicMat2.identity(p)),
-        (PadicMat2.of(p, 1, Fraction(1, p), p, 0), al),
-        (PadicMat2.of(p, 0, Fraction(1, p), 0, 1), al.scale(-1)),
+        (e1, PadicMat2.identity()),
+        (PadicMat2(p, 1, p * p, 0, p), al),
+        (PadicMat2(0, 1, 0, p, p), al.scale(-1)),
         (e1.scale(Fraction(1, p)), al),
     ]
 

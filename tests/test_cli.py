@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -371,6 +372,19 @@ def test_theta_support_negative_box_is_a_usage_error(monkeypatch, tmp_path, caps
     monkeypatch.chdir(tmp_path)
     assert run(["theta-support", "--box", "-1", "--type", ty, "--json", "t.json"]) == 2
     assert "scan box bounds must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_theta_support_past_the_grid_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # at p = 101 the x grid's translate table would take about 7 GB: the
+    # grid refuses before it builds anything, exit 2 with no report written
+    from kleinzeta.thetasupp import MAX_GRID_TRANSLATES
+
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    assert run(["theta-support", "--p", "101", "--json", "t.json"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"over the limit {MAX_GRID_TRANSLATES}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,7 +22,7 @@ def test_val_p():
 def test_rho_identity_action():
     p = 11
     e1 = e1_matrix(p)
-    I = PadicMat2.identity(p)
+    I = PadicMat2.identity()
     assert rho_act(I, I, e1) == e1
 
 
@@ -32,12 +32,12 @@ def test_rho_is_right_action():
 
     def rnd():
         while True:
-            m = PadicMat2.of(p, *[Fraction(rng.randint(-4, 4), rng.choice([1, p]))
-                                  for _ in range(4)])
+            m = PadicMat2.of(*[Fraction(rng.randint(-4, 4), rng.choice([1, p]))
+                               for _ in range(4)])
             if m.det() != 0:
                 return m
 
-    x = PadicMat2.of(p, 1, Fraction(1, p), 2, 3)
+    x = PadicMat2.of(1, Fraction(1, p), 2, 3)
     for _ in range(20):
         h1, h2, g1, g2 = rnd(), rnd(), rnd(), rnd()
         lhs = rho_act(h1 * g1, h2 * g2, x)
@@ -47,9 +47,57 @@ def test_rho_is_right_action():
 
 def test_rho_singular_raises():
     p = 3
-    sing = PadicMat2.of(p, 1, 2, 2, 4)
+    sing = PadicMat2.of(1, 2, 2, 4)
     with pytest.raises(ZeroDivisionError):
-        rho_act(sing, PadicMat2.identity(p), e1_matrix(p))
+        rho_act(sing, PadicMat2.identity(), e1_matrix(p))
+
+
+def test_padicmat2_arithmetic_matches_fraction_formulas():
+    # the numerator/denominator arithmetic of PadicMat2 against the Fraction
+    # formulas, on seeded matrices whose denominators mix powers of p, 2 and
+    # 3p; results must be in lowest terms with den > 0 so that equal
+    # matrices compare equal
+    import math
+
+    p = 5
+    rng = random.Random(5)
+    dens = [1, p, p * p, p ** 3, 2, 4, 3 * p]
+
+    def rnd_entry():
+        return Fraction(rng.randint(-12, 12), rng.choice(dens))
+
+    def canonical(M, entries):
+        assert M.den > 0 and math.gcd(M.a, M.b, M.c, M.d, M.den) == 1
+        assert M.entries() == tuple(entries)
+        # the same matrix built from scaled-up numerators is the same value
+        k = rng.choice([-6, -1, 2, 3 * p])
+        N = PadicMat2(M.a * k, M.b * k, M.c * k, M.d * k, M.den * k)
+        assert N == M and hash(N) == hash(M)
+
+    samples = [[rnd_entry() for _ in range(4)] for _ in range(300)]
+    samples.append([Fraction(0)] * 4)
+    signs = set()
+    for x in samples:
+        X = PadicMat2.of(*x)
+        canonical(X, x)
+        det = x[0] * x[3] - x[1] * x[2]
+        assert X.det() == det
+        signs.add((det > 0) - (det < 0))
+        for f in (Fraction(0), Fraction(-1), rnd_entry()):
+            canonical(X.scale(f), [e * f for e in x])
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                X.inv()
+        else:
+            canonical(X.inv(), [x[3] / det, -x[1] / det, -x[2] / det, x[0] / det])
+        y = rng.choice(samples)
+        canonical(X * PadicMat2.of(*y), [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                                         x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]])
+    assert signs == {-1, 0, 1}
+    zero = PadicMat2.of(0, 0, 0, 0)
+    assert zero == PadicMat2(0, 0, 0, 0, -7) and zero.den == 1
+    with pytest.raises(ZeroDivisionError):
+        PadicMat2(1, 0, 0, 1, 0)
 
 
 def test_type_one_rho_image_closed_form():
@@ -60,16 +108,16 @@ def test_type_one_rho_image_closed_form():
         img_e = rho_act(h1, h2, e1_matrix(p))
         img_a = rho_act(h1, h2, alpha_matrix(p))
         P = Fraction(p)
-        assert img_e == PadicMat2.of(p, 0, P ** (-1 - m - r), 0, 0)
-        assert img_a == PadicMat2.of(p, P ** (-1 - m + n - r), P ** (-1 - m - r) * x,
-                                     0, -(P ** (-1 - r)))
+        assert img_e == PadicMat2.of(0, P ** (-1 - m - r), 0, 0)
+        assert img_a == PadicMat2.of(P ** (-1 - m + n - r), P ** (-1 - m - r) * x,
+                                  0, -(P ** (-1 - r)))
 
 
 def test_stabilizer_fixes_the_pair():
     p = 11
     for x in (Fraction(0), Fraction(2), Fraction(1, 1)):
-        g1 = PadicMat2.of(p, 1, x, 0, 1)
-        g2 = PadicMat2.of(p, 1, -x, 0, 1)
+        g1 = PadicMat2.of(1, x, 0, 1)
+        g2 = PadicMat2.of(1, -x, 0, 1)
         assert rho_act(g1, g2, e1_matrix(p)) == e1_matrix(p)
         assert rho_act(g1, g2, alpha_matrix(p)) == alpha_matrix(p)
 
@@ -79,8 +127,8 @@ def test_in_lattice_examples():
     L1, L2 = lev_support(p)
     assert in_lattice(e1_matrix(p), L1)
     assert in_lattice(alpha_matrix(p), L2)
-    assert not in_lattice(PadicMat2.identity(p), L2)
-    assert in_lattice(PadicMat2.identity(p), L1)
+    assert not in_lattice(PadicMat2.identity(), L2)
+    assert in_lattice(PadicMat2.identity(), L1)
 
 
 def test_membership_homogeneous_under_scaling():
@@ -97,12 +145,12 @@ def test_membership_homogeneous_under_scaling():
 def test_coset_rep_shapes():
     p = 11
     h1, h2 = coset_rep(p, CosetParams("I", 0, 0, 0))
-    assert h1 == PadicMat2.identity(p) and h2 == PadicMat2.identity(p)
+    assert h1 == PadicMat2.identity() and h2 == PadicMat2.identity()
     # weyl factor sits on the first component for II, on both for IV
     h1, h2 = coset_rep(p, CosetParams("II", 0, 2, 0, s=Fraction(1, p)))
-    assert h1.c == p * p and h2.c == 0
+    assert h1.entries()[2] == p * p and h2.entries()[2] == 0
     h1, h2 = coset_rep(p, CosetParams("IV", 0, 0, 0, s=Fraction(1, p), t=Fraction(2, p)))
-    assert h1.c == p * p and h2.c == p * p
+    assert h1.entries()[2] == p * p and h2.entries()[2] == p * p
     with pytest.raises(ValueError):
         CosetParams("I", 1, 0, 0)
     with pytest.raises(ValueError):
@@ -150,11 +198,11 @@ def test_scan_masks_match_bruteforce_rho_evaluation():
                                                   params.r, params.s, params.t, xval))
                 return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
 
-            assert mask.zero == direct(Fraction(0))
+            assert mask[grid.size] == direct(Fraction(0))
             for v in grid.vals:
                 for uidx, u in enumerate(grid.units):
                     expected = direct(Fraction(int(u)) * Fraction(p) ** v)
-                    assert bool(mask.by_val[v][uidx]) == expected, (ty, params, v, u)
+                    assert bool(mask[grid.row(v)][uidx]) == expected, (ty, params, v, u)
 
 
 def test_type_four_masks_match_bruteforce_rho_at_p11():
@@ -177,12 +225,12 @@ def test_type_four_masks_match_bruteforce_rho_at_p11():
                                               params.r, params.s, params.t, xval))
             return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
 
-        assert mask.zero == direct(Fraction(0)), params
+        assert mask[grid.size] == direct(Fraction(0)), params
         for _ in range(30):
             v = rng.choice(grid.vals)
             uidx = rng.randrange(grid.nu)
             expected = direct(Fraction(int(grid.units[uidx])) * Fraction(p) ** v)
-            assert bool(mask.by_val[v][uidx]) == expected, (params, v, uidx)
+            assert bool(mask[grid.row(v)][uidx]) == expected, (params, v, uidx)
             members += expected
     assert members > 0   # the sample reaches the support, not only its complement
 
@@ -191,27 +239,27 @@ def test_type_four_masks_match_bruteforce_rho_at_p11():
 def test_family_kernels_match_coset_rep(p):
     # the kernels a scan builds from its memoised factors, against the
     # products of the brute-force coset representatives, entry by entry
-    from kleinzeta.thetasupp import _families, _Family, _ScanMemo, _XGrid
+    from kleinzeta.thetasupp import _families, _Scan, _XGrid
 
     box = ScanBox()
     grid = _XGrid(p, box)
-    e12 = PadicMat2.of(p, 0, 1, 0, 0)
+    e12 = PadicMat2.of(0, 1, 0, 0)
     for ty in COSET_TYPES:
-        memo = _ScanMemo(p, ty, grid)
+        scan = _Scan(p, ty, grid)
         for m, n, r in _families(ty, box):
-            fam = _Family(memo, m, n, r)
+            kernels, shift = scan.kernels(m, n, r)
             h1, h2 = coset_rep(p, CosetParams(ty, m, n, r))
             inv = h1.inv()
             exact = []
             for y in (e1_matrix(p), alpha_matrix(p)):
                 exact += [inv * y * h2, (inv * e12 * y * h2).scale(-1)]
-            scale = Fraction(p) ** (fam.shift - 2)
-            got = [tuple(Fraction(x) / scale for x in k) for k in fam.kernels]
+            scale = Fraction(p) ** (shift - 2)
+            got = [tuple(Fraction(x) / scale for x in k) for k in kernels]
             assert got == [K.entries() for K in exact], (ty, m, n, r)
             # the least power of p clears the denominators
             denominators = {f.denominator for K in exact for f in K.entries()}
             assert max(denominators) == scale
-        assert len(memo.left) <= 2 * box.radius + 1 and len(memo.right) <= 2 * box.radius + 1
+        assert len(scan.left) <= 2 * box.radius + 1 and len(scan.right) <= 2 * box.radius + 1
 
 
 def test_entry_rule_matches_constraint_pointwise():
@@ -245,56 +293,65 @@ def test_entry_rule_matches_constraint_pointwise():
                 def direct(x):
                     return con.satisfied(p, (na + nb * x) / Fraction(p) ** shift)
 
-                assert mask.zero == direct(Fraction(0))
+                assert mask[grid.size] == direct(Fraction(0))
                 for v in grid.vals:
                     for uidx, u in enumerate(grid.units):
                         expected = direct(Fraction(int(u)) * Fraction(p) ** v)
-                        assert bool(mask.by_val[v][uidx]) == expected, (na, nb, shift, con, v, u)
+                        assert bool(mask[grid.row(v)][uidx]) == expected, (na, nb, shift, con, v, u)
     assert residue_rows > 100
 
 
 def test_translate_table_matches_exact_translation():
-    from kleinzeta.thetasupp import _TranslateTable, _XGrid
+    import numpy as np
+
+    from kleinzeta.thetasupp import _XGrid
 
     p = 3
-    # x_val_range 1: (u + j) / p reaches the top row v' = 1 for u + j = 9
-    grid = _XGrid(p, ScanBox(radius=1, x_val_range=1, x_res_exponent=2))
-    table = _TranslateTable(grid)
+    # x_val_range 1: (u + j) / p reaches the top row v' = 1 for u + j = 9;
+    # x_val_range 0: every translate leaves the grid, so all read the sentinel
+    for R in (1, 0):
+        grid = _XGrid(p, ScanBox(radius=1, x_val_range=R, x_res_exponent=2))
 
-    def flat_position(y):
-        v = val_p(p, y)
-        if abs(v) > grid.box.x_val_range:
-            return grid.size
-        unit = y / Fraction(p) ** v
-        return grid.row(v).start + int(grid.unit_index[int(unit) % grid.mod])
+        def flat_position(y):
+            v = val_p(p, y)
+            if abs(v) > grid.box.x_val_range:
+                return grid.size + 1
+            unit = y / Fraction(p) ** v
+            return grid.row(v).start + int(grid.unit_index[int(unit) % grid.mod])
 
-    for j in range(1, p):
-        assert table.zero_targets[j - 1] == flat_position(Fraction(j, p))
-        for v in grid.vals:
-            for uidx, u in enumerate(grid.units):
-                y = int(u) * Fraction(p) ** v + Fraction(j, p)
-                assert table.targets[j - 1, grid.row(v).start + uidx] == flat_position(y)
+        assert grid.targets.shape == (p - 1, grid.size + 1)
+        for j in range(1, p):
+            assert grid.targets[j - 1, grid.size] == flat_position(Fraction(j, p))
+            for v in grid.vals:
+                for uidx, u in enumerate(grid.units):
+                    y = int(u) * Fraction(p) ** v + Fraction(j, p)
+                    assert grid.targets[j - 1, grid.row(v).start + uidx] == flat_position(y)
+    # off the grid reads False: no orbit of the full mask stays inside
+    assert not grid.canceled(np.ones(grid.size + 1, dtype=bool)).any()
 
 
 def test_xmask_zp_pattern_and_counts():
     import numpy as np
 
-    from kleinzeta.thetasupp import _XGrid, _XMask
+    from kleinzeta.thetasupp import _XGrid
 
     grid = _XGrid(3, ScanBox(radius=1, x_val_range=1, x_res_exponent=2))
-    zp = np.zeros(grid.size, dtype=bool)
-    zp[grid.row(0).start:] = True
-    assert _XMask(grid, True, zp).equals_zp_pattern()
-    assert not _XMask(grid, False, zp).equals_zp_pattern()
+    zp = np.zeros(grid.size + 1, dtype=bool)
+    zp[grid.row(0).start:] = True      # every v >= 0, and x = 0 in the last slot
+    assert grid.is_zp(zp)
+    no_zero = zp.copy()
+    no_zero[grid.size] = False
+    assert not grid.is_zp(no_zero)
     partial = zp.copy()
     partial[grid.row(1).start] = False
-    assert not _XMask(grid, True, partial).equals_zp_pattern()
-    assert _XMask(grid, True, partial).count() == {"zero": True,
-                                                   "by_val": {-1: 0, 0: 6, 1: 5}}
+    assert not grid.is_zp(partial)
+    assert grid.count(partial) == {"zero": True, "by_val": {-1: 0, 0: 6, 1: 5}}
     negative = zp.copy()
     negative[0] = True
-    assert not _XMask(grid, True, negative).equals_zp_pattern()
-    assert _XMask(grid, False, np.zeros(grid.size, dtype=bool)).is_empty()
+    assert not grid.is_zp(negative)
+    empty = np.zeros(grid.size + 1, dtype=bool)
+    assert grid.count(empty) == {"zero": False, "by_val": {-1: 0, 0: 0, 1: 0}}
+    assert not grid.is_zp(empty)
 
 
 def _nonempty_keys(rep):
@@ -368,6 +425,32 @@ def test_scan_tiny_box_stays_inconclusive(radius, ty):
     assert scan_type(11, ty, ScanBox(radius=radius)).status == "inconclusive"
 
 
+@pytest.mark.parametrize("p", [3, 11])
+@pytest.mark.parametrize("box", [ScanBox(x_val_range=0), ScanBox(x_val_range=1),
+                                 ScanBox(x_res_exponent=0)],
+                         ids=["x_val_range=0", "x_val_range=1", "x_res_exponent=0"])
+def test_scan_degenerate_x_grid_stays_inconclusive(box, p):
+    # a grid too coarse to certify fails claims that the default box meets;
+    # that must read inconclusive, not refute the paper
+    for ty in COSET_TYPES:
+        assert scan_type(p, ty, box).status == "inconclusive", ty
+
+
+def test_grid_refuses_a_translate_table_over_the_limit():
+    from kleinzeta.ffield import BudgetExceeded
+    from kleinzeta.thetasupp import MAX_GRID_TRANSLATES, _XGrid
+
+    def translates(p):   # (p - 1) (9 (p^3 - p^2) + 1) at the default box
+        return (p - 1) * (9 * (p ** 3 - p ** 2) + 1)
+
+    assert translates(31) <= MAX_GRID_TRANSLATES < translates(37)
+    for p in (37, 101):
+        with pytest.raises(BudgetExceeded, match=f"{translates(p)} translates"):
+            _XGrid(p, ScanBox())
+    with pytest.raises(BudgetExceeded):
+        scan_type(101, "IV")
+
+
 def test_scan_report_serializes():
     rep = scan_type(3, "IV", ScanBox(radius=2))
     d = rep.to_dict()
@@ -381,10 +464,10 @@ def test_stabilizer_invariance():
 
 def test_stabilizer_invariance_rejects_bad_samples():
     p = 11
-    bad = (PadicMat2.of(p, 1, 0, p, 1), PadicMat2.identity(p))  # only level p
+    bad = (PadicMat2.of(1, 0, p, 1), PadicMat2.identity())  # only level p
     with pytest.raises(ValueError):
         stabilizer_invariance_check(p, samples=[bad])
-    unequal = (PadicMat2.of(p, 1, 0, 0, 2), PadicMat2.identity(p))
+    unequal = (PadicMat2.of(1, 0, 0, 2), PadicMat2.identity())
     with pytest.raises(ValueError):
         stabilizer_invariance_check(p, samples=[unequal])
 
@@ -393,8 +476,8 @@ def test_level_p_conjugation_moves_the_support():
     # a Gamma_0(p) (not p^2) pair does move the support: the check's premise
     # really is needed
     p = 11
-    g1 = PadicMat2.of(p, 1, 0, p, 1)
-    g2 = PadicMat2.identity(p)
+    g1 = PadicMat2.of(1, 0, p, 1)
+    g2 = PadicMat2.identity()
     sup = lev_support(p)
     before = in_support_pair(e1_matrix(p), alpha_matrix(p), sup)
     after = in_support_pair(rho_act(g1, g2, e1_matrix(p)),
