@@ -120,7 +120,8 @@ def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
     L_product, dt = _timed(hecke.h3_local_factor_product, 3)
     report.add("l3-product-route", L_product.coeffs == target.coeffs,
                list(target.coeffs), list(L_product.coeffs), dt)
-    expected = "all |lambda| = 3^(3/2) (1e-6 rel)"
+    tol = f"{lfunc.PURITY_TOLERANCE:.0e}".replace("e-0", "e-")  # 1e-6, not 1e-06
+    expected = f"all |lambda| = 3^(3/2) ({tol} rel)"
     if L_counting is None:
         report.add("l3-purity", False, expected, "no counting-route factor", inconclusive=True)
     else:
@@ -160,80 +161,73 @@ def run_cm_structure(report: VerificationReport, max_p: int):
                time.perf_counter() - t0)
 
 
-def cohomology_summary():
-    """The report's cohomology block, and the errors that stopped its stages.
+def run_cohomology(report: VerificationReport):
+    """The six cohomology checks and the report's cohomology block.
 
     A stage runs only when the stages it needs succeeded: the basis, then
-    the rotation matrix and its order, then (for order 5) the eigenspaces
-    and the Fourier vectors; the Gorenstein pairing stands alone.  A stage
-    that raises ArithmeticError is recorded under its name in the errors
-    dict, and the fields it would have filled stay None.
+    the rotation matrix and its eigenspace split, then (when the rotation's
+    fifth power is 1) the Fourier vectors; the Gorenstein pairing stands
+    alone.  That fifth power is 1 exactly when the eigenspace dimensions sum
+    to 10.  A stage that raises ArithmeticError fails the first check it
+    feeds (the Fourier-vector stage feeds cohomology-fil2-intersections),
+    and the fields it would have filled stay None; a check whose inputs
+    were never computed is inconclusive.  Each check carries the time of
+    the stage that feeds it.
     """
     summary = dict.fromkeys((
         "dimension", "fil2_rank", "pole3_rank", "rotation_has_order_5", "eigenvalue_multiset",
         "fil2_intersections", "fourier_vector_eigenvalues", "gorenstein_pairing_nondegenerate"))
-    errors = {}
+    errors, seconds = {}, {}
 
     def stage(name, fn, *args):
+        t0 = time.perf_counter()
         try:
             return fn(*args)
         except ArithmeticError as exc:
             errors[name] = f"{type(exc).__name__}: {exc}"
             return None
+        finally:
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
 
     basis = stage("basis", gdcohom.h3_basis)
     if basis is not None:
         summary.update(dimension=basis.dimension, fil2_rank=len(basis.pole2_monomials),
                        pole3_rank=len(basis.pole3_monomials))
-        M = stage("rotation", gdcohom.alpha_pullback, basis)
-        if M is not None:
-            summary["rotation_has_order_5"] = (gdcohom.matrix_power(M, 5)
-                                               == gdcohom.matrix_power(M, 0))
+        M = stage("rotation", gdcohom.alpha_pullback)
+        split = None if M is None else stage("rotation", gdcohom.eigenspace_split, M)
+        if split is not None:
+            summary["rotation_has_order_5"] = sum(split.dims) == len(M)
         if summary["rotation_has_order_5"]:
-            split = stage("eigenspaces", gdcohom.eigenspace_split, M)
-            if split is not None:
-                summary["eigenvalue_multiset"] = {
-                    f"zeta5^{j}": d for j, d in enumerate(split.dims)}
-                summary["fil2_intersections"] = {
-                    f"zeta5^{j}": d for j, d in enumerate(split.fil2_dims)}
+            summary["eigenvalue_multiset"] = {f"zeta5^{j}": d for j, d in enumerate(split.dims)}
+            summary["fil2_intersections"] = {
+                f"zeta5^{j}": d for j, d in enumerate(split.fil2_dims)}
             eigmap = stage("fourier", gdcohom.fil2_eigenvector_map, M)
             if eigmap is not None:
                 summary["fourier_vector_eigenvalues"] = {
                     f"v_{j}": f"zeta5^{e}" for j, e in eigmap.items()}
     summary["gorenstein_pairing_nondegenerate"] = stage(
         "gorenstein", gdcohom.gorenstein_pairing_nondegenerate)
-    return summary, errors
 
-
-def run_cohomology(report: VerificationReport):
-    """The six cohomology checks.  A stage error fails the check it feeds
-    (the Fourier-vector stage feeds cohomology-fil2-intersections); checks
-    whose inputs were never computed are inconclusive."""
-    (summary, errors), dt = _timed(cohomology_summary)
-
-    def add(name, expected, actual, error=None, elapsed_s=0.0):
-        if error is not None:
-            report.add(name, False, expected, error, elapsed_s)
+    def add(name, expected, key, stage_name, first=True):
+        actual = summary[key]
+        if isinstance(actual, dict):
+            actual = tuple(actual.values())
+        elapsed_s = seconds.get(stage_name, 0.0)
+        if first and stage_name in errors:
+            report.add(name, False, expected, errors[stage_name], elapsed_s)
         elif actual is None:
             report.add(name, False, expected, "not computed: an earlier stage failed",
                        elapsed_s, inconclusive=True)
         else:
             report.add(name, actual == expected, expected, actual, elapsed_s)
 
-    def values(key):
-        block = summary[key]
-        return None if block is None else tuple(block.values())
-
-    add("cohomology-dimension", 10, summary["dimension"], errors.get("basis"), dt)
-    add("cohomology-fil2-rank", 5, summary["fil2_rank"])
-    add("cohomology-rotation-order", True, summary["rotation_has_order_5"],
-        errors.get("rotation"))
-    add("cohomology-eigenspace-dims", (2, 2, 2, 2, 2), values("eigenvalue_multiset"),
-        errors.get("eigenspaces"))
-    add("cohomology-fil2-intersections", (1, 1, 1, 1, 1), values("fil2_intersections"),
-        errors.get("fourier"))
-    add("cohomology-gorenstein", True, summary["gorenstein_pairing_nondegenerate"],
-        errors.get("gorenstein"))
+    add("cohomology-dimension", 10, "dimension", "basis")
+    add("cohomology-fil2-rank", 5, "fil2_rank", "basis", first=False)
+    add("cohomology-rotation-order", True, "rotation_has_order_5", "rotation")
+    add("cohomology-eigenspace-dims", (2, 2, 2, 2, 2), "eigenvalue_multiset", "rotation",
+        first=False)
+    add("cohomology-fil2-intersections", (1, 1, 1, 1, 1), "fil2_intersections", "fourier")
+    add("cohomology-gorenstein", True, "gorenstein_pairing_nondegenerate", "gorenstein")
     return summary
 
 
@@ -246,8 +240,10 @@ def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox
         report.add(f"theta-type-{ty}-p{p}",
                    rep.status == "certified", "certified", rep.status, dt,
                    inconclusive=(rep.status == "inconclusive"))
+    t0 = time.perf_counter()
     zeros = all(thetasupp.char_sum(p, v).is_zero() for v in range(1, 5))
-    report.add(f"theta-char-sums-p{p}", zeros, "0 for 1 <= v <= 4", zeros)
+    report.add(f"theta-char-sums-p{p}", zeros, "0 for 1 <= v <= 4", zeros,
+               time.perf_counter() - t0)
     inv, dt = _timed(thetasupp.stabilizer_invariance_check, p)
     report.add(f"theta-stabilizer-invariance-p{p}", inv, True, inv, dt)
     import random
@@ -362,8 +358,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             run_verify_l3(report, cache)
             run_trace_sweep(report, cache, args.max)
-            fermat = counting.verify_fermat_cover()
-            report.add("fermat-cover", fermat, True, fermat)
+            fermat, dt = _timed(counting.verify_fermat_cover)
+            report.add("fermat-cover", fermat, True, fermat, dt)
             run_cm_structure(report, 200)
             run_cohomology(report)
             certs = run_theta_support(report, 11, thetasupp.ScanBox())

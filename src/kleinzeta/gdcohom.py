@@ -18,9 +18,11 @@ Each degree d is echelonized once (`degree_data`).  Its rows are the
 products m * dS/dx_i, each tagged with a column of its own, so one
 reduction of A yields both the harmonic part of A (coordinates over the
 monomial complement) and a lift B_i of the rest; a reduction step costs one
-pass over that echelon.  Matrix powers and the eigenvector check skip zero
-entries, and the eigenspace ranks keep rational entries as Fractions, so
-only the shifted diagonal carries Q(zeta_5) arithmetic.
+pass over that echelon.  The eigenvector check skips zero entries, and the
+eigenspace ranks keep rational entries as Fractions, so only the shifted
+diagonal carries Q(zeta_5) arithmetic.  The rank sum of the eigenspaces is
+the order check: it reaches 10 exactly when the rotation matrix M has
+M^5 = 1, so M^5 is never formed.
 """
 
 from __future__ import annotations
@@ -36,18 +38,18 @@ from .linalg import Echelon, _is_zero, rank
 NVARS = 5
 
 
-def monomials_of_degree(d: int, nvars: int = NVARS) -> list:
+def monomials_of_degree(d: int) -> list:
     """Exponent tuples of total degree d, graded-reverse-lex descending."""
     if d < 0:
         return []
     mons = []
-    for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
+    for bars in itertools.combinations(range(d + NVARS - 1), NVARS - 1):
         exps = []
         prev = -1
         for b in bars:
             exps.append(b - prev - 1)
             prev = b
-        exps.append(d + nvars - 2 - prev)
+        exps.append(d + NVARS - 2 - prev)
         mons.append(tuple(exps))
     # grevlex descending == ascending lexicographic order of reversed tuples
     mons.sort(key=lambda e: e[::-1])
@@ -218,12 +220,6 @@ def degree_data(d: int) -> DegreeData:
     return DegreeData(d)
 
 
-def graded_dim(d: int):
-    """(dim (R/J)_d, monomial complement), by exact row reduction."""
-    data = degree_data(d)
-    return data.quotient_dim, list(data.complement)
-
-
 # ---------------------------------------------------------------------------
 # rational differentials and reduction
 
@@ -260,16 +256,20 @@ class CohomologyBasis:
 
 def h3_basis() -> CohomologyBasis:
     """Five classes x_i Omega/S^2 (the Hodge block) plus five A Omega/S^3."""
-    dim1, mons1 = graded_dim(1)
-    dim4, mons4 = graded_dim(4)
-    if dim1 != 5 or dim4 != 5:
-        raise ArithmeticError(f"unexpected graded dimensions ({dim1}, {dim4})")
+    mons1, mons4 = degree_data(1).complement, degree_data(4).complement
+    if len(mons1) != 5 or len(mons4) != 5:
+        raise ArithmeticError(f"unexpected graded dimensions ({len(mons1)}, {len(mons4)})")
     return CohomologyBasis(tuple(mons1), tuple(mons4))
 
 
-def griffiths_reduce(omega: RationalDifferential, basis: CohomologyBasis | None = None,
-                     first_lift=None) -> list:
-    """Coordinates of the class of omega in the 10-element basis.
+def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
+    """Coordinates of the class of omega in the basis of h3_basis().
+
+    Each step splits the numerator A at pole order m into its harmonic part
+    and sum_i B_i dS/dx_i, and goes on with (1/(m-1)) sum_i dB_i/dx_i at
+    pole order m - 1, until A is zero or at pole order 2.  The harmonic part
+    at pole order 3 gives the coordinates over the degree-4 complement; the
+    numerator left at pole order 2 gives those over the x_i (J_1 = 0).
 
     first_lift, when given, must be an exact lift of the numerator's ideal
     part (five polynomials with sum_i B_i dS/dx_i = A - harmonic part, which
@@ -277,88 +277,45 @@ def griffiths_reduce(omega: RationalDifferential, basis: CohomologyBasis | None 
     first reduction step in place of the one from DegreeData.split, which
     lets callers check that the reduction does not depend on the lift.
     """
-    basis = basis or h3_basis()
-    pending = {omega.pole_order: omega.form}
-    harmonic3 = CycPoly.make({}, 4)
-    for m in range(omega.pole_order, 2, -1):
-        A = pending.pop(m, None)
-        if A is None or A.is_zero():
-            continue
+    A, m = omega.form, omega.pole_order
+    pole3 = [Fraction(0)] * degree_data(4).quotient_dim
+    while m > 2 and not A.is_zero():
         data = degree_data(A.degree)
         coords, B = data.split(A)
         if m == 3:
-            harmonic3 = harmonic3 + data.harmonic(coords)
+            pole3 = coords
         elif any(not _is_zero(c) for c in coords):
             # (R/J)_d vanishes for d = 3m-5 > 5, so A is entirely ideal
             raise ArithmeticError("nonzero harmonic part above the socle degree")
-        if first_lift is not None and m == omega.pole_order:
+        if first_lift is not None:
             recomposed = CycPoly.make({}, A.degree)
             for Bi, g in zip(first_lift, jacobian_generators()):
                 recomposed = recomposed + Bi * g
             if not (recomposed + data.harmonic(coords) - A).is_zero():
                 raise ValueError("provided lift does not recompose the numerator")
-            B = first_lift
-        nxt = CycPoly.make({}, 3 * (m - 1) - 5)
+            B, first_lift = first_lift, None
+        m -= 1
+        A = CycPoly.make({}, 3 * m - 5)
         for i in range(NVARS):
-            nxt = nxt + B[i].diff(i)
-        nxt = nxt.scale(Fraction(1, m - 1))
-        if not nxt.is_zero():
-            prev = pending.get(m - 1)
-            pending[m - 1] = nxt if prev is None else prev + nxt
-    pole2 = pending.pop(2, CycPoly.make({}, 1))
-    if pending:
-        raise ArithmeticError("reduction left unprocessed pole orders")
-    d2 = pole2.dict()
-    coords = [d2.get(m, Fraction(0)) for m in basis.pole2_monomials]
-    d3 = harmonic3.dict()
-    coords += [d3.get(m, Fraction(0)) for m in basis.pole3_monomials]
-    return coords
+            A = A + B[i].diff(i)
+        A = A.scale(Fraction(1, m))
+    pole2 = A.dict()  # empty unless A reached pole order 2
+    return [pole2.get(x, Fraction(0)) for x in degree_data(1).complement] + pole3
 
 
 # ---------------------------------------------------------------------------
 # cyclic rotation action and its eigenspaces
 
 
-def alpha_pullback(basis: CohomologyBasis | None = None):
-    """10x10 matrix of the coordinate-rotation pullback on the basis.
+def alpha_pullback():
+    """10x10 matrix of the coordinate-rotation pullback on h3_basis().
 
     Entries are rational (a submatrix of the action over Q(zeta_5));
     column j holds the reduced coordinates of the image of basis class j.
     """
-    basis = basis or h3_basis()
-    cols = []
-    for diff in basis.differentials():
-        image = RationalDifferential(diff.form.rotate_vars(), diff.pole_order)
-        cols.append(griffiths_reduce(image, basis))
-    n = basis.dimension
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _sparse_product(A: list, B: list) -> list:
-    """Product of two matrices given as sparse rows {column: entry}."""
-    out = []
-    for arow in A:
-        row = {}
-        for k, a in arow.items():
-            for j, b in B[k].items():
-                row[j] = row[j] + a * b if j in row else a * b
-        out.append({j: v for j, v in row.items() if not _is_zero(v)})
-    return out
-
-
-def matrix_power(M, e: int):
-    """M^e for a square matrix, as dense rows with Fraction(0) off the support;
-    the products skip zero entries."""
-    n = len(M)
-    out = [{i: Fraction(1)} for i in range(n)]
-    base = [{k: v for k, v in enumerate(row) if not _is_zero(v)} for row in M]
-    while e:
-        if e & 1:
-            out = _sparse_product(out, base)
-        e >>= 1
-        if e:
-            base = _sparse_product(base, base)
-    return [[row.get(j, Fraction(0)) for j in range(n)] for row in out]
+    cols = [griffiths_reduce(RationalDifferential(diff.form.rotate_vars(), diff.pole_order))
+            for diff in h3_basis().differentials()]
+    return [list(row) for row in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -374,7 +331,7 @@ def eigenspace_split(M) -> EigenSplit:
 
     The dimensions sum to n exactly when M is diagonalizable over Q(zeta_5)
     with fifth roots of unity as eigenvalues, that is when M^5 = 1 (x^5 - 1
-    is separable), so their sum is the order check and M^5 is not formed.
+    is separable), so callers read their sum as the order check.
     Rational entries stay Fractions; only the shifted diagonal is cyclotomic.
     """
     n = len(M)
@@ -387,10 +344,6 @@ def eigenspace_split(M) -> EigenSplit:
             shifted[i][i] = M[i][i] - z
         dims.append(n - rank(shifted))
         fil2.append(5 - rank([row[:5] for row in shifted]))
-    if sum(dims) != n:
-        raise ArithmeticError(
-            f"eigenspace dimensions {dims} do not sum to {n}: the rotation matrix "
-            "does not have order dividing 5")
     return EigenSplit(tuple(dims), tuple(fil2))
 
 
@@ -426,21 +379,12 @@ def fil2_eigenvector_map(M) -> dict:
 
 def gorenstein_pairing_matrix():
     """Multiplication (R/J)_1 x (R/J)_4 -> (R/J)_5 in the socle coordinate."""
-    dim5, socle = graded_dim(5)
-    if dim5 != 1:
-        raise ArithmeticError("socle is not 1-dimensional")
     data5 = degree_data(5)
-    _, mons1 = graded_dim(1)
-    _, mons4 = graded_dim(4)
-    rows = []
-    for m1 in mons1:
-        row = []
-        for m4 in mons4:
-            prod = monomial(m1) * monomial(m4)
-            coords, _ = data5.split(prod)
-            row.append(coords[0])
-        rows.append(row)
-    return rows
+    if data5.quotient_dim != 1:
+        raise ArithmeticError("socle is not 1-dimensional")
+    return [[data5.split(monomial(m1) * monomial(m4))[0][0]
+             for m4 in degree_data(4).complement]
+            for m1 in degree_data(1).complement]
 
 
 def gorenstein_pairing_nondegenerate() -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 
 H3_DEGREE = 10
 BAD_PRIME = 11
+PURITY_TOLERANCE = 1e-6  # relative, on |lambda| against p^(3/2)
 
 
 class InconsistentCounts(ValueError):
@@ -158,8 +159,9 @@ def _squarefree_part(coeffs):
     return [float(x) for x in q]
 
 
-def weil_bound_check(L: LocalFactor, rel_tol: float = 1e-6) -> bool:
-    """Purity: every inverse root has absolute value p^(3/2) within rel_tol."""
+def weil_bound_check(L: LocalFactor) -> bool:
+    """Purity: every inverse root has absolute value p^(3/2), up to the
+    relative PURITY_TOLERANCE."""
     sf = _squarefree_part(L.coeffs)
     # numpy expects highest degree first; roots r of P are 1/lambda
     roots = np.roots(sf[::-1])
@@ -167,4 +169,4 @@ def weil_bound_check(L: LocalFactor, rel_tol: float = 1e-6) -> bool:
         raise ArithmeticError("root finding failed on the square-free part")
     target = L.p ** 1.5
     lam = 1.0 / np.abs(roots)
-    return bool(np.all(np.abs(lam - target) <= rel_tol * target))
+    return bool(np.all(np.abs(lam - target) <= PURITY_TOLERANCE * target))

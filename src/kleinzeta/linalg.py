@@ -63,23 +63,17 @@ class Echelon:
                     out[col] = nv
         return out
 
-    def insert(self, row: dict) -> bool:
-        """Reduce then insert; returns True if the row added a new pivot."""
-        return self.append(self.reduce(row))
-
-    def append(self, red: dict) -> bool:
-        """Insert a row that `reduce` returned; False if it is zero."""
-        if not red:
-            return False
-        pc = min(red)
-        inv = Fraction(1) / red[pc]
-        self.rows.append({c: v * inv for c, v in red.items()})
-        self.pivot_cols.append(pc)
-        return True
+    def append(self, red: dict) -> None:
+        """Insert a row that `reduce` returned; a zero row adds nothing."""
+        if red:
+            pc = min(red)
+            inv = Fraction(1) / red[pc]
+            self.rows.append({c: v * inv for c, v in red.items()})
+            self.pivot_cols.append(pc)
 
 
 def rank(matrix) -> int:
     ech = Echelon()
     for r in matrix:
-        ech.insert({j: v for j, v in enumerate(r) if not _is_zero(v)})
+        ech.append(ech.reduce({j: v for j, v in enumerate(r) if not _is_zero(v)}))
     return ech.rank

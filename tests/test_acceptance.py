@@ -118,8 +118,13 @@ def test_criterion_6_cohomology_suite():
     basis = gdcohom.h3_basis()
     assert basis.dimension == 10
     assert len(basis.pole2_monomials) == 5
-    M = gdcohom.alpha_pullback(basis)
-    assert gdcohom.matrix_power(M, 5) == gdcohom.matrix_power(M, 0)
+    M = gdcohom.alpha_pullback()
+    # M^5 = 1 by dense products, the reference for the eigenspace rank sum
+    power = [[Fraction(int(i == j)) for j in range(10)] for i in range(10)]
+    for _ in range(5):
+        power = [[sum((power[i][k] * M[k][j] for k in range(10)), Fraction(0))
+                  for j in range(10)] for i in range(10)]
+    assert power == [[Fraction(int(i == j)) for j in range(10)] for i in range(10)]
     split = gdcohom.eigenspace_split(M)
     assert split.dims == (2, 2, 2, 2, 2)
     assert split.fil2_dims == (1, 1, 1, 1, 1)
@@ -139,14 +144,14 @@ def test_criterion_6_cohomology_suite():
     # idempotence: re-reducing the reduced representative changes nothing
     for _ in range(100):
         omega = gdcohom.RationalDifferential(rand_poly(4), 3)
-        coords = gdcohom.griffiths_reduce(omega, basis)
+        coords = gdcohom.griffiths_reduce(omega)
         pole2 = gdcohom.CycPoly.make(
             {m: c for m, c in zip(basis.pole2_monomials, coords[:5]) if c}, 1)
         pole3 = gdcohom.CycPoly.make(
             {m: c for m, c in zip(basis.pole3_monomials, coords[5:]) if c}, 4)
         again = [a + b for a, b in zip(
-            gdcohom.griffiths_reduce(gdcohom.RationalDifferential(pole2, 2), basis),
-            gdcohom.griffiths_reduce(gdcohom.RationalDifferential(pole3, 3), basis))]
+            gdcohom.griffiths_reduce(gdcohom.RationalDifferential(pole2, 2)),
+            gdcohom.griffiths_reduce(gdcohom.RationalDifferential(pole3, 3)))]
         assert again == coords
 
     # lift independence: the solver's lift and the generating lift agree
@@ -159,8 +164,8 @@ def test_criterion_6_cohomology_suite():
         if A.is_zero():
             continue
         omega = gdcohom.RationalDifferential(A, 3)
-        assert (gdcohom.griffiths_reduce(omega, basis)
-                == gdcohom.griffiths_reduce(omega, basis, first_lift=B))
+        assert (gdcohom.griffiths_reduce(omega)
+                == gdcohom.griffiths_reduce(omega, first_lift=B))
 
     _report(6, "cohomology dims/eigenspaces/pairing + 100 random reductions, exact over Q(zeta5)",
             time.perf_counter() - t0)
@@ -205,6 +210,6 @@ def test_criterion_8_purity_of_counting_route_factors(store):
                 assert (p, k) == (23, 5)
                 counts.append(predicted)
         L = lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, p))
-        assert lfunc.weil_bound_check(L, rel_tol=1e-6), f"purity failed at {p}"
+        assert lfunc.weil_bound_check(L), f"purity failed at {p}"
     _report(8, "purity (|lambda| = p^1.5 within 1e-6) for p in {2,3,5,7,13,23}",
             time.perf_counter() - t0)

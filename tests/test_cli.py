@@ -131,37 +131,52 @@ def test_cohomology_json_matches_golden(tmp_path):
     assert json.loads(out.read_text())["cohomology"] == json.loads(golden.read_text())["cohomology"]
 
 
-def _order_two_rotation(basis=None):
+def _order_two_rotation():
     # a swap of the first two classes: M^2 = 1, so M^5 != 1
     return [[Fraction(int((i, j) in ((0, 1), (1, 0)) or i == j > 1)) for j in range(10)]
             for i in range(10)]
 
 
-def _failing_pullback(basis=None):
+def _failing_pullback():
     raise ArithmeticError("ideal membership failed during reduction")
 
 
-@pytest.mark.parametrize("pullback, actual", [(_order_two_rotation, "False"),
-                                              (_failing_pullback, "ArithmeticError: ideal")],
-                         ids=["order-two", "arithmetic-error"])
-def test_cohomology_failure_is_a_failing_check(monkeypatch, tmp_path, capsys, pullback, actual):
-    # a bad rotation matrix fails its check and leaves the eigenspace checks
-    # inconclusive; the JSON is still written and the exit code is 1
+def _identity_rotation():
+    # order 1 divides 5, but every class sits in the zeta^0 eigenspace
+    return [[Fraction(int(i == j)) for j in range(10)] for i in range(10)]
+
+
+_NO_EIGENSPACES = {"cohomology-eigenspace-dims": ("inconclusive", "not computed"),
+                   "cohomology-fil2-intersections": ("inconclusive", "not computed")}
+
+
+@pytest.mark.parametrize("pullback, rotation, eigen", [
+    (_order_two_rotation, ("fail", "False"), _NO_EIGENSPACES),
+    (_failing_pullback, ("fail", "ArithmeticError: ideal"), _NO_EIGENSPACES),
+    (_identity_rotation, ("pass", "True"),
+     {"cohomology-eigenspace-dims": ("fail", "(10, 0, 0, 0, 0)"),
+      "cohomology-fil2-intersections": ("fail", "(5, 0, 0, 0, 0)")}),
+], ids=["order-two", "arithmetic-error", "identity"])
+def test_cohomology_failure_is_a_failing_check(monkeypatch, tmp_path, capsys, pullback,
+                                               rotation, eigen):
+    # a bad rotation matrix fails a check; when its order does not divide 5
+    # the eigenspace checks are inconclusive; the JSON is still written and
+    # the exit code is 1
     import kleinzeta.cli as climod
     monkeypatch.setattr(climod.gdcohom, "alpha_pullback", pullback)
     out = tmp_path / "c.json"
     assert run(["cohomology", "--json", str(out)]) == 1
     payload = json.loads(out.read_text())
-    status = {c["name"]: c["status"] for c in payload["checks"]}
-    assert status == {"cohomology-dimension": "pass", "cohomology-fil2-rank": "pass",
-                      "cohomology-rotation-order": "fail",
-                      "cohomology-eigenspace-dims": "inconclusive",
-                      "cohomology-fil2-intersections": "inconclusive",
-                      "cohomology-gorenstein": "pass"}
-    rotation = next(c for c in payload["checks"] if c["name"] == "cohomology-rotation-order")
-    assert rotation["actual"].startswith(actual)
+    expected = {"cohomology-dimension": ("pass", "10"), "cohomology-fil2-rank": ("pass", "5"),
+                "cohomology-rotation-order": rotation, **eigen,
+                "cohomology-gorenstein": ("pass", "True")}
+    assert [c["name"] for c in payload["checks"]] == list(expected)
+    for c in payload["checks"]:
+        status, actual = expected[c["name"]]
+        assert c["status"] == status
+        assert c["actual"].startswith(actual)
     assert payload["overall"] == "fail"
-    assert payload["cohomology"]["eigenvalue_multiset"] is None
+    assert (payload["cohomology"]["eigenvalue_multiset"] is None) == (eigen is _NO_EIGENSPACES)
 
 
 def test_theta_support_subcommand(tmp_path):
