@@ -262,10 +262,14 @@ def log_exp_tables(F: FieldDescriptor) -> tuple:
 
 def digitwise_add(F: FieldDescriptor, a, b) -> np.ndarray:
     """Index of a + b, elementwise over broadcast index arrays: the base-p
-    digits of the index encoding add mod p (for p = 2, bitwise xor)."""
+    digits of the index encoding add mod p (for p = 2, bitwise xor).  A
+    scalar b in [0, p) is a prime-field constant and changes digit 0 only."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     if F.p == 2:
         return a ^ b
+    if b.ndim == 0 and 0 <= b < F.p:
+        low = a % F.p
+        return a - low + (low + b) % F.p
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
     weight = 1
     for _ in range(F.k):

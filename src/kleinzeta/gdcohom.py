@@ -18,11 +18,12 @@ Each degree d is echelonized once (`degree_data`).  Its rows are the
 products m * dS/dx_i, each tagged with a column of its own, so one
 reduction of A yields both the harmonic part of A (coordinates over the
 monomial complement) and a lift B_i of the rest; a reduction step costs one
-pass over that echelon.  The eigenvector check skips zero entries, and the
-eigenspace ranks keep rational entries as Fractions, so only the shifted
-diagonal carries Q(zeta_5) arithmetic.  The rank sum of the eigenspaces is
-the order check: it reaches 10 exactly when the rotation matrix M has
-M^5 = 1, so M^5 is never formed.
+pass over that echelon.  The Gorenstein pairing needs no lift, so its
+degree-5 echelon carries no tags.  The eigenvector check skips zero
+entries, and the eigenspace ranks keep rational entries as Fractions, so
+only the shifted diagonal carries Q(zeta_5) arithmetic.  The rank sum of
+the eigenspaces is the order check: it reaches 10 exactly when the
+rotation matrix M has M^5 = 1, so M^5 is never formed.
 """
 
 from __future__ import annotations
@@ -156,6 +157,15 @@ def jacobian_generators() -> list:
 # graded structure of the Jacobian ring
 
 
+def _ideal_rows(d: int, index: dict):
+    """The products m * dS/dx_i spanning the degree-d part of the Jacobian
+    ideal, i outer and m inner, as rows over the monomial columns index."""
+    gens = jacobian_generators()
+    for i in range(NVARS):
+        for m in monomials_of_degree(d - 2):
+            yield {index[e]: c for e, c in (monomial(m) * gens[i]).terms}
+
+
 class DegreeData:
     """Echelonized image of (R_(d-2))^5 -> R_d, (B_i) -> sum B_i dS/dx_i.
 
@@ -172,11 +182,9 @@ class DegreeData:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         # tag column len(monomials) + t belongs to generator product t
         self.generators = [(i, m) for i in range(NVARS) for m in monomials_of_degree(d - 2)]
-        gens = jacobian_generators()
         ech = Echelon()
         tag0 = len(self.monomials)
-        for t, (i, m) in enumerate(self.generators):
-            row = {self.index[e]: c for e, c in (monomial(m) * gens[i]).terms}
+        for t, row in enumerate(_ideal_rows(d, self.index)):
             row[tag0 + t] = Fraction(1)
             red = ech.reduce(row)
             if min(red) < tag0:  # a row left with tags only is a syzygy: lifts need none
@@ -378,11 +386,20 @@ def fil2_eigenvector_map(M) -> dict:
 
 
 def gorenstein_pairing_matrix():
-    """Multiplication (R/J)_1 x (R/J)_4 -> (R/J)_5 in the socle coordinate."""
-    data5 = degree_data(5)
-    if data5.quotient_dim != 1:
+    """Multiplication (R/J)_1 x (R/J)_4 -> (R/J)_5 in the socle coordinate.
+
+    Only that one coordinate is read and no lift is needed, so the degree-5
+    part of the ideal is echelonized without DegreeData's tag columns.
+    """
+    index = {m: i for i, m in enumerate(monomials_of_degree(5))}
+    ech = Echelon()
+    for row in _ideal_rows(5, index):
+        ech.append(ech.reduce(row))
+    socle = sorted(set(index.values()) - set(ech.pivot_cols))
+    if len(socle) != 1:
         raise ArithmeticError("socle is not 1-dimensional")
-    return [[data5.split(monomial(m1) * monomial(m4))[0][0]
+    return [[ech.reduce({index[e]: c for e, c in (monomial(m1) * monomial(m4)).terms})
+             .get(socle[0], Fraction(0))
              for m4 in degree_data(4).complement]
             for m1 in degree_data(1).complement]
 

@@ -30,17 +30,24 @@ unipotent factors give every entry in closed form as a bilinear integer
 polynomial in the numerators of s and t.  Each entry is then decided by
 valuations alone, except in the one row of the x grid where its two terms
 have equal valuation: there membership is a residue class of the unit u.
+The entries separate by the shift they read: c depends on neither, a on s
+alone, d on t alone, and only b on both.  So a family meets its c rules
+once, its a rules once per s and its d rules once per t, and forms the b
+rules only for the (s, t) whose partial meet is not already empty.
 Boolean arrays are built only for tuples whose support is not empty on
 valuations.  A mask over the x grid is one bool array with x = 0 in its
-last slot, and the grid's translate table gathers each orbit x + j/p; a
-grid whose table would pass MAX_GRID_TRANSLATES entries is refused with
-BudgetExceeded.  PadicMat2 (integer numerators over one denominator),
-coset_rep and rho_act stay as the brute-force route the tests hold the
-scanner to; the scanner forms its kernels with the same PadicMat2 products.
+last slot, and the grid's translate table gathers each orbit x + j/p.  One
+grid per (p, box) serves every scan in the process, and it memoises the
+cancellation mask of each support mask it sees; a grid whose table would
+pass MAX_GRID_TRANSLATES entries is refused with BudgetExceeded.
+PadicMat2 (integer numerators over one denominator), coset_rep and rho_act
+stay as the brute-force route the tests hold the scanner to; the scanner
+forms its kernels with the same PadicMat2 products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +84,7 @@ class PadicMat2:
 
     @staticmethod
     def of(a, b, c, d) -> "PadicMat2":
-        fs = [Fraction(e) for e in (a, b, c, d)]
+        fs = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in (a, b, c, d)]
         den = math.lcm(*(f.denominator for f in fs))
         return PadicMat2(*(f.numerator * (den // f.denominator) for f in fs), den)
 
@@ -93,7 +100,7 @@ class PadicMat2:
                          self.den * other.den)
 
     def scale(self, f) -> "PadicMat2":
-        f = Fraction(f)
+        f = f if isinstance(f, (int, Fraction)) else Fraction(f)
         n = f.numerator
         return PadicMat2(self.a * n, self.b * n, self.c * n, self.d * n,
                          self.den * f.denominator)
@@ -211,7 +218,7 @@ def _upper(x) -> PadicMat2:
 
 
 def _diag_pm(p: int, m: int) -> PadicMat2:
-    return PadicMat2.of(Fraction(p) ** m, 0, 0, 1)
+    return PadicMat2(p ** m, 0, 0, 1) if m >= 0 else PadicMat2(1, 0, 0, p ** -m, p ** -m)
 
 
 def _weyl(p: int) -> PadicMat2:
@@ -301,6 +308,10 @@ class _XGrid:
     translate x + j/p of every point, x = 0 included; position size + 1
     stands for a translate off the grid (never happens with the default
     box) and is read through one appended False.
+
+    Scans share one grid per (p, box) through _shared_grid, so its tables
+    are read-only, and canceled() memoises its result per mask: the four
+    default p = 11 scans cancel 60 masks, of which 5 are distinct.
     """
 
     def __init__(self, p: int, box: ScanBox):
@@ -322,6 +333,9 @@ class _XGrid:
                 self.targets[j - 1, self.row(v)] = self.flat_index(*_translate(self, v, j))
         self.targets[:, self.size] = self.flat_index(np.full(p - 1, -1),
                                                      lut[np.arange(1, p) % mod])
+        for table in (self.units, lut, self.targets):
+            table.flags.writeable = False
+        self._canceled = {}     # mask.tobytes() -> canceled(mask)
 
     def row(self, v: int) -> slice:
         k = v + self.box.x_val_range
@@ -351,8 +365,15 @@ class _XGrid:
         return self.units == u0
 
     def canceled(self, mask: np.ndarray) -> np.ndarray:
-        """Points whose whole orbit x + j/p (j = 0..p-1) stays in the mask."""
-        return mask & np.append(mask, False)[self.targets].all(axis=0)
+        """Points whose whole orbit x + j/p (j = 0..p-1) stays in the mask,
+        as a read-only array memoised on the mask's bytes."""
+        key = mask.tobytes()
+        out = self._canceled.get(key)
+        if out is None:
+            out = mask & np.append(mask, False)[self.targets].all(axis=0)
+            out.flags.writeable = False
+            self._canceled[key] = out
+        return out
 
     def count(self, mask: np.ndarray) -> dict:
         sums = mask[:self.size].reshape(len(self.vals), self.nu).sum(axis=1)
@@ -363,6 +384,14 @@ class _XGrid:
         """Whether the mask is exactly Z_p: x = 0 and every v >= 0."""
         split = self.row(0).start
         return bool(mask[split:].all()) and not mask[:split].any()
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_grid(p: int, box: ScanBox) -> _XGrid:
+    """The one _XGrid of (p, box) that every scan in the process reads; a
+    refused grid raises BudgetExceeded on every call, since lru_cache keeps
+    no exceptions."""
+    return _XGrid(p, box)
 
 
 def _translate(grid: _XGrid, v: int, j: int):
@@ -439,17 +468,9 @@ def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals
 
 
 def _shifts(ty: str, p: int):
-    """The numerators (i, j) of s = i/p and t = j/p: a shift is free only in
+    """The numerators i of s = i/p and j of t = j/p: a shift is free only in
     the components that carry the Weyl factor."""
-    ivals, jvals = (range(p) if weyl else range(1) for weyl in _WEYL[ty])
-    return [(i, j) for i in ivals for j in jvals]
-
-
-def _closed_form(p: int, k, i: int, j: int):
-    """p^2 * U(-i/p) K U(j/p), row major, for K given by its entries k."""
-    ka, kb, kc, kd = k
-    top = p * ka - kc * i                           # p (a - s c)
-    return (p * top, top * j + p * (p * kb - kd * i), p * p * kc, p * (kc * j + p * kd))
+    return tuple(range(p) if weyl else range(1) for weyl in _WEYL[ty])
 
 
 class _Scan:
@@ -485,31 +506,67 @@ class _Scan:
         if n not in self.right:
             h2 = _h2(p, self.type, n, 0)
             self.right[n] = (e1_matrix(p) * h2, alpha_matrix(p) * h2)
-        ks = [(a * b).scale(Fraction(p) ** -r) for b in self.right[n] for a in self.left[m]]
+        f = Fraction(p) ** -r
+        ks = [(a * b).scale(f) for b in self.right[n] for a in self.left[m]]
         den = max(k.den for k in ks)                # a power of p, so the lcm
         nums = [tuple(e * (den // k.den) for e in (k.a, k.b, k.c, k.d)) for k in ks]
         return nums, _split_p(p, den)[0] + 2
 
-    def rule(self, family, i: int, j: int):
-        """The meet of the eight entry rules at (s, t) = (i/p, j/p), for the
-        family's (kernels, shift)."""
-        p, grid = self.p, self.grid
-        (KA1, KB1, KA2, KB2), shift = family
-        zero, bits, tests = True, (1 << len(grid.vals)) - 1, ()
-        entries = _closed_form(p, KA1, i, j) + _closed_form(p, KA2, i, j)
-        slopes = _closed_form(p, KB1, i, j) + _closed_form(p, KB2, i, j)
-        for e, (na, nb) in enumerate(zip(entries, slopes)):
-            key = (na, nb, shift, e)
-            rule = self.rules.get(key)
-            if rule is None:
-                rule = _entry_rule(p, na, nb, shift, self.constraints[e], grid.vals)
-                self.rules[key] = rule
-            zero = zero and rule[0]
-            bits &= rule[1]
+    def _meet(self, rule, shift: int, entries):
+        """rule met with the rules of entries (e, na, nb), e the index of the
+        constraint; None once the meet is empty on valuations."""
+        zero, bits, tests = rule
+        for e, na, nb in entries:
             if not zero and not bits:
-                break
-            tests += rule[2]
-        return zero, bits, tests
+                return None
+            key = (na, nb, shift, e)
+            got = self.rules.get(key)
+            if got is None:
+                got = _entry_rule(self.p, na, nb, shift, self.constraints[e], self.grid.vals)
+                self.rules[key] = got
+            zero = zero and got[0]
+            bits &= got[1]
+            tests += got[2]
+        return (zero, bits, tests) if zero or bits else None
+
+    def shift_rules(self, family, ivals, jvals) -> list:
+        """The live shifts of a family among s = i/p, t = j/p (i in ivals, j
+        in jvals): (i, j, rule) in scan order, rule the meet of the eight
+        entry rules at (s, t), for every shift whose meet is not empty on
+        valuations.
+
+        The entries of p^2 U(-s) K U(t), K = (ka, kb, kc, kd), are
+        a = p (p ka - kc i), b = (p ka - kc i) j + p (p kb - kd i),
+        c = p^2 kc and d = p (kc j + p kd): c reads neither shift, a only i
+        and d only j.  So c is met once per family, a once per i, d once per
+        j, and b only for the pairs whose partial meet is still live.
+        """
+        p = self.p
+        (KA1, KB1, KA2, KB2), shift = family
+        full = (True, (1 << len(self.grid.vals)) - 1, ())
+
+        def meet(rule, e, entry):
+            # entry e of K_e1 + K'_e1 x, then of K_alpha + K'_alpha x
+            return self._meet(rule, shift, [(e, entry(KA1), entry(KB1)),
+                                            (e + 4, entry(KA2), entry(KB2))])
+
+        base = meet(full, 2, lambda k: p * p * k[2])
+        if base is None:
+            return []
+        s_rules = [(i, rule) for i in ivals
+                   if (rule := meet(base, 0, lambda k: p * (p * k[0] - k[2] * i)))]
+        if not s_rules:
+            return []
+        t_rules = [(j, rule) for j in jvals
+                   if (rule := meet(full, 3, lambda k: p * (k[2] * j + p * k[3])))]
+        live = []
+        for i, (zs, bs, ts) in s_rules:
+            for j, (zt, bt, tt) in t_rules:
+                rule = meet((zs and zt, bs & bt, ts + tt), 1,
+                            lambda k: (p * k[0] - k[2] * i) * j + p * (p * k[1] - k[3] * i))
+                if rule:
+                    live.append((i, j, rule))
+        return live
 
 
 def _materialize(grid: _XGrid, rule) -> np.ndarray:
@@ -530,10 +587,14 @@ def _materialize(grid: _XGrid, rule) -> np.ndarray:
 
 
 def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> np.ndarray:
-    """Support mask of one parameter tuple (x free), through its family."""
+    """Support mask of one parameter tuple (x free), through its family's
+    live shifts; a shift the family skips has the empty mask."""
     scan = _Scan(p, params.type, grid)
     family = scan.kernels(params.m, params.n, params.r)
-    return _materialize(grid, scan.rule(family, int(params.s * p), int(params.t * p)))
+    live = scan.shift_rules(family, [int(params.s * p)], [int(params.t * p)])
+    if not live:
+        return np.zeros(grid.size + 1, dtype=bool)
+    return _materialize(grid, live[0][2])
 
 
 def _beta_possible(params: CosetParams) -> bool:
@@ -592,9 +653,11 @@ def _families(ty: str, box: ScanBox):
 
 
 def _combo_iter(ty: str, p: int, box: ScanBox):
+    ivals, jvals = _shifts(ty, p)
     for m, n, r in _families(ty, box):
-        for i, j in _shifts(ty, p):
-            yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
+        for i in ivals:
+            for j in jvals:
+                yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
 
 
 def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
@@ -603,16 +666,13 @@ def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
         raise ValueError("the scan needs an odd prime")
     if ty not in COSET_TYPES:
         raise ValueError(f"unknown coset type {ty!r}")
-    grid = _XGrid(p, box)
+    grid = _shared_grid(p, box)
     scan = _Scan(p, ty, grid)
+    ivals, jvals = _shifts(ty, p)
     scanned, nonempty, contrib_combos = 0, [], []
     for m, n, r in _families(ty, box):
-        family = scan.kernels(m, n, r)
-        for i, j in _shifts(ty, p):
-            scanned += 1
-            rule = scan.rule(family, i, j)
-            if not rule[0] and not rule[1]:
-                continue
+        scanned += len(ivals) * len(jvals)
+        for i, j, rule in scan.shift_rules(scan.kernels(m, n, r), ivals, jvals):
             mask = _materialize(grid, rule)
             if not mask.any():
                 continue

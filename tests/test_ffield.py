@@ -207,6 +207,27 @@ def test_tables_match_scalar_ops():
             assert total == _add(F, a, b)
 
 
+@pytest.mark.parametrize("p,k", [(3, 12), (13, 5), (5, 3), (2, 6)])
+def test_digitwise_add_of_a_prime_field_constant(p, k):
+    # a scalar addend c in [0, p) takes the digit-0 path; it must equal the
+    # loop over all k digits on random index arrays, and stay xor for p = 2
+    F = build_field(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    a = rng.integers(0, F.q, size=2000)
+    a[:2] = 0, F.q - 1
+
+    def all_digits(a, c):
+        out, weight = np.zeros_like(a), 1
+        for _ in range(F.k):
+            out += (a // weight + c // weight) % F.p * weight
+            weight *= F.p
+        return out
+
+    for c in range(p):
+        got = digitwise_add(F, a, c)
+        assert got.tolist() == (a ^ c if p == 2 else all_digits(a, c)).tolist(), c
+
+
 def test_prime_predicate():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)

@@ -181,28 +181,33 @@ def test_scan_claims_certify(p):
 
 def test_scan_masks_match_bruteforce_rho_evaluation():
     # oracle for the grouped/vectorized scanner: evaluate every grid point
-    # directly with exact matrix arithmetic and compare membership bits
+    # directly with exact matrix arithmetic and compare membership bits.
+    # Every (m, n, r, s, t) is checked, the shifts that the separable rules
+    # skip (empty masks) included, so those really are empty.
     from kleinzeta.thetasupp import _XGrid, _combo_iter, _combo_support_mask
 
-    p = 3
-    box = ScanBox(radius=2, x_val_range=2, x_res_exponent=2)
-    grid = _XGrid(p, box)
-    sup = lev_support(p)
-    e1, al = e1_matrix(p), alpha_matrix(p)
-    for ty in ("I", "II", "III", "IV"):
-        for params in _combo_iter(ty, p, box):
-            mask = _combo_support_mask(p, params, grid)
+    for p, box in ((3, ScanBox(radius=2, x_val_range=2, x_res_exponent=2)),
+                   (5, ScanBox(radius=1, x_val_range=2, x_res_exponent=2))):
+        grid = _XGrid(p, box)
+        sup = lev_support(p)
+        e1, al = e1_matrix(p), alpha_matrix(p)
+        empty = 0
+        for ty in ("I", "II", "III", "IV"):
+            for params in _combo_iter(ty, p, box):
+                mask = _combo_support_mask(p, params, grid)
+                empty += not mask.any()
 
-            def direct(xval):
-                h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n,
-                                                  params.r, params.s, params.t, xval))
-                return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
+                def direct(xval):
+                    h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n,
+                                                      params.r, params.s, params.t, xval))
+                    return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
 
-            assert mask[grid.size] == direct(Fraction(0))
-            for v in grid.vals:
-                for uidx, u in enumerate(grid.units):
-                    expected = direct(Fraction(int(u)) * Fraction(p) ** v)
-                    assert bool(mask[grid.row(v)][uidx]) == expected, (ty, params, v, u)
+                assert mask[grid.size] == direct(Fraction(0))
+                for v in grid.vals:
+                    for uidx, u in enumerate(grid.units):
+                        expected = direct(Fraction(int(u)) * Fraction(p) ** v)
+                        assert bool(mask[grid.row(v)][uidx]) == expected, (ty, params, v, u)
+        assert empty > 0, p
 
 
 def test_type_four_masks_match_bruteforce_rho_at_p11():
@@ -388,6 +393,56 @@ def test_scan_reproduces_golden_certificates(p, ty):
     assert json.loads(json.dumps(rep.to_dict())) == golden
 
 
+def test_shared_grid_leaks_no_state_between_scans():
+    # the four p = 11 scans share one grid and its cancellation memo; run in
+    # reverse order from a fresh grid, each still gives its golden certificate
+    import numpy as np
+
+    from kleinzeta.thetasupp import _shared_grid
+
+    golden = json.loads(GOLDEN_CERTIFICATES.read_text())
+    _shared_grid.cache_clear()
+    for ty in reversed(COSET_TYPES):
+        rep = scan_type(11, ty, ScanBox())
+        assert json.loads(json.dumps(rep.to_dict())) == golden[f"11-{ty}"], ty
+    grid = _shared_grid(11, ScanBox())
+    assert grid is _shared_grid(11, ScanBox())
+    assert len(grid._canceled) == 5
+    rng = np.random.default_rng(13)
+    masks = [np.frombuffer(key, dtype=bool) for key in grid._canceled]
+    masks += [rng.random(grid.size + 1) < 0.9 for _ in range(3)]
+    for mask in masks:
+        got = grid.canceled(mask.copy())
+        fresh = mask & np.append(mask, False)[grid.targets].all(axis=0)
+        assert not got.flags.writeable
+        assert np.array_equal(got, fresh)
+        assert grid.canceled(mask.copy()) is got
+        with pytest.raises(ValueError):
+            got[0] = not got[0]
+    for table in (grid.units, grid.unit_index, grid.targets):
+        assert not table.flags.writeable
+
+
+def test_default_scans_entry_rule_count(monkeypatch):
+    # operation-count guard: the separable shift rules form 1266 entry rules
+    # over the four default p = 11 scans (per-shift evaluation formed 3760);
+    # the pin allows 10% on top
+    from kleinzeta import thetasupp
+
+    calls = 0
+    entry_rule = thetasupp._entry_rule
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return entry_rule(*args)
+
+    monkeypatch.setattr(thetasupp, "_entry_rule", counted)
+    for ty in COSET_TYPES:
+        scan_type(11, ty, ScanBox())
+    assert 0 < calls <= 1392
+
+
 def test_scan_small_box_inconclusive():
     rep = scan_type(3, "I", ScanBox(radius=1, x_val_range=2, x_res_exponent=2))
     assert rep.status == "inconclusive"
@@ -447,8 +502,9 @@ def test_grid_refuses_a_translate_table_over_the_limit():
     for p in (37, 101):
         with pytest.raises(BudgetExceeded, match=f"{translates(p)} translates"):
             _XGrid(p, ScanBox())
-    with pytest.raises(BudgetExceeded):
-        scan_type(101, "IV")
+    for _ in range(2):   # the shared grid caches no refusal
+        with pytest.raises(BudgetExceeded):
+            scan_type(101, "IV")
 
 
 def test_scan_report_serializes():
