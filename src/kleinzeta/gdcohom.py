@@ -20,8 +20,10 @@ reduction of A yields both the harmonic part of A (coordinates over the
 monomial complement) and a lift B_i of the rest; a reduction step costs one
 pass over that echelon.  The Gorenstein pairing needs no lift, so its
 degree-5 echelon carries no tags.  The eigenvector check skips zero
-entries, and the eigenspace ranks keep rational entries as Fractions, so
-only the shifted diagonal carries Q(zeta_5) arithmetic.  The rank sum of
+entries, and the eigenspace ranks keep the rational entries of the rotation
+as Fractions; only the shifted diagonal lies in Q(zeta_5), whose elements
+are integer numerators over one denominator (`cyclo`), and a rational
+scalar times one of them costs no Fraction.  The rank sum of
 the eigenspaces is the order check: it reaches 10 exactly when the
 rotation matrix M has M^5 = 1, so M^5 is never formed.
 """
@@ -341,17 +343,25 @@ def eigenspace_split(M) -> EigenSplit:
     with fifth roots of unity as eigenvalues, that is when M^5 = 1 (x^5 - 1
     is separable), so callers read their sum as the order check.
     Rational entries stay Fractions; only the shifted diagonal is cyclotomic.
+
+    One elimination serves both ranks.  Each echelon row pivots at its first
+    nonzero column and no two rows share a pivot, so the vectors of the row
+    space that vanish on the first five columns are spanned by the rows that
+    pivot past them: the rank of the first five columns is the number of
+    pivots among them.
     """
     n = len(M)
     dims = []
     fil2 = []
     for j in range(5):
-        z = Fraction(1) if j == 0 else CyclotomicNumber.zeta_pow(5, j)
-        shifted = [list(row) for row in M]
-        for i in range(n):
-            shifted[i][i] = M[i][i] - z
-        dims.append(n - rank(shifted))
-        fil2.append(5 - rank([row[:5] for row in shifted]))
+        z = 1 if j == 0 else CyclotomicNumber.zeta_pow(5, j)
+        ech = Echelon()
+        for i, row in enumerate(M):
+            shifted = dict(enumerate(row))
+            shifted[i] = row[i] - z
+            ech.append(ech.reduce(shifted))
+        dims.append(n - ech.rank)
+        fil2.append(5 - sum(pc < 5 for pc in ech.pivot_cols))
     return EigenSplit(tuple(dims), tuple(fil2))
 
 
@@ -359,6 +369,7 @@ def fil2_eigenvector_map(M) -> dict:
     """For each j, check v_j = (zeta^(j(i+1)))_i in the Hodge block is an
     eigenvector of M; returns {j: eigenvalue power}."""
     n = len(M)
+    zeta = [CyclotomicNumber.zeta_pow(5, k) for k in range(5)]
     out = {}
     for j in range(5):
         # v_j has support in the first five coordinates; dividing by its
@@ -368,17 +379,17 @@ def fil2_eigenvector_map(M) -> dict:
             image = CyclotomicNumber.zero(5)
             for k in range(5):
                 if not _is_zero(M[i][k]):
-                    image = image + CyclotomicNumber.zeta_pow(5, j * (k + 1)) * M[i][k]
+                    image = image + zeta[j * (k + 1) % 5] * M[i][k]
             if i >= 5:
                 if not image.is_zero():
                     raise ArithmeticError("v_j is not an eigenvector")
                 continue
-            cand = image * CyclotomicNumber.zeta_pow(5, -j * (i + 1))
+            cand = image * zeta[-j * (i + 1) % 5]
             if lam is None:
                 lam = cand
             elif lam != cand:
                 raise ArithmeticError("v_j is not an eigenvector")
-        power = next((k for k in range(5) if lam == CyclotomicNumber.zeta_pow(5, k)), None)
+        power = next((k for k in range(5) if lam == zeta[k]), None)
         if power is None:
             raise ArithmeticError(f"eigenvalue {lam} of v_{j} is not a fifth root of unity")
         out[j] = power

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CyclotomicNumber
 from .ffield import is_prime
@@ -172,10 +171,7 @@ def _poly_mul(a, b):
 
 def _twisted_quadratic(p: int, i: int, trace_coeff: int, weight_power: int):
     """1 - trace_coeff * chi^i(p) * T + chi^(2i)(p) * p^weight_power * T^2."""
-    one = CyclotomicNumber.one(5)
-    c1 = chi(p, i) * Fraction(-trace_coeff)
-    c2 = chi(p, 2 * i) * Fraction(p ** weight_power)
-    return [one, c1, c2]
+    return [CyclotomicNumber.one(5), chi(p, i) * -trace_coeff, chi(p, 2 * i) * p ** weight_power]
 
 
 def h3_local_factor_product(p: int) -> LocalFactor:

@@ -54,7 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CyclotomicNumber
+from .cyclo import EXACT_SCALARS, CyclotomicNumber, common_denominator
 from .ffield import BudgetExceeded, is_prime
 
 # ---------------------------------------------------------------------------
@@ -84,9 +84,9 @@ class PadicMat2:
 
     @staticmethod
     def of(a, b, c, d) -> "PadicMat2":
-        fs = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in (a, b, c, d)]
-        den = math.lcm(*(f.denominator for f in fs))
-        return PadicMat2(*(f.numerator * (den // f.denominator) for f in fs), den)
+        """The matrix of four ints or Fractions."""
+        nums, den = common_denominator((a, b, c, d))
+        return PadicMat2(*nums, den)
 
     @staticmethod
     def identity() -> "PadicMat2":
@@ -100,7 +100,8 @@ class PadicMat2:
                          self.den * other.den)
 
     def scale(self, f) -> "PadicMat2":
-        f = f if isinstance(f, (int, Fraction)) else Fraction(f)
+        if not isinstance(f, EXACT_SCALARS):
+            raise TypeError(f"matrix scale must be int or Fraction, got {f!r}")
         n = f.numerator
         return PadicMat2(self.a * n, self.b * n, self.c * n, self.d * n,
                          self.den * f.denominator)
@@ -270,9 +271,7 @@ def char_sum(p: int, v: int) -> CyclotomicNumber:
         raise ValueError("v must be nonnegative")
     if v == 0:
         return CyclotomicNumber.one(p)
-    z = CyclotomicNumber.zero(p)
-    for a in range(p):
-        z = z + CyclotomicNumber.zeta_pow(p, a)
+    z = sum((CyclotomicNumber.zeta_pow(p, a) for a in range(p)), CyclotomicNumber.zero(p))
     if v > 1 and not z.is_zero():
         raise ArithmeticError("coset folding needs the conductor-p sum to vanish")
     return z

@@ -180,6 +180,39 @@ def test_eigenspace_split():
     assert split.fil2_dims == (1, 1, 1, 1, 1)
 
 
+def _split_by_two_ranks(M):
+    """Reference: the kernel dimensions from two separate rank computations,
+    one of the shifted matrix and one of its first five columns."""
+    dims, fil2 = [], []
+    for j in range(5):
+        z = 1 if j == 0 else CyclotomicNumber.zeta_pow(5, j)
+        shifted = [[v - z if i == k else v for k, v in enumerate(row)] for i, row in enumerate(M)]
+        dims.append(len(M) - rank(shifted))
+        fil2.append(5 - rank([row[:5] for row in shifted]))
+    return tuple(dims), tuple(fil2)
+
+
+def test_eigenspace_split_matches_separate_ranks():
+    # one elimination gives both ranks; checked on the rotation, on seeded
+    # permutation matrices (their cycles give roots of unity of every order
+    # up to 10) and on sparse rational matrices plus the identity
+    rng = random.Random(31)
+    mats = [alpha_pullback()]
+    for _ in range(12):
+        perm = rng.sample(range(10), 10)
+        mats.append([[Fraction(int(perm[i] == k)) for k in range(10)] for i in range(10)])
+    for _ in range(12):
+        mats.append([[Fraction(int(i == k)) + (Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                             if rng.random() < 0.15 else 0)
+                      for k in range(10)] for i in range(10)])
+    fil2_seen = set()
+    for M in mats:
+        split = eigenspace_split(M)
+        assert (split.dims, split.fil2_dims) == _split_by_two_ranks(M)
+        fil2_seen.update(split.fil2_dims)
+    assert len(fil2_seen) >= 3
+
+
 def test_fourier_vectors_are_eigenvectors():
     M = alpha_pullback()
     eigmap = fil2_eigenvector_map(M)

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +99,16 @@ def test_padicmat2_arithmetic_matches_fraction_formulas():
     assert zero == PadicMat2(0, 0, 0, 0, -7) and zero.den == 1
     with pytest.raises(ZeroDivisionError):
         PadicMat2(1, 0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, Decimal("0.5"), "1"])
+def test_padicmat2_takes_only_ints_and_fractions(bad):
+    with pytest.raises(TypeError):
+        PadicMat2.of(bad, 0, 0, 1)
+    with pytest.raises(TypeError):
+        PadicMat2.identity().scale(bad)
+    with pytest.raises(TypeError):
+        PadicMat2(bad, 0, 0, 1)
 
 
 def test_type_one_rho_image_closed_form():
