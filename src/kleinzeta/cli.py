@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import cache as cachemod
 from . import counting, gdcohom, hecke, lfunc, thetasupp
-from .ffield import build_field
+from .ffield import LOG_TABLE_MAX_Q, build_field, is_prime
 from .reference import reference_degree10_at_3
 
 VERSION = cachemod.VERSION
@@ -331,6 +331,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "max", 2) < 2:     # a sweep with no primes checks nothing
             raise ValueError(f"--max {args.max} leaves no primes to check; use --max >= 2")
+        if args.command in ("trace-sweep", "report"):
+            # build_field refuses every q past LOG_TABLE_MAX_Q, so a sweep that
+            # reaches a prime past it would count every smaller prime and then fail
+            past = LOG_TABLE_MAX_Q + 1
+            while not is_prime(past):
+                past += 1
+            if args.max >= past:
+                raise ValueError(f"--max {args.max} reaches the prime {past}, past the "
+                                 f"field limit {LOG_TABLE_MAX_Q}; use --max < {past}")
         if "cache" in args:     # the subcommands that count
             cache = cachemod.CountCache(args.cache)
         if args.command == "count":

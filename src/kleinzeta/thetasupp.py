@@ -31,9 +31,10 @@ polynomial in the numerators of s and t.  Each entry is then decided by
 valuations alone, except in the one row of the x grid where its two terms
 have equal valuation: there membership is a residue class of the unit u.
 The entries separate by the shift they read: c depends on neither, a on s
-alone, d on t alone, and only b on both.  So a family meets its c rules
-once, its a rules once per s and its d rules once per t, and forms the b
-rules only for the (s, t) whose partial meet is not already empty.
+alone and b on both.  So a family meets its c rules once, its a rules once
+per s, and forms the b rules only for the (s, t) whose partial meet is not
+already empty.  Entry d gets no rule: a, b and c of both images imply both
+d constraints (the proof is in _Scan.shift_rules).
 Boolean arrays are built only for tuples whose support is not empty on
 valuations.  A mask over the x grid is one bool array with x = 0 in its
 last slot, and the grid's translate table gathers each orbit x + j/p.  One
@@ -530,15 +531,31 @@ class _Scan:
 
     def shift_rules(self, family, ivals, jvals) -> list:
         """The live shifts of a family among s = i/p, t = j/p (i in ivals, j
-        in jvals): (i, j, rule) in scan order, rule the meet of the eight
-        entry rules at (s, t), for every shift whose meet is not empty on
-        valuations.
+        in jvals): (i, j, rule) in scan order, rule the meet of the entry
+        rules of a, b and c of both images at (s, t), for every shift whose
+        meet is not empty on valuations.
 
         The entries of p^2 U(-s) K U(t), K = (ka, kb, kc, kd), are
-        a = p (p ka - kc i), b = (p ka - kc i) j + p (p kb - kd i),
-        c = p^2 kc and d = p (kc j + p kd): c reads neither shift, a only i
-        and d only j.  So c is met once per family, a once per i, d once per
-        j, and b only for the pairs whose partial meet is still live.
+        a = p (p ka - kc i), b = (p ka - kc i) j + p (p kb - kd i) and
+        c = p^2 kc: c reads neither shift and a only i.  So c is met once
+        per family, a once per i, and b once per (i, j) whose partial meet
+        is still live.
+
+        Entry d (constraints 3 and 7) needs no rule: on the coset
+        representatives, a, b and c of both images decide it.  Write
+        x1 = h1^-1 e1 h2 and x2 = h1^-1 alpha h2.  Since alpha E12 = e1,
+        x1 = x2 M with M = h2^-1 E12 h2.
+          * Types I and II, h2 = diag(p^n, 1): x1 = [[0, a2 p^-n], [0, c2 p^-n]].
+            L1's b (v >= -1) with v(a2) = -1 gives n <= 0, so L2's c gives
+            v(d1) = v(c2) - n >= 1.
+          * Types III and IV, h2 = diag(p^n, 1) w U(t): M = -p^(2-n) U(-t) E21 U(t),
+            whose second column is t times its first, so d1 = t c1.  With
+            v(t) >= -1 and L1's c (v(c1) >= 1), v(d1) >= 0.
+          * det h1 = det h2 (the n = m + 2r + _N_SHIFT constraint), so
+            det x2 = det alpha = -p^-2.  With v(a2) = -1 and v(b2 c2) >= 0,
+            v(a2 d2) = -2 and v(d2) = -1 exactly.
+        Every rule is exact at each grid point x = u p^v, so the masks are
+        those of all eight constraints.
         """
         p = self.p
         (KA1, KB1, KA2, KB2), shift = family
@@ -552,16 +569,13 @@ class _Scan:
         base = meet(full, 2, lambda k: p * p * k[2])
         if base is None:
             return []
-        s_rules = [(i, rule) for i in ivals
-                   if (rule := meet(base, 0, lambda k: p * (p * k[0] - k[2] * i)))]
-        if not s_rules:
-            return []
-        t_rules = [(j, rule) for j in jvals
-                   if (rule := meet(full, 3, lambda k: p * (k[2] * j + p * k[3])))]
         live = []
-        for i, (zs, bs, ts) in s_rules:
-            for j, (zt, bt, tt) in t_rules:
-                rule = meet((zs and zt, bs & bt, ts + tt), 1,
+        for i in ivals:
+            s_rule = meet(base, 0, lambda k: p * (p * k[0] - k[2] * i))
+            if s_rule is None:
+                continue
+            for j in jvals:
+                rule = meet(s_rule, 1,
                             lambda k: (p * k[0] - k[2] * i) * j + p * (p * k[1] - k[3] * i))
                 if rule:
                     live.append((i, j, rule))

@@ -370,6 +370,34 @@ def test_empty_sweep_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["trace-sweep", "report"])
+def test_sweep_past_the_field_limit_is_a_usage_error(monkeypatch, tmp_path, capsys, command):
+    # 1048583 is the first prime past LOG_TABLE_MAX_Q = 2^20, whose field
+    # build_field refuses: a sweep that reaches it is refused before any
+    # count, exit 2 with no report or cache written; one bound lower the
+    # sweep starts as before
+    import kleinzeta.cli as climod
+
+    assert LOG_TABLE_MAX_Q == 1 << 20
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--json", "r.json", "--cache", "c.jsonl", "--max"]
+    t0 = time.perf_counter()
+    assert run(argv + ["1048583"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "reaches the prime 1048583" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+    class SweepStarted(Exception):
+        pass
+
+    def started(max_p):
+        raise SweepStarted(max_p)
+
+    monkeypatch.setattr(climod.hecke, "primes_up_to", started)
+    with pytest.raises(SweepStarted, match="1048582"):
+        run(argv + ["1048582"])
+
+
 def test_failing_check_exit_code(monkeypatch, tmp_path, capsys):
     import kleinzeta.cli as climod
     monkeypatch.setattr(climod.hecke, "predicted_count", lambda p, k: -1)

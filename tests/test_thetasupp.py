@@ -251,6 +251,39 @@ def test_type_four_masks_match_bruteforce_rho_at_p11():
     assert members > 0   # the sample reaches the support, not only its complement
 
 
+def test_entry_d_is_implied_on_the_bruteforce_route():
+    # the lemmas behind the scanner's missing d rules, on coset_rep and
+    # rho_act alone: x1 = x2 (h2^-1 E12 h2) and det h1 = det h2, so every
+    # tuple whose images meet a, b and c of both lattices also meets
+    # constraints 3 (L1's d) and 7 (L2's d)
+    from kleinzeta.thetasupp import _N_SHIFT, _WEYL
+
+    rng = random.Random(20261018)
+    e12 = PadicMat2.of(0, 1, 0, 0)
+    hits = dict.fromkeys(COSET_TYPES, 0)
+    for _ in range(6000):
+        p = rng.choice([3, 5, 7, 11])
+        ty = rng.choice(COSET_TYPES)
+        m, r = rng.randint(-4, 4), rng.randint(-4, 4)
+        s, t = (Fraction(rng.randrange(p), p) if weyl else Fraction(0) for weyl in _WEYL[ty])
+        u = rng.randrange(1, p ** 3)
+        x = Fraction(0) if u % p == 0 else Fraction(u) * Fraction(p) ** rng.randint(-4, 4)
+        h1, h2 = coset_rep(p, CosetParams(ty, m, m + 2 * r + _N_SHIFT[ty], r, s, t, x))
+        x1 = rho_act(h1, h2, e1_matrix(p))
+        x2 = rho_act(h1, h2, alpha_matrix(p))
+        assert x1 == x2 * (h2.inv() * e12 * h2)
+        assert h1.det() == h2.det()
+        L1, L2 = lev_support(p)
+        cons = L1.constraints + L2.constraints
+        entries = x1.entries() + x2.entries()
+        if all(cons[e].satisfied(p, entries[e]) for e in (0, 1, 2, 4, 5, 6)):
+            hits[ty] += 1
+            assert cons[3].satisfied(p, entries[3]), (p, ty, m, r, s, t, x)
+            assert cons[7].satisfied(p, entries[7]), (p, ty, m, r, s, t, x)
+    # the sample reaches the support
+    assert hits["I"] > 0 and hits["IV"] > 0, hits
+
+
 @pytest.mark.parametrize("p", [3, 11])
 def test_family_kernels_match_coset_rep(p):
     # the kernels a scan builds from its memoised factors, against the
@@ -435,22 +468,32 @@ def test_shared_grid_leaks_no_state_between_scans():
 
 
 def test_default_scans_entry_rule_count(monkeypatch):
-    # operation-count guard: the separable shift rules form 1266 entry rules
-    # over the four default p = 11 scans (per-shift evaluation formed 3760);
-    # the pin allows 10% on top
+    # operation-count guard: the separable shift rules form 1314 entry rules
+    # over the four default p = 11 scans (per-shift evaluation formed 3760),
+    # and no rule reads entry d (constraints 3 and 7), which a, b and c imply
     from kleinzeta import thetasupp
 
     calls = 0
     entry_rule = thetasupp._entry_rule
+    support = thetasupp.lev_support
+    d_constraints = []
 
-    def counted(*args):
+    def lattices(p):
+        L1, L2 = support(p)
+        d_constraints.extend((L1.constraints[3], L2.constraints[3]))
+        return L1, L2
+
+    def counted(p, na, nb, shift, con, vals):
         nonlocal calls
         calls += 1
-        return entry_rule(*args)
+        assert not any(con is d for d in d_constraints)
+        return entry_rule(p, na, nb, shift, con, vals)
 
+    monkeypatch.setattr(thetasupp, "lev_support", lattices)
     monkeypatch.setattr(thetasupp, "_entry_rule", counted)
     for ty in COSET_TYPES:
         scan_type(11, ty, ScanBox())
+    assert d_constraints
     assert 0 < calls <= 1392
 
 
