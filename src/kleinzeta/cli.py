@@ -12,6 +12,14 @@ Subcommands:
 
 The counting subcommands read and append a count cache only with --cache.
 
+Every check's work goes through VerificationReport.run, which times it on
+one clock and applies one failure rule: an ArithmeticError (a failed exact
+computation, or counts that cannot be right, such as lfunc.InconsistentCounts
+and the cache's bad or conflicting records) fails the check it feeds, and
+the report is still written.  Any other exception -- a ValueError or OSError
+from bad usage, a field past the size limit, an unwritable path -- ends the
+run in main.
+
 Exit status: 0 when every check passes, 1 on any failure, 2 on bad usage.
 """
 
@@ -53,6 +61,30 @@ class VerificationReport:
         self.checks.append(Check(name, status, str(expected), str(actual),
                                  round(elapsed_s * 1000.0, 3)))
 
+    def run(self, fn, *args) -> tuple:
+        """(value, error, seconds) of fn(*args): the harness's one clock and
+        its one failure rule.  An ArithmeticError -- a failed exact
+        computation, or counts that cannot be right -- comes back as error
+        text, for the check it feeds to fail, and value is None.  Any other
+        exception (bad usage, BudgetExceeded, an unwritable path) ends the run."""
+        value = error = None
+        clock = time.perf_counter
+        t0 = clock()
+        try:
+            value = fn(*args)
+        except ArithmeticError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        return value, error, clock() - t0
+
+    def check(self, name: str, expected, fn, *args, ok=None) -> None:
+        """Run fn(*args) and add a check of its value: against expected, or
+        by ok(value) when ok is given."""
+        value, error, dt = self.run(fn, *args)
+        if error is not None:
+            self.add(name, False, expected, error, dt)
+        else:
+            self.add(name, value == expected if ok is None else ok(value), expected, value, dt)
+
     @property
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
@@ -77,24 +109,16 @@ class VerificationReport:
         print(f"overall: {'pass' if self.passed else 'FAIL'}", file=out)
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
-
-
 # ---------------------------------------------------------------------------
 # check batteries
 
 
 def run_count(report: VerificationReport, cache: cachemod.CountCache, p: int, k: int):
-    try:
-        (n, hit), dt = _timed(cachemod.count_with_cache, cache, p, k)
-    except lfunc.InconsistentCounts as exc:
-        # conflicting cache records fail the check, not the usage
-        report.add(f"count-p{p}-k{k}", False, "one count per (p, k)",
-                   f"{type(exc).__name__}: {exc}")
+    counted, error, dt = report.run(cachemod.count_with_cache, cache, p, k)
+    if error is not None:
+        report.add(f"count-p{p}-k{k}", False, "one count per (p, k)", error, dt)
         return None
+    n, hit = counted
     if p == lfunc.BAD_PRIME:
         expected = "(no prediction at the bad prime)"
         ok = True
@@ -105,51 +129,40 @@ def run_count(report: VerificationReport, cache: cachemod.CountCache, p: int, k:
     return n
 
 
+def _counting_route(cache: cachemod.CountCache) -> lfunc.LocalFactor:
+    counts = [cachemod.count_with_cache(cache, 3, k)[0] for k in range(1, 6)]
+    return lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, 3))
+
+
 def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
-    target = reference_degree10_at_3()
-    t0 = time.perf_counter()
-    try:
-        counts = [cachemod.count_with_cache(cache, 3, k)[0] for k in range(1, 6)]
-        L_counting = lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, 3))
-        actual = list(L_counting.coeffs)
-    except (lfunc.InconsistentCounts, ArithmeticError) as exc:
-        # wrong counts (a bad cache record, say) fail the check, not the usage
-        L_counting, actual = None, f"{type(exc).__name__}: {exc}"
-    report.add("l3-counting-route", actual == list(target.coeffs),
-               list(target.coeffs), actual, time.perf_counter() - t0)
-    L_product, dt = _timed(hecke.h3_local_factor_product, 3)
-    report.add("l3-product-route", L_product.coeffs == target.coeffs,
-               list(target.coeffs), list(L_product.coeffs), dt)
+    target = list(reference_degree10_at_3().coeffs)
+    L_counting, error, dt = report.run(_counting_route, cache)
+    actual = error or list(L_counting.coeffs)
+    report.add("l3-counting-route", actual == target, target, actual, dt)
+    report.check("l3-product-route", target,
+                 lambda: list(hecke.h3_local_factor_product(3).coeffs))
     tol = f"{lfunc.PURITY_TOLERANCE:.0e}".replace("e-0", "e-")  # 1e-6, not 1e-06
     expected = f"all |lambda| = 3^(3/2) ({tol} rel)"
     if L_counting is None:
         report.add("l3-purity", False, expected, "no counting-route factor", inconclusive=True)
     else:
-        purity, dt = _timed(lfunc.weil_bound_check, L_counting)
-        report.add("l3-purity", purity, expected, purity, dt)
+        report.check("l3-purity", expected, lfunc.weil_bound_check, L_counting, ok=bool)
     return L_counting
 
 
 def run_trace_sweep(report: VerificationReport, cache: cachemod.CountCache, max_p: int):
     for p in hecke.primes_up_to(max_p):
-        if p == lfunc.BAD_PRIME:
-            continue
-        t0 = time.perf_counter()
-        try:
-            n, _ = cachemod.count_with_cache(cache, p, 1)
-        except lfunc.InconsistentCounts as exc:
-            n = f"{type(exc).__name__}: {exc}"
-        expected = hecke.predicted_count(p, 1)
-        report.add(f"trace-p{p}", n == expected, expected, n, time.perf_counter() - t0)
+        if p != lfunc.BAD_PRIME:
+            report.check(f"trace-p{p}", hecke.predicted_count(p, 1),
+                         lambda p: cachemod.count_with_cache(cache, p, 1)[0], p)
 
 
 def run_hecke_table(report: VerificationReport, max_p: int, out_path):
-    nrows, dt = _timed(hecke.write_hecke_csv, out_path, max_p)
-    report.add("hecke-table", nrows > 0, f"rows for primes <= {max_p}", nrows, dt)
+    report.check("hecke-table", f"rows for primes <= {max_p}", hecke.write_hecke_csv,
+                 out_path, max_p, ok=lambda nrows: nrows > 0)
 
 
-def run_cm_structure(report: VerificationReport, max_p: int):
-    t0 = time.perf_counter()
+def _cm_structure(max_p: int) -> bool:
     ok = True
     for p in hecke.primes_up_to(max_p):
         a = hecke.ap_f(p)
@@ -157,8 +170,12 @@ def run_cm_structure(report: VerificationReport, max_p: int):
         if p != lfunc.BAD_PRIME:
             ok = ok and a == p + 1 - counting.count_weierstrass(
                 counting.CM_CURVE, build_field(p))
-    report.add(f"cm-structure-to-{max_p}", ok, "dichotomy, Hasse, curve agreement", ok,
-               time.perf_counter() - t0)
+    return ok
+
+
+def run_cm_structure(report: VerificationReport, max_p: int):
+    report.check(f"cm-structure-to-{max_p}", "dichotomy, Hasse, curve agreement",
+                 _cm_structure, max_p, ok=bool)
 
 
 def run_cohomology(report: VerificationReport):
@@ -180,14 +197,11 @@ def run_cohomology(report: VerificationReport):
     errors, seconds = {}, {}
 
     def stage(name, fn, *args):
-        t0 = time.perf_counter()
-        try:
-            return fn(*args)
-        except ArithmeticError as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
-            return None
-        finally:
-            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+        value, error, dt = report.run(fn, *args)
+        if error is not None:
+            errors[name] = error
+        seconds[name] = seconds.get(name, 0.0) + dt
+        return value
 
     basis = stage("basis", gdcohom.h3_basis)
     if basis is not None:
@@ -231,32 +245,33 @@ def run_cohomology(report: VerificationReport):
     return summary
 
 
-def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox,
-                      types=("I", "II", "III", "IV")):
-    certificates = {}
-    for ty in types:
-        rep, dt = _timed(thetasupp.scan_type, p, ty, box)
-        certificates[ty] = rep.to_dict()
-        report.add(f"theta-type-{ty}-p{p}",
-                   rep.status == "certified", "certified", rep.status, dt,
-                   inconclusive=(rep.status == "inconclusive"))
-    t0 = time.perf_counter()
-    zeros = all(thetasupp.char_sum(p, v).is_zero() for v in range(1, 5))
-    report.add(f"theta-char-sums-p{p}", zeros, "0 for 1 <= v <= 4", zeros,
-               time.perf_counter() - t0)
-    inv, dt = _timed(thetasupp.stabilizer_invariance_check, p)
-    report.add(f"theta-stabilizer-invariance-p{p}", inv, True, inv, dt)
+def _archimedean_worst() -> float:
     import random
     rng = random.Random(20260808)
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
         t1, t2 = rng.uniform(0, 6.3), rng.uniform(0, 6.3)
         x = [[rng.uniform(-2, 2), rng.uniform(-2, 2)], [rng.uniform(-2, 2), rng.uniform(-2, 2)]]
         for sign in "+-":
             worst = max(worst, thetasupp.archimedean_equivariance(t1, t2, x, sign))
-    report.add("theta-archimedean-equivariance", worst < 1e-12, "< 1e-12", worst,
-               time.perf_counter() - t0)
+    return worst
+
+
+def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox,
+                      types=("I", "II", "III", "IV")):
+    certificates = {}
+    for ty in types:
+        rep, error, dt = report.run(thetasupp.scan_type, p, ty, box)
+        certificates[ty] = rep and rep.to_dict()
+        status = error or rep.status
+        report.add(f"theta-type-{ty}-p{p}", status == "certified", "certified", status, dt,
+                   inconclusive=(status == "inconclusive"))
+    report.check(f"theta-char-sums-p{p}", "0 for 1 <= v <= 4",
+                 lambda: all(thetasupp.char_sum(p, v).is_zero() for v in range(1, 5)), ok=bool)
+    report.check(f"theta-stabilizer-invariance-p{p}", True,
+                 thetasupp.stabilizer_invariance_check, p)
+    report.check("theta-archimedean-equivariance", "< 1e-12", _archimedean_worst,
+                 ok=lambda worst: worst < 1e-12)
     return certificates
 
 
@@ -367,8 +382,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             run_verify_l3(report, cache)
             run_trace_sweep(report, cache, args.max)
-            fermat, dt = _timed(counting.verify_fermat_cover)
-            report.add("fermat-cover", fermat, True, fermat, dt)
+            report.check("fermat-cover", True, counting.verify_fermat_cover)
             run_cm_structure(report, 200)
             run_cohomology(report)
             certs = run_theta_support(report, 11, thetasupp.ScanBox())

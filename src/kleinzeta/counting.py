@@ -36,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import (BudgetExceeded, FieldDescriptor, build_field, chi_table, digitwise_add,
-                     log_exp_mul, log_exp_tables)
+from .ffield import (BudgetExceeded, FieldDescriptor, build_field, digitwise_add, log_exp_mul,
+                     log_exp_tables)
 from .gdcohom import CycPoly, klein_form
 
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
@@ -204,13 +204,15 @@ def count_weierstrass(E: WeierstrassCurve, F: FieldDescriptor) -> int:
         return count_hypersurface_naive(E.projective_form(), F)
     q = F.q
     # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
-    # evaluated by Horner steps on index vectors (constants lie in F_p)
+    # evaluated by Horner steps on index vectors (constants lie in F_p);
+    # chi(f) = (-1)^(log f) at nonzero f, and chi(0) = 0
     b2, b4, b6, _ = E.b_invariants
     xs = np.arange(q, dtype=np.int64)
     f = np.full(q, 4 % F.p, dtype=np.int64)
     for c in (b2, 2 * b4, b6):
         f = digitwise_add(F, log_exp_mul(F, f, xs), c % F.p)
-    return q + 1 + int(chi_table(F)[f].sum())
+    log, _ = log_exp_tables(F)
+    return q + 1 + int((1 - 2 * (log[f[f != 0]] % 2)).sum())
 
 
 # ---------------------------------------------------------------------------

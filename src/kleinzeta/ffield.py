@@ -196,25 +196,6 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
     raise RuntimeError("no irreducible modulus found")  # unreachable
 
 
-@lru_cache(maxsize=32)
-def _chi_table_cached(p: int, k: int, modulus: tuple) -> np.ndarray:
-    # chi(g^e) = (-1)^e, read off the parity of the discrete log
-    log, _ = log_exp_tables(FieldDescriptor(p, k, modulus))
-    chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
-    chi[0] = 0
-    chi.setflags(write=False)
-    return chi
-
-
-def chi_table(F: FieldDescriptor) -> np.ndarray:
-    """Full quadratic-character lookup (int8), for q up to 2^20."""
-    if F.p == 2:
-        raise ValueError("quadratic character undefined in characteristic 2")
-    if F.q > LOG_TABLE_MAX_Q:
-        raise ValueError("field too large for a full character table")
-    return _chi_table_cached(F.p, F.k, F.modulus)
-
-
 # ---------------------------------------------------------------------------
 # log/exp vectors, keyed by element index
 

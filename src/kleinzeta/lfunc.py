@@ -19,9 +19,13 @@ BAD_PRIME = 11
 PURITY_TOLERANCE = 1e-6  # relative, on |lambda| against p^(3/2)
 
 
-class InconsistentCounts(ValueError):
+class InconsistentCounts(ArithmeticError):
     """The input counts are wrong: a power sum breaks the Weil bound, or a
-    Newton step fails to divide exactly."""
+    Newton step fails to divide exactly.
+
+    An ArithmeticError, not a ValueError: counts that cannot be right are a
+    failed computation, like an exact division that does not divide, so the
+    check they feed fails (exit 1).  They are not bad usage (exit 2)."""
 
 
 def _even_part(p: int, k: int) -> int:

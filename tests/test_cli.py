@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import cache as cachemod
+from kleinzeta import counting
 from kleinzeta.cache import ConflictingRecords, CountCache, cached_count, record_count
 from kleinzeta.cli import build_parser, main
 from kleinzeta.counting import CountRecord
@@ -342,8 +343,53 @@ def test_report_without_cache(tmp_path, monkeypatch):
     assert payload["overall"] == "pass"
     assert len(payload["checks"]) == 42
     assert all(c["status"] == "pass" for c in payload["checks"])
+    assert all(c["elapsed_ms"] > 0 for c in payload["checks"])   # each check read the clock
     assert payload["certificates"]["IV"]["status"] == "certified"
     assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
+
+
+def test_verify_l3_times_every_check(tmp_path):
+    out = tmp_path / "l3.json"
+    assert run(["verify-l3", "--json", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 3
+    assert all(c["elapsed_ms"] > 0 for c in checks)
+
+
+def _failing_counter(F):
+    raise ArithmeticError("affine count is not 1 mod (q-1); counter is inconsistent")
+
+
+@pytest.mark.parametrize("argv", [["count", "--p", "3", "--k", "2"], ["trace-sweep", "--max", "10"],
+                                  ["verify-l3"], ["report"]],
+                         ids=["count", "trace-sweep", "verify-l3", "report"])
+def test_counter_failure_is_a_failing_check(monkeypatch, tmp_path, capsys, argv):
+    # a counter that fails its own self-check fails every check a count
+    # feeds, with the error as its actual value: exit 1 with the JSON
+    # written, not a traceback; every other check reads as it does without
+    # the fault (purity, which needs the counting-route factor, is inconclusive)
+    def checks(name):
+        out = tmp_path / name
+        code = run(argv + ["--json", str(out)])
+        return code, {c["name"]: (c["status"], c["expected"], c["actual"])
+                      for c in json.loads(out.read_text())["checks"]}
+
+    code, clean = checks("clean.json")
+    assert code == 0
+    monkeypatch.setattr(counting, "count_klein_fast", _failing_counter)
+    code, broken = checks("broken.json")
+    assert code == 1
+    assert list(broken) == list(clean)
+    fed = [name for name in broken
+           if name.startswith(("count-", "trace-p")) or name == "l3-counting-route"]
+    assert fed
+    for name, (status, expected, actual) in broken.items():
+        if name in fed:
+            assert status == "fail" and actual.startswith("ArithmeticError: affine count")
+        elif name == "l3-purity":
+            assert (status, actual) == ("inconclusive", "no counting-route factor")
+        else:
+            assert (status, expected, actual) == clean[name]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

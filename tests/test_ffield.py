@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, _find_generator, _poly_mulmod,
-                              _poly_powmod, build_field, chi_table, digitwise_add,
-                              is_irreducible, is_prime, log_exp_mul, log_exp_tables)
+                              _poly_powmod, build_field, digitwise_add, is_irreducible,
+                              is_prime, log_exp_mul, log_exp_tables)
 
 
 # reference arithmetic: coefficient lists through the build-time polynomial
@@ -115,55 +115,6 @@ def test_extension_arithmetic_against_modulus():
     assert F.modulus == (1, 0, 1)
     x = _index(F, [0, 1])
     assert _mul(F, x, x) == _index(F, [-1])
-
-
-def _euler_character(F, a):
-    """Euler's criterion a^((q - 1)/2), one polynomial power per element: the
-    reference for the chi table."""
-    if a == 0:
-        return 0
-    return 1 if _pow(F, a, (F.q - 1) // 2) == 1 else -1
-
-
-def test_quadratic_character_examples():
-    F11 = build_field(11)
-    chi = chi_table(F11)
-    assert chi[1] == _euler_character(F11, 1) == 1
-    assert chi[0] == _euler_character(F11, 0) == 0
-    # Euler criterion: 2^5 = 32 = -1 mod 11
-    assert chi[2] == _euler_character(F11, 2) == -1
-
-
-def test_quadratic_character_char2_raises():
-    F4 = build_field(2, 2)
-    with pytest.raises(ValueError):
-        chi_table(F4)
-
-
-@pytest.mark.parametrize("p,k", [(11, 1), (3, 4), (5, 3), (7, 2), (11, 2)])
-def test_quadratic_character_split_counts(p, k):
-    F = build_field(p, k)
-    tab = chi_table(F)
-    assert int((tab == 1).sum()) == (F.q - 1) // 2
-    assert int((tab == -1).sum()) == (F.q - 1) // 2
-    assert int((tab == 0).sum()) == 1
-
-
-def test_quadratic_character_beyond_full_tables():
-    # q = 3^8 = 6561: the chi table is O(q), capped at LOG_TABLE_MAX_Q = 2^20
-    F = build_field(3, 8)
-    tab = chi_table(F)
-    assert int((tab == 1).sum()) == (F.q - 1) // 2
-
-
-def test_quadratic_character_multiplicative():
-    rng = random.Random(11)
-    F = build_field(13, 2)
-    chi = chi_table(F)
-    for _ in range(200):
-        a, b = rng.randrange(F.q), rng.randrange(F.q)
-        assert chi[_mul(F, a, b)] == chi[a] * chi[b]
-        assert chi[a] == _euler_character(F, a)
 
 
 def _scalar_walk(F):

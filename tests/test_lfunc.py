@@ -28,7 +28,7 @@ def test_counts_to_power_sums_rejects_bad_prime():
 
 
 def test_power_sums_weil_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentCounts):
         PowerSums(3, (1000,))
 
 
