@@ -31,12 +31,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from . import __version__, counting, gdcohom, hecke, lfunc, thetasupp
 from . import cache as cachemod
-from . import counting, gdcohom, hecke, lfunc, thetasupp
 from .ffield import LOG_TABLE_MAX_Q, build_field, is_prime
 from .reference import reference_degree10_at_3
-
-VERSION = cachemod.VERSION
 
 
 @dataclass
@@ -342,7 +340,7 @@ def _finish(report: VerificationReport, json_path, extra=None) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k != "command"}
-    report = VerificationReport("kleinzeta", VERSION, {"command": args.command, **config})
+    report = VerificationReport("kleinzeta", __version__, {"command": args.command, **config})
     try:
         if getattr(args, "max", 2) < 2:     # a sweep with no primes checks nothing
             raise ValueError(f"--max {args.max} leaves no primes to check; use --max >= 2")

@@ -267,7 +267,7 @@ class CountRecord:
         q = self.p ** self.k
         bound = q ** 4 + q ** 3 + q ** 2 + q + 1
         if not 0 <= self.count <= bound:
-            raise ValueError("hypersurface count exceeds #P^4(F_q)")
+            raise ArithmeticError("hypersurface count exceeds #P^4(F_q)")
 
 
 def count_klein(p: int, k: int) -> CountRecord:

@@ -226,11 +226,11 @@ class HeckeRecord:
 
     def __post_init__(self):
         if self.split_type in ("inert", "ramified") and (self.ap_f or self.ap_g):
-            raise ValueError("CM vanishing broken")
+            raise ArithmeticError("CM vanishing broken")
         if self.ap_f * self.ap_f > 4 * self.p:
-            raise ValueError("Hasse bound broken")
+            raise ArithmeticError("Hasse bound broken")
         if self.ap_g != self.ap_f ** 3 - 3 * self.p * self.ap_f:
-            raise ValueError("weight-4 identity broken")
+            raise ArithmeticError("weight-4 identity broken")
 
 
 def hecke_record(p: int) -> HeckeRecord:

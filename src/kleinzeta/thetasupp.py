@@ -19,28 +19,28 @@ scanner classifies every parameter tuple in a finite box:
                       orbit kills the contribution (sum of p-th roots of 1);
   * contributing    : in-support, beta-possible and not canceled.
 
-x is scanned losslessly over {0} and u * p^v with u running over unit
-residues mod p^3: all membership conditions here depend only on
-valuations and residues mod small powers of p.
+x runs over {0} and u p^v, |v| <= x_val_range, with u over the unit
+residues mod p^x_res_exponent.  A support set is a pair (zero, bits): the
+verdict at x = 0, and bit k set when the row v = vals[k], every u p^v, lies
+in it.  That loses nothing, since every rule decides each row on
+valuations for all its units at once (below); the counts, the
+cancellation of each orbit x + j/p and the Z_p pattern then follow from
+the rows in closed form.
 
 The scanner never multiplies matrices per tuple.  For each family
 (type, m, n, r) it forms, once and exactly, the kernels K_y and K'_y with
 rho-image(y) = U(-s) (K_y + K'_y x) U(t) for y in {e1, alpha}; the
 unipotent factors give every entry in closed form as a bilinear integer
 polynomial in the numerators of s and t.  Each entry is then decided by
-valuations alone, except in the one row of the x grid where its two terms
-have equal valuation: there membership is a residue class of the unit u.
-The entries separate by the shift they read: c depends on neither, a on s
-alone and b on both.  So a family meets its c rules once, its a rules once
-per s, and forms the b rules only for the (s, t) whose partial meet is not
-already empty.  Entry d gets no rule: a, b and c of both images imply both
-d constraints (the proof is in _Scan.shift_rules).
-Boolean arrays are built only for tuples whose support is not empty on
-valuations.  A mask over the x grid is one bool array with x = 0 in its
-last slot, and the grid's translate table gathers each orbit x + j/p.  One
-grid per (p, box) serves every scan in the process, and it memoises the
-cancellation mask of each support mask it sees; a grid whose table would
-pass MAX_GRID_TRANSLATES entries is refused with BudgetExceeded.
+valuations alone, except in the one row where its two terms have equal
+valuation and membership depends on the unit u: _entry_rule marks that
+row, no marked row survives the meet (the proof is in _Scan.shift_rules),
+and scan_type raises ArithmeticError if one does, so the check fails
+rather than guess.  The entries separate by the shift they read: c depends
+on neither, a on s alone and b on both.  So a family meets its c rules
+once, its a rules once per s, and forms the b rules only for the (s, t)
+whose partial meet is not already empty.  Entry d gets no rule: a, b and
+c of both images imply both d constraints (also proved there).
 PadicMat2 (integer numerators over one denominator), coset_rep and rho_act
 stay as the brute-force route the tests hold the scanner to; the scanner
 forms its kernels with the same PadicMat2 products.
@@ -48,15 +48,12 @@ forms its kernels with the same PadicMat2 products.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclo import EXACT_SCALARS, CyclotomicNumber, common_denominator
-from .ffield import BudgetExceeded, is_prime
+from .ffield import is_prime
 
 # ---------------------------------------------------------------------------
 # exact 2x2 matrices
@@ -138,7 +135,7 @@ def val_p(p: int, f: Fraction) -> int | None:
     """p-adic valuation of a rational; None for 0."""
     if f == 0:
         return None
-    return _split_p(p, f.numerator)[0] - _split_p(p, f.denominator)[0]
+    return _val_int(p, f.numerator) - _val_int(p, f.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -294,146 +291,25 @@ class ScanBox:
             raise ValueError(f"scan box bounds must be >= 0: {self}")
 
 
-# Entries of the translate table _XGrid.targets; (p - 1) (grid size + 1)
-# stays below it for every p <= 31 at the default box.
-MAX_GRID_TRANSLATES = 2 ** 23
-
-
-class _XGrid:
-    """The scanned x values: u p^v laid out flat, one row of unit residues u
-    per valuation v, and then x = 0.
-
-    A mask over the grid is a bool array of length size + 1, with x = 0 in
-    its last slot.  Row j - 1 of `targets` holds the position of the
-    translate x + j/p of every point, x = 0 included; position size + 1
-    stands for a translate off the grid (never happens with the default
-    box) and is read through one appended False.
-
-    Scans share one grid per (p, box) through _shared_grid, so its tables
-    are read-only, and canceled() memoises its result per mask: the four
-    default p = 11 scans cancel 60 masks, of which 5 are distinct.
-    """
-
-    def __init__(self, p: int, box: ScanBox):
-        self.p, self.box = p, box
-        self.mod = mod = p ** box.x_res_exponent
-        self.vals = list(range(-box.x_val_range, box.x_val_range + 1))
-        self.nu = (p - 1) * mod // p      # units mod p^e: none when e = 0
-        self.size = len(self.vals) * self.nu
-        translates = (p - 1) * (self.size + 1)
-        if translates > MAX_GRID_TRANSLATES:
-            raise BudgetExceeded(f"p = {p}: the x grid needs {translates} translates, "
-                                 f"over the limit {MAX_GRID_TRANSLATES}")
-        self.units = np.array([u for u in range(1, mod) if u % p], dtype=np.int64)
-        self.unit_index = lut = np.full(mod, -1, dtype=np.int64)
-        lut[self.units] = np.arange(self.nu)
-        self.targets = np.empty((p - 1, self.size + 1), dtype=np.intp)
-        for v in self.vals:
-            for j in range(1, p):
-                self.targets[j - 1, self.row(v)] = self.flat_index(*_translate(self, v, j))
-        self.targets[:, self.size] = self.flat_index(np.full(p - 1, -1),
-                                                     lut[np.arange(1, p) % mod])
-        for table in (self.units, lut, self.targets):
-            table.flags.writeable = False
-        self._canceled = {}     # mask.tobytes() -> canceled(mask)
-
-    def row(self, v: int) -> slice:
-        k = v + self.box.x_val_range
-        return slice(k * self.nu, (k + 1) * self.nu)
-
-    def flat_index(self, vp: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Flat positions of (v', unit index) points; self.size + 1 marks a
-        valuation v' outside the grid."""
-        R = self.box.x_val_range
-        return np.where(np.abs(vp) <= R, (vp + R) * self.nu + idx, self.size + 1)
-
-    def congruent(self, g: int, a: int, b: int) -> np.ndarray:
-        """The units u with v_p(a + b u) >= g, for b prime to p.
-
-        That is u = -a/b mod p^g, tested on the integer representatives
-        1 <= u < p^x_res_exponent, so a class finer than the grid holds at
-        most its least representative.
-        """
-        if g <= 0:
-            return np.ones(self.nu, dtype=bool)
-        M = self.p ** g
-        u0 = -a * pow(b, -1, M) % M
-        if M <= self.mod:
-            return self.units % M == u0
-        if u0 >= self.mod:
-            return np.zeros(self.nu, dtype=bool)
-        return self.units == u0
-
-    def canceled(self, mask: np.ndarray) -> np.ndarray:
-        """Points whose whole orbit x + j/p (j = 0..p-1) stays in the mask,
-        as a read-only array memoised on the mask's bytes."""
-        key = mask.tobytes()
-        out = self._canceled.get(key)
-        if out is None:
-            out = mask & np.append(mask, False)[self.targets].all(axis=0)
-            out.flags.writeable = False
-            self._canceled[key] = out
-        return out
-
-    def count(self, mask: np.ndarray) -> dict:
-        sums = mask[:self.size].reshape(len(self.vals), self.nu).sum(axis=1)
-        return {"zero": bool(mask[self.size]),
-                "by_val": {v: int(c) for v, c in zip(self.vals, sums)}}
-
-    def is_zp(self, mask: np.ndarray) -> bool:
-        """Whether the mask is exactly Z_p: x = 0 and every v >= 0."""
-        split = self.row(0).start
-        return bool(mask[split:].all()) and not mask[:split].any()
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_grid(p: int, box: ScanBox) -> _XGrid:
-    """The one _XGrid of (p, box) that every scan in the process reads; a
-    refused grid raises BudgetExceeded on every call, since lru_cache keeps
-    no exceptions."""
-    return _XGrid(p, box)
-
-
-def _translate(grid: _XGrid, v: int, j: int):
-    """(v', unit index) of x + j/p for every x = u p^v on the grid; v' may
-    lie past the scanned valuations."""
-    p, mod = grid.p, grid.mod
-    if v >= 0:
-        # (u p^(v+1) + j) / p, numerator a unit mod p
-        num = (grid.units * p ** (v + 1) + j) % mod
-        return np.full(grid.nu, -1), grid.unit_index[num]
-    if v < -1:
-        num = (grid.units + j * p ** (-1 - v)) % mod
-        return np.full(grid.nu, v), grid.unit_index[num]
-    # v == -1: u + j may pick up extra powers of p
-    Mw = grid.units + j
-    w = np.zeros(grid.nu, dtype=np.int64)
-    while True:
-        div = Mw % p == 0
-        if not div.any():
-            break
-        Mw[div] //= p
-        w[div] += 1
-    return w - 1, grid.unit_index[Mw % mod]
-
-
-def _split_p(p: int, n: int):
-    """n = unit * p^v for a nonzero integer n, as (v, unit)."""
+def _val_int(p: int, n: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v, n
+    return v
 
 
 def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals):
-    """Membership of the affine entry (na + nb x) / p^shift over the x grid.
+    """Membership of the affine entry (na + nb x) / p^shift on the rows of x.
 
-    Returns (zero, bits, tests): zero is the verdict at x = 0, bit k of bits
-    is set when row vals[k] may hold members, and tests lists the one
-    (k, g, exact, a, b) whose row depends on the unit u: there the members
-    are the u with v_p(a + b u) >= g, or exactly g when exact.  Every other
-    row is decided by the valuations alone.
+    Returns (zero, bits, marked): zero is the verdict at x = 0, and bit k of
+    bits is set when row vals[k], every x = u p^v with v = vals[k] and u a
+    unit, may hold members.  The valuations decide every row for all its
+    units at once, except the one row where the two terms have equal
+    valuation and the verdict needs v_p(a + b u), a and b the unit parts of
+    na and nb; that row is set both in bits and in the bitmask marked, for
+    the meet to see.
     """
     vmin, exact = con.v_min, con.unit_exact
 
@@ -443,14 +319,12 @@ def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals
     if na == 0:
         zero = not exact
     else:
-        vA, a = _split_p(p, na)
-        vA -= shift
+        vA = _val_int(p, na) - shift
         zero = ok(vA)
     if nb == 0:
-        return zero, (1 << len(vals)) - 1 if zero else 0, ()
-    vB, b = _split_p(p, nb)
-    vB -= shift
-    bits, tests = 0, ()
+        return zero, (1 << len(vals)) - 1 if zero else 0, 0
+    vB = _val_int(p, nb) - shift
+    bits = marked = 0
     for k, v in enumerate(vals):
         w = vB + v                      # valuation of the slope term
         if na == 0 or w < vA:
@@ -461,10 +335,10 @@ def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals
             g = vmin - vA               # the unit part a + b u needs valuation g
             row = g >= 0 if exact else True
             if row and (exact or g > 0):
-                tests = ((k, g, exact, a, b),)
+                marked |= 1 << k
         if row:
             bits |= 1 << k
-    return zero, bits, tests
+    return zero, bits, marked
 
 
 def _shifts(ty: str, p: int):
@@ -474,7 +348,7 @@ def _shifts(ty: str, p: int):
 
 
 class _Scan:
-    """One scan_type call: the x grid, the entry rules and the kernels of
+    """One scan_type call: the rows of x, the entry rules and the kernels of
     every family (type, m, n, r).
 
     With h1 = U(x) h1_0, the rho-image of y in {e1, alpha} is A_y + B_y x with
@@ -488,8 +362,10 @@ class _Scan:
     p^shift times the entries.
     """
 
-    def __init__(self, p: int, ty: str, grid: _XGrid):
-        self.p, self.type, self.grid = p, ty, grid
+    def __init__(self, p: int, ty: str, box: ScanBox):
+        self.p, self.type, self.box = p, ty, box
+        self.vals = range(-box.x_val_range, box.x_val_range + 1)
+        self.units = (p - 1) * p ** box.x_res_exponent // p     # per row; none when e = 0
         self.rules = {}         # (na, nb, shift, entry) -> _entry_rule
         self.left = {}          # m -> (H^-1, -H^-1 e12)
         self.right = {}         # n -> (e1 h2, alpha h2)
@@ -510,30 +386,30 @@ class _Scan:
         ks = [(a * b).scale(f) for b in self.right[n] for a in self.left[m]]
         den = max(k.den for k in ks)                # a power of p, so the lcm
         nums = [tuple(e * (den // k.den) for e in (k.a, k.b, k.c, k.d)) for k in ks]
-        return nums, _split_p(p, den)[0] + 2
+        return nums, _val_int(p, den) + 2
 
     def _meet(self, rule, shift: int, entries):
         """rule met with the rules of entries (e, na, nb), e the index of the
         constraint; None once the meet is empty on valuations."""
-        zero, bits, tests = rule
+        zero, bits, marked = rule
         for e, na, nb in entries:
             if not zero and not bits:
                 return None
             key = (na, nb, shift, e)
             got = self.rules.get(key)
             if got is None:
-                got = _entry_rule(self.p, na, nb, shift, self.constraints[e], self.grid.vals)
+                got = _entry_rule(self.p, na, nb, shift, self.constraints[e], self.vals)
                 self.rules[key] = got
             zero = zero and got[0]
             bits &= got[1]
-            tests += got[2]
-        return (zero, bits, tests) if zero or bits else None
+            marked |= got[2]
+        return (zero, bits, marked) if zero or bits else None
 
     def shift_rules(self, family, ivals, jvals) -> list:
         """The live shifts of a family among s = i/p, t = j/p (i in ivals, j
-        in jvals): (i, j, rule) in scan order, rule the meet of the entry
-        rules of a, b and c of both images at (s, t), for every shift whose
-        meet is not empty on valuations.
+        in jvals): (i, j, rule) in scan order, rule = (zero, bits, marked)
+        the meet of the entry rules of a, b and c of both images at (s, t),
+        for every shift whose meet is not empty on valuations.
 
         The entries of p^2 U(-s) K U(t), K = (ka, kb, kc, kd), are
         a = p (p ka - kc i), b = (p ka - kc i) j + p (p kb - kd i) and
@@ -554,12 +430,33 @@ class _Scan:
           * det h1 = det h2 (the n = m + 2r + _N_SHIFT constraint), so
             det x2 = det alpha = -p^-2.  With v(a2) = -1 and v(b2 c2) >= 0,
             v(a2 d2) = -2 and v(d2) = -1 exactly.
-        Every rule is exact at each grid point x = u p^v, so the masks are
-        those of all eight constraints.
+
+        No marked row survives the meet, so every live row set is exact for
+        all units of its rows, and is that of all eight constraints.  Since
+        e12 e1 = 0 and -e12 alpha = e1, K'_e1 = 0 and K'_alpha = K_e1: x1
+        reads no x and x2 = A2 + x x1.  So only entries of x2 have marked
+        rows, and a live meet has x1 in L1.  With k = 1 - m - r:
+          * I: x1 = p^(k-2) E12 and A2 = p^(-r-1) diag(p^(n-m), -1).  Only
+            x2's b reads x, and it has no constant term: nothing is marked.
+          * II: x2 = p^(-r-1) [[s p^(n-m), s p^-m x - p^-2], [-p^(n-m), -p^-m x]].
+            Its a and c read no x.  v(a) = -1 needs s != 0 and n - m - r = 1,
+            v(c) >= 1 needs n - m - r >= 2: a and c meet in the empty set.
+          * III: x2 = [[p^k x, p^k t x - p^(r-3)], [-p^(1-r), -p^(1-r) t]]
+            (n = m + 2r - 2).  c needs r <= 0.  a has no constant term and
+            admits the one row v(x) = -1 - k; b is marked only in the row
+            v(x) = r - 2 - k (t != 0), which is that row only when r = 1.
+          * IV: x1 = p^k [[s, s t], [-1, -t]], so x2's c is -p^k x and
+            admits only the rows v(x) >= 1 - k.  a = s p^k x - p^(-r-1) is
+            marked only in the row v(x) = -r - k, and only when r >= 0; b,
+            whose slope has valuation k - 2, only in a row
+            v(x) = v(b(0)) + 2 - k with v(b(0)) <= -2.  Both lie below 1 - k.
+        A sweep test over p <= 31 checks this on the scanner, and scan_type
+        raises ArithmeticError if a marked row ever survives.
         """
         p = self.p
         (KA1, KB1, KA2, KB2), shift = family
-        full = (True, (1 << len(self.grid.vals)) - 1, ())
+        # x = 0 and every row; no row holds a point when no unit is scanned
+        full = (True, (1 << len(self.vals)) - 1 if self.units else 0, 0)
 
         def meet(rule, e, entry):
             # entry e of K_e1 + K'_e1 x, then of K_alpha + K'_alpha x
@@ -577,37 +474,43 @@ class _Scan:
             for j in jvals:
                 rule = meet(s_rule, 1,
                             lambda k: (p * k[0] - k[2] * i) * j + p * (p * k[1] - k[3] * i))
-                if rule:
+                if rule is not None:
                     live.append((i, j, rule))
         return live
 
+    def count(self, zero: bool, bits: int) -> dict:
+        """The points of the row set (zero, bits): x = 0 and, per valuation,
+        how many units."""
+        return {"zero": zero,
+                "by_val": {v: self.units * (bits >> k & 1) for k, v in enumerate(self.vals)}}
 
-def _materialize(grid: _XGrid, rule) -> np.ndarray:
-    """The mask of a (zero, bits, tests) rule: arrays only for its live rows."""
-    zero, bits, tests = rule
-    mask = np.zeros(grid.size + 1, dtype=bool)
-    mask[grid.size] = zero
-    for k, v in enumerate(grid.vals):
-        if bits >> k & 1:
-            mask[grid.row(v)] = True
-    for k, g, exact, a, b in tests:
-        if bits >> k & 1:
-            hit = grid.congruent(g, a, b)
-            if exact:
-                hit &= ~grid.congruent(g + 1, a, b)
-            mask[grid.row(grid.vals[k])] &= hit
-    return mask
+    def uncanceled(self, zero: bool, bits: int) -> dict:
+        """count() of the points of the row set whose orbit x + j/p
+        (j = 1..p-1) leaves it; a translate past the scanned valuations
+        lies outside.
 
+        Every translate of x = 0 or of a row v >= 0 lies in row -1, and
+        those of a row v < -1 stay in the row.  In row -1, x = u/p
+        (1 <= u < p^e, e the residue exponent) has p - 2 translates in the
+        row and one integral translate ceil(u/p), which runs p - 1 times
+        over 1..p^(e-1); it lies in row v_p(ceil(u/p)).
+        """
+        p, R = self.p, self.box.x_val_range
+        top = self.units // (p - 1)     # p^(e-1), or 0 when e = 0
 
-def _combo_support_mask(p: int, params: CosetParams, grid: _XGrid) -> np.ndarray:
-    """Support mask of one parameter tuple (x free), through its family's
-    live shifts; a shift the family skips has the empty mask."""
-    scan = _Scan(p, params.type, grid)
-    family = scan.kernels(params.m, params.n, params.r)
-    live = scan.shift_rules(family, [int(params.s * p)], [int(params.t * p)])
-    if not live:
-        return np.zeros(grid.size + 1, dtype=bool)
-    return _materialize(grid, live[0][2])
+        def has(v):
+            return abs(v) <= R and bits >> (v + R) & 1
+
+        by_val = {}
+        for v in self.vals:
+            if not has(v) or v < -1:
+                by_val[v] = 0
+            elif v >= 0:
+                by_val[v] = 0 if has(-1) else self.units
+            else:   # the c in 1..top with v_p(c) = t, for each row t off the set
+                by_val[v] = (p - 1) * sum(top // p ** t - top // p ** (t + 1)
+                                          for t in range(self.box.x_res_exponent) if not has(t))
+        return {"zero": zero and not has(-1), "by_val": by_val}
 
 
 def _beta_possible(params: CosetParams) -> bool:
@@ -665,40 +568,34 @@ def _families(ty: str, box: ScanBox):
                 yield m, n, r
 
 
-def _combo_iter(ty: str, p: int, box: ScanBox):
-    ivals, jvals = _shifts(ty, p)
-    for m, n, r in _families(ty, box):
-        for i in ivals:
-            for j in jvals:
-                yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
-
-
 def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
     """Exhaustive classification of one coset type over the box."""
     if p == 2 or not is_prime(p):
         raise ValueError("the scan needs an odd prime")
     if ty not in COSET_TYPES:
         raise ValueError(f"unknown coset type {ty!r}")
-    grid = _shared_grid(p, box)
-    scan = _Scan(p, ty, grid)
+    scan = _Scan(p, ty, box)
     ivals, jvals = _shifts(ty, p)
     scanned, nonempty, contrib_combos = 0, [], []
     for m, n, r in _families(ty, box):
         scanned += len(ivals) * len(jvals)
-        for i, j, rule in scan.shift_rules(scan.kernels(m, n, r), ivals, jvals):
-            mask = _materialize(grid, rule)
-            if not mask.any():
-                continue
+        for i, j, (zero, bits, marked) in scan.shift_rules(scan.kernels(m, n, r), ivals, jvals):
             params = CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
-            survivors = mask & ~grid.canceled(mask)
+            if bits & marked:
+                rows = [v for k, v in enumerate(scan.vals) if (bits & marked) >> k & 1]
+                raise ArithmeticError(f"{params}: the valuations leave the rows v(x) = {rows} "
+                                      "undecided")
+            survivors = scan.uncanceled(zero, bits)
+            stable = not survivors["zero"] and not any(survivors["by_val"].values())
             beta = _beta_possible(params)
-            contributing = survivors if beta else np.zeros_like(mask)
-            nonempty.append(ComboResult(
-                m, n, r, str(params.s), str(params.t), beta,
-                grid.count(mask), grid.count(contributing), not survivors.any()))
-            if contributing.any():
+            contributing = survivors if beta else scan.count(False, 0)
+            nonempty.append(ComboResult(m, n, r, str(params.s), str(params.t), beta,
+                                        scan.count(zero, bits), contributing, stable))
+            if beta and not stable:
                 contrib_combos.append((params, contributing))
-    claims = _evaluate_claims(ty, p, grid, contrib_combos, nonempty)
+    # Z_p: x = 0 and every row v >= 0
+    zp = scan.count(True, (1 << len(scan.vals)) - (1 << box.x_val_range))
+    claims = _evaluate_claims(ty, p, zp, contrib_combos, nonempty)
     # a box too small to certify proves nothing either way
     box_ok = box.radius >= 2 and box.x_val_range >= 2 and box.x_res_exponent >= 2
     if not box_ok:
@@ -708,10 +605,10 @@ def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
     return ScanReport(p, ty, box, scanned, nonempty, claims, status)
 
 
-def _evaluate_claims(ty, p, grid, contrib_combos, nonempty) -> dict:
+def _evaluate_claims(ty, p, zp, contrib_combos, nonempty) -> dict:
     at_origin = all(
         (c.m, c.n, c.r) == (0, 0, 0) for c, _ in contrib_combos)
-    zp_pattern = all(grid.is_zp(mask) for _, mask in contrib_combos)
+    zp_pattern = all(points == zp for _, points in contrib_combos)
     if ty == "I":
         return {
             "contributing_only_at_origin": at_origin and len(contrib_combos) == 1,

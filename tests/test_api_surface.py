@@ -73,3 +73,12 @@ def test_every_public_name_has_a_caller():
     # the allowlist names live definitions that still have no caller
     assert set(ALLOWED) <= {name for _, _, name in defined}
     assert not [name for name in ALLOWED if name in loaded]
+
+
+def test_package_version_matches_pyproject():
+    import tomllib
+
+    import kleinzeta
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == kleinzeta.__version__

@@ -464,17 +464,52 @@ def test_theta_support_negative_box_is_a_usage_error(monkeypatch, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
-def test_theta_support_past_the_grid_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    # at p = 101 the x grid's translate table would take about 7 GB: the
-    # grid refuses before it builds anything, exit 2 with no report written
-    from kleinzeta.thetasupp import MAX_GRID_TRANSLATES
+def test_theta_support_past_p_31_certifies(tmp_path):
+    # the row sets take memory independent of p: p = 37 scans at the
+    # default box and certifies
+    out = tmp_path / "t.json"
+    assert run(["theta-support", "--p", "37", "--type", "IV", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["certificates"]["IV"]["status"] == "certified"
 
+
+def test_theta_scan_with_a_surviving_marked_row_fails_its_check(monkeypatch, tmp_path):
+    # a row the valuations leave to the units must not reach a certificate:
+    # with every entry rule marking all of its rows, the type I scan raises
+    # ArithmeticError and its check fails (exit 1, JSON written)
+    from kleinzeta import thetasupp
+
+    entry_rule = thetasupp._entry_rule
+
+    def undecided(*args):
+        zero, bits, _ = entry_rule(*args)
+        return zero, bits, bits
+
+    monkeypatch.setattr(thetasupp, "_entry_rule", undecided)
+    out = tmp_path / "t.json"
+    assert run(["theta-support", "--p", "3", "--type", "I", "--json", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    check = next(c for c in payload["checks"] if c["name"] == "theta-type-I-p3")
+    assert check["status"] == "fail"
+    assert check["actual"].startswith("ArithmeticError: ") and "undecided" in check["actual"]
+    assert payload["certificates"] == {"I": None}
+
+
+@pytest.mark.parametrize("argv, patch, check", [
+    (["hecke-table", "--out", "h.csv"], ("hecke", "ap_f", lambda p: 100), "hecke-table"),
+    (["count", "--p", "3"], ("counting", "count_klein_fast", lambda F: 10 ** 12), "count-p3-k1"),
+], ids=["hecke-table", "count"])
+def test_broken_record_bound_fails_its_check(monkeypatch, tmp_path, argv, patch, check):
+    # a Hecke row past the Hasse bound, or a count past #P^4(F_q), is a
+    # failed computation: the check fails (exit 1) and the JSON is written
+    import kleinzeta.cli as climod
+
+    module, name, fake = patch
+    monkeypatch.setattr(getattr(climod, module), name, fake)
     monkeypatch.chdir(tmp_path)
-    t0 = time.perf_counter()
-    assert run(["theta-support", "--p", "101", "--json", "t.json"]) == 2
-    assert time.perf_counter() - t0 < 1.0
-    assert f"over the limit {MAX_GRID_TRANSLATES}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert run(argv + ["--json", "r.json"]) == 1
+    checks = json.loads(Path("r.json").read_text())["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [(check, "fail")]
+    assert checks[0]["actual"].startswith("ArithmeticError: ")
 
 
 def test_readme_command_examples_parse():

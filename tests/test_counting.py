@@ -179,7 +179,7 @@ def test_default_budget_is_the_log_exp_cap(monkeypatch):
 
 
 def test_count_record_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         CountRecord(3, 1, 10 ** 9, "slice-chi", 0.0)
 
 

@@ -199,9 +199,9 @@ def test_hecke_records_and_csv(tmp_path):
     assert rec3.split_type == "split" and (rec3.a, rec3.b) == (1, 1)
     assert rec3.ap_f == -1 and rec3.ap_g == 8 and rec3.chi_dlog == 8
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         HeckeRecord(2, "inert", 0, 0, 1, 0, 1)   # CM vanishing broken
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         HeckeRecord(3, "split", 1, 1, 9, 0, 8)   # Hasse broken
 
     out = tmp_path / "hecke.csv"

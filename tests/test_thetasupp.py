@@ -190,63 +190,71 @@ def test_scan_claims_certify(p):
         assert all(rep.claims.values())
 
 
-def test_scan_masks_match_bruteforce_rho_evaluation():
-    # oracle for the grouped/vectorized scanner: evaluate every grid point
-    # directly with exact matrix arithmetic and compare membership bits.
-    # Every (m, n, r, s, t) is checked, the shifts that the separable rules
-    # skip (empty masks) included, so those really are empty.
-    from kleinzeta.thetasupp import _XGrid, _combo_iter, _combo_support_mask
+def _scanner_rows(p, ty, box, families_box=None):
+    """(params, zero, bits) of every (m, n, r, s, t), walked through the
+    scanner's own families, shifts and shift rules; a shift the rules skip
+    has the empty row set, and no live rule keeps a marked row."""
+    from kleinzeta.thetasupp import _families, _Scan, _shifts
 
+    scan = _Scan(p, ty, box)
+    ivals, jvals = _shifts(ty, p)
+    for m, n, r in _families(ty, families_box or box):
+        live = {(i, j): rule
+                for i, j, rule in scan.shift_rules(scan.kernels(m, n, r), ivals, jvals)}
+        for i in ivals:
+            for j in jvals:
+                zero, bits, marked = live.get((i, j), (False, 0, 0))
+                assert not bits & marked, (ty, m, n, r, i, j)
+                yield CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p)), zero, bits
+
+
+def _units(p, box):
+    return [u for u in range(1, p ** box.x_res_exponent) if u % p]
+
+
+def _bruteforce_member(p, params, x):
+    h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n, params.r,
+                                      params.s, params.t, x))
+    return in_support_pair(rho_act(h1, h2, e1_matrix(p)), rho_act(h1, h2, alpha_matrix(p)),
+                           lev_support(p))
+
+
+def test_scan_masks_match_bruteforce_rho_evaluation():
+    # oracle for the row sets: evaluate x = 0 and every unit u mod p^e of
+    # every row directly with exact matrix arithmetic, and compare each with
+    # its row's bit, so membership must not vary within a row either.
+    # Every (m, n, r, s, t) is checked, the shifts that the separable rules
+    # skip (empty sets) included, so those really are empty.
     for p, box in ((3, ScanBox(radius=2, x_val_range=2, x_res_exponent=2)),
                    (5, ScanBox(radius=1, x_val_range=2, x_res_exponent=2))):
-        grid = _XGrid(p, box)
-        sup = lev_support(p)
-        e1, al = e1_matrix(p), alpha_matrix(p)
+        vals = range(-box.x_val_range, box.x_val_range + 1)
         empty = 0
         for ty in ("I", "II", "III", "IV"):
-            for params in _combo_iter(ty, p, box):
-                mask = _combo_support_mask(p, params, grid)
-                empty += not mask.any()
-
-                def direct(xval):
-                    h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n,
-                                                      params.r, params.s, params.t, xval))
-                    return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
-
-                assert mask[grid.size] == direct(Fraction(0))
-                for v in grid.vals:
-                    for uidx, u in enumerate(grid.units):
-                        expected = direct(Fraction(int(u)) * Fraction(p) ** v)
-                        assert bool(mask[grid.row(v)][uidx]) == expected, (ty, params, v, u)
+            for params, zero, bits in _scanner_rows(p, ty, box):
+                empty += not zero and not bits
+                assert zero == _bruteforce_member(p, params, Fraction(0))
+                for k, v in enumerate(vals):
+                    for u in _units(p, box):
+                        expected = _bruteforce_member(p, params, Fraction(u) * Fraction(p) ** v)
+                        assert bool(bits >> k & 1) == expected, (ty, params, v, u)
         assert empty > 0, p
 
 
 def test_type_four_masks_match_bruteforce_rho_at_p11():
-    # the same independent route at the paper's prime, on the default x grid:
+    # the same independent route at the paper's prime, on the default rows:
     # every type IV family with |m|, |n|, |r| <= 1 and every (s, t), checked
-    # at x = 0 and at 30 seeded random grid points
-    from kleinzeta.thetasupp import _XGrid, _combo_iter, _combo_support_mask
-
-    p = 11
-    grid = _XGrid(p, ScanBox())
-    sup = lev_support(p)
-    e1, al = e1_matrix(p), alpha_matrix(p)
+    # at x = 0 and at 30 seeded random points u p^v
+    p, box = 11, ScanBox()
+    vals, units = list(range(-box.x_val_range, box.x_val_range + 1)), _units(p, box)
     rng = random.Random(20261018)
     members = 0
-    for params in _combo_iter("IV", p, ScanBox(radius=1)):
-        mask = _combo_support_mask(p, params, grid)
-
-        def direct(xval):
-            h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n,
-                                              params.r, params.s, params.t, xval))
-            return in_support_pair(rho_act(h1, h2, e1), rho_act(h1, h2, al), sup)
-
-        assert mask[grid.size] == direct(Fraction(0)), params
+    for params, zero, bits in _scanner_rows(p, "IV", box, ScanBox(radius=1)):
+        assert zero == _bruteforce_member(p, params, Fraction(0)), params
         for _ in range(30):
-            v = rng.choice(grid.vals)
-            uidx = rng.randrange(grid.nu)
-            expected = direct(Fraction(int(grid.units[uidx])) * Fraction(p) ** v)
-            assert bool(mask[grid.row(v)][uidx]) == expected, (params, v, uidx)
+            v = rng.choice(vals)
+            u = units[rng.randrange(len(units))]
+            expected = _bruteforce_member(p, params, Fraction(u) * Fraction(p) ** v)
+            assert bool(bits >> vals.index(v) & 1) == expected, (params, v, u)
             members += expected
     assert members > 0   # the sample reaches the support, not only its complement
 
@@ -288,13 +296,12 @@ def test_entry_d_is_implied_on_the_bruteforce_route():
 def test_family_kernels_match_coset_rep(p):
     # the kernels a scan builds from its memoised factors, against the
     # products of the brute-force coset representatives, entry by entry
-    from kleinzeta.thetasupp import _families, _Scan, _XGrid
+    from kleinzeta.thetasupp import _families, _Scan
 
     box = ScanBox()
-    grid = _XGrid(p, box)
     e12 = PadicMat2.of(0, 1, 0, 0)
     for ty in COSET_TYPES:
-        scan = _Scan(p, ty, grid)
+        scan = _Scan(p, ty, box)
         for m, n, r in _families(ty, box):
             kernels, shift = scan.kernels(m, n, r)
             h1, h2 = coset_rep(p, CosetParams(ty, m, n, r))
@@ -312,15 +319,16 @@ def test_family_kernels_match_coset_rep(p):
 
 
 def test_entry_rule_matches_constraint_pointwise():
-    # the valuation/residue rule of one affine entry (na + nb x) / p^shift,
-    # against EntryConstraint.satisfied at every grid point; the lev support
-    # never leaves a residue-dependent row standing in the scans, so this is
-    # where the residue tests (classes coarser and finer than the grid, and
-    # a + b u = 0 exactly) are pinned
-    from kleinzeta.thetasupp import EntryConstraint, _entry_rule, _materialize, _XGrid
+    # the valuation rule of one affine entry (na + nb x) / p^shift, against
+    # EntryConstraint.satisfied at x = 0 and at every unit of every row it
+    # does not mark; a marked row (at most one) stays set, for the meet to
+    # see it.  The cases include a + b u = 0 at a unit, and rows whose
+    # verdict needs u mod p and finer classes
+    from kleinzeta.thetasupp import EntryConstraint, _entry_rule
 
     p = 3
-    grid = _XGrid(p, ScanBox(radius=1, x_val_range=3, x_res_exponent=2))
+    box = ScanBox(radius=1, x_val_range=3, x_res_exponent=2)
+    vals = range(-box.x_val_range, box.x_val_range + 1)
     rng = random.Random(7)
 
     def rnd_entry():
@@ -328,79 +336,85 @@ def test_entry_rule_matches_constraint_pointwise():
             return 0
         return rng.choice([1, -1]) * rng.choice([1, 2, 4, 5, 7, 8, 13]) * p ** rng.randint(0, 3)
 
-    cases = [(-5, 1, 0), (-5 * p, p, 1), (7, -7, 2)]   # a + b u vanishes at a grid unit
+    cases = [(-5, 1, 0), (-5 * p, p, 1), (7, -7, 2)]   # a + b u vanishes at a unit
     cases += [(rnd_entry(), rnd_entry(), rng.randint(0, 3)) for _ in range(150)]
-    residue_rows = 0
+    marked_rows = 0
     for na, nb, shift in cases:
         for v_min in range(-2, 4):
             for exact in (False, True):
                 con = EntryConstraint(v_min, exact)
-                rule = _entry_rule(p, na, nb, shift, con, grid.vals)
-                residue_rows += bool(rule[2])
-                mask = _materialize(grid, rule)
+                zero, bits, marked = _entry_rule(p, na, nb, shift, con, vals)
+                assert marked & bits == marked and marked & (marked - 1) == 0
 
                 def direct(x):
                     return con.satisfied(p, (na + nb * x) / Fraction(p) ** shift)
 
-                assert mask[grid.size] == direct(Fraction(0))
-                for v in grid.vals:
-                    for uidx, u in enumerate(grid.units):
-                        expected = direct(Fraction(int(u)) * Fraction(p) ** v)
-                        assert bool(mask[grid.row(v)][uidx]) == expected, (na, nb, shift, con, v, u)
-    assert residue_rows > 100
-
-
-def test_translate_table_matches_exact_translation():
-    import numpy as np
-
-    from kleinzeta.thetasupp import _XGrid
-
-    p = 3
-    # x_val_range 1: (u + j) / p reaches the top row v' = 1 for u + j = 9;
-    # x_val_range 0: every translate leaves the grid, so all read the sentinel
-    for R in (1, 0):
-        grid = _XGrid(p, ScanBox(radius=1, x_val_range=R, x_res_exponent=2))
-
-        def flat_position(y):
-            v = val_p(p, y)
-            if abs(v) > grid.box.x_val_range:
-                return grid.size + 1
-            unit = y / Fraction(p) ** v
-            return grid.row(v).start + int(grid.unit_index[int(unit) % grid.mod])
-
-        assert grid.targets.shape == (p - 1, grid.size + 1)
-        for j in range(1, p):
-            assert grid.targets[j - 1, grid.size] == flat_position(Fraction(j, p))
-            for v in grid.vals:
-                for uidx, u in enumerate(grid.units):
-                    y = int(u) * Fraction(p) ** v + Fraction(j, p)
-                    assert grid.targets[j - 1, grid.row(v).start + uidx] == flat_position(y)
-    # off the grid reads False: no orbit of the full mask stays inside
-    assert not grid.canceled(np.ones(grid.size + 1, dtype=bool)).any()
+                assert zero == direct(Fraction(0))
+                for k, v in enumerate(vals):
+                    if marked >> k & 1:
+                        marked_rows += 1
+                        continue
+                    for u in _units(p, box):
+                        expected = direct(Fraction(u) * Fraction(p) ** v)
+                        assert bool(bits >> k & 1) == expected, (na, nb, shift, con, v, u)
+    assert marked_rows > 100
 
 
 def test_xmask_zp_pattern_and_counts():
-    import numpy as np
+    # counts and cancellation of row sets at p = 3, |v| <= 1, units mod 9
+    # (six per row); bits run from row -1 (bit 0) to row 1 (bit 2)
+    from kleinzeta.thetasupp import _Scan
 
-    from kleinzeta.thetasupp import _XGrid
+    scan = _Scan(3, "I", ScanBox(radius=1, x_val_range=1, x_res_exponent=2))
+    zp = {"zero": True, "by_val": {-1: 0, 0: 6, 1: 6}}
+    assert scan.count(True, 0b110) == zp
+    assert scan.count(False, 0b110) != zp and scan.count(True, 0b111) != zp
+    assert scan.count(False, 0) == {"zero": False, "by_val": {-1: 0, 0: 0, 1: 0}}
+    # every translate of Z_p has valuation -1, off the set: nothing cancels
+    assert scan.uncanceled(True, 0b110) == zp
+    # with row -1 in the set, everything cancels ...
+    assert scan.uncanceled(True, 0b111) == scan.count(False, 0)
+    # ... unless the integral translate ceil(u/3) of u/3 leaves it: u = 7, 8
+    # reach 3, in row 1
+    assert scan.uncanceled(True, 0b011) == {"zero": False, "by_val": {-1: 2, 0: 0, 1: 0}}
+    # rows v < -1 cancel on their own; the point 0 and row 0 need row -1
+    scan = _Scan(3, "I", ScanBox(radius=1, x_val_range=2, x_res_exponent=2))
+    assert scan.uncanceled(True, 0b00101) == {"zero": True,
+                                              "by_val": {-2: 0, -1: 0, 0: 6, 1: 0, 2: 0}}
 
-    grid = _XGrid(3, ScanBox(radius=1, x_val_range=1, x_res_exponent=2))
-    zp = np.zeros(grid.size + 1, dtype=bool)
-    zp[grid.row(0).start:] = True      # every v >= 0, and x = 0 in the last slot
-    assert grid.is_zp(zp)
-    no_zero = zp.copy()
-    no_zero[grid.size] = False
-    assert not grid.is_zp(no_zero)
-    partial = zp.copy()
-    partial[grid.row(1).start] = False
-    assert not grid.is_zp(partial)
-    assert grid.count(partial) == {"zero": True, "by_val": {-1: 0, 0: 6, 1: 5}}
-    negative = zp.copy()
-    negative[0] = True
-    assert not grid.is_zp(negative)
-    empty = np.zeros(grid.size + 1, dtype=bool)
-    assert grid.count(empty) == {"zero": False, "by_val": {-1: 0, 0: 0, 1: 0}}
-    assert not grid.is_zp(empty)
+
+def test_cancellation_closed_form_matches_exact_translation():
+    # uncanceled() against the orbit x + j/p formed with Fractions: a point
+    # of the set stays when a translate lies off it (in a row outside the
+    # set or past the scanned valuations).  Random row sets, partial row -1
+    # included, which no default scan produces
+    from kleinzeta.thetasupp import _Scan
+
+    rng = random.Random(19)
+    partial = 0
+    for p, E in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)):
+        for R in (0, 1, 3):
+            box = ScanBox(radius=1, x_val_range=R, x_res_exponent=E)
+            scan = _Scan(p, "I", box)
+            units = _units(p, box)
+            for _ in range(4):
+                zero, bits = rng.random() < 0.5, rng.getrandbits(2 * R + 1)
+                if R and rng.random() < 0.75:
+                    bits |= 1 << (R - 1)        # row -1
+
+                def member(y):
+                    v = val_p(p, y)
+                    return zero if v is None else abs(v) <= R and bool(bits >> (v + R) & 1)
+
+                def stays(x):
+                    return member(x) and any(not member(x + Fraction(j, p)) for j in range(1, p))
+
+                expected = {"zero": stays(Fraction(0)),
+                            "by_val": {v: sum(stays(Fraction(u) * Fraction(p) ** v) for u in units)
+                                       for v in range(-R, R + 1)}}
+                assert scan.uncanceled(zero, bits) == expected, (p, E, R, zero, bin(bits))
+                partial += 0 < expected["by_val"].get(-1, 0) < len(units)
+    assert partial > 0
 
 
 def _nonempty_keys(rep):
@@ -437,36 +451,6 @@ def test_scan_reproduces_golden_certificates(p, ty):
     assert json.loads(json.dumps(rep.to_dict())) == golden
 
 
-def test_shared_grid_leaks_no_state_between_scans():
-    # the four p = 11 scans share one grid and its cancellation memo; run in
-    # reverse order from a fresh grid, each still gives its golden certificate
-    import numpy as np
-
-    from kleinzeta.thetasupp import _shared_grid
-
-    golden = json.loads(GOLDEN_CERTIFICATES.read_text())
-    _shared_grid.cache_clear()
-    for ty in reversed(COSET_TYPES):
-        rep = scan_type(11, ty, ScanBox())
-        assert json.loads(json.dumps(rep.to_dict())) == golden[f"11-{ty}"], ty
-    grid = _shared_grid(11, ScanBox())
-    assert grid is _shared_grid(11, ScanBox())
-    assert len(grid._canceled) == 5
-    rng = np.random.default_rng(13)
-    masks = [np.frombuffer(key, dtype=bool) for key in grid._canceled]
-    masks += [rng.random(grid.size + 1) < 0.9 for _ in range(3)]
-    for mask in masks:
-        got = grid.canceled(mask.copy())
-        fresh = mask & np.append(mask, False)[grid.targets].all(axis=0)
-        assert not got.flags.writeable
-        assert np.array_equal(got, fresh)
-        assert grid.canceled(mask.copy()) is got
-        with pytest.raises(ValueError):
-            got[0] = not got[0]
-    for table in (grid.units, grid.unit_index, grid.targets):
-        assert not table.flags.writeable
-
-
 def test_default_scans_entry_rule_count(monkeypatch):
     # operation-count guard: the separable shift rules form 1314 entry rules
     # over the four default p = 11 scans (per-shift evaluation formed 3760),
@@ -495,6 +479,27 @@ def test_default_scans_entry_rule_count(monkeypatch):
         scan_type(11, ty, ScanBox())
     assert d_constraints
     assert 0 < calls <= 1392
+
+
+def test_no_marked_row_survives_a_sweep():
+    # the proof in _Scan.shift_rules, on the scanner itself: over every odd
+    # p <= 31 at radius 5 and |v(x)| <= 5, the live meets carry marked rows
+    # (740 of them) and every one is ruled out by another entry
+    from kleinzeta.ffield import is_prime
+    from kleinzeta.thetasupp import _families, _Scan, _shifts
+
+    box = ScanBox(radius=5, x_val_range=5)
+    marked_rows = 0
+    for p in filter(is_prime, range(3, 32)):
+        for ty in COSET_TYPES:
+            scan = _Scan(p, ty, box)
+            ivals, jvals = _shifts(ty, p)
+            for m, n, r in _families(ty, box):
+                for i, j, (_, bits, marked) in scan.shift_rules(scan.kernels(m, n, r),
+                                                                ivals, jvals):
+                    assert not bits & marked, (p, ty, m, n, r, i, j)
+                    marked_rows += bin(marked).count("1")
+    assert marked_rows > 0
 
 
 def test_scan_small_box_inconclusive():
@@ -543,22 +548,6 @@ def test_scan_degenerate_x_grid_stays_inconclusive(box, p):
     # that must read inconclusive, not refute the paper
     for ty in COSET_TYPES:
         assert scan_type(p, ty, box).status == "inconclusive", ty
-
-
-def test_grid_refuses_a_translate_table_over_the_limit():
-    from kleinzeta.ffield import BudgetExceeded
-    from kleinzeta.thetasupp import MAX_GRID_TRANSLATES, _XGrid
-
-    def translates(p):   # (p - 1) (9 (p^3 - p^2) + 1) at the default box
-        return (p - 1) * (9 * (p ** 3 - p ** 2) + 1)
-
-    assert translates(31) <= MAX_GRID_TRANSLATES < translates(37)
-    for p in (37, 101):
-        with pytest.raises(BudgetExceeded, match=f"{translates(p)} translates"):
-            _XGrid(p, ScanBox())
-    for _ in range(2):   # the shared grid caches no refusal
-        with pytest.raises(BudgetExceeded):
-            scan_type(101, "IV")
 
 
 def test_scan_report_serializes():
