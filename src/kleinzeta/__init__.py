@@ -7,7 +7,7 @@ Modules:
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology
   cyclo      exact Q(zeta_n) arithmetic for prime n
   hecke      Q(sqrt(-11)) splitting, coefficients, character twists
-  linalg     exact sparse row echelon forms and ranks
+  linalg     fraction-free sparse row echelon forms and ranks
   gdcohom    pole-order reduction of the middle de Rham cohomology
   thetasupp  p-adic Schwartz-support scans and local cancellation checks
   reference  the pinned factorization of the degree-10 local factor at p = 3

@@ -92,6 +92,9 @@ def _poly_mulmod(a, b, modulus, p):
 
 
 def _poly_powmod(base, e, modulus, p):
+    if len(base) <= 1:  # a constant's powers stay in F_p: one integer power
+        c = pow(base[0] if base else 0, e, p)
+        return [c] if c else []
     result = [1]
     cur = list(base)
     while e > 0:
@@ -269,7 +272,10 @@ def log_exp_mul(F: FieldDescriptor, a, b) -> np.ndarray:
 
 
 def _find_generator(F: FieldDescriptor) -> list:
-    """Coefficients of the nonzero element of least index whose order is q - 1."""
+    """Coefficients of the nonzero element of least index whose order is q - 1.
+
+    The first p - 1 candidates are constants, each tested by one integer
+    power per prime factor of q - 1 (see _poly_powmod)."""
     q, p = F.q, F.p
     fac = prime_factors(q - 1)
     for idx in range(1, q):

@@ -15,30 +15,41 @@ ideal).  The cyclic coordinate rotation acts on this 10-dimensional space
 with five 2-dimensional eigenspaces over Q(zeta_5).
 
 Each degree d is echelonized once (`degree_data`).  Its rows are the
-products m * dS/dx_i, each tagged with a column of its own, so one
-reduction of A yields both the harmonic part of A (coordinates over the
-monomial complement) and a lift B_i of the rest; a reduction step costs one
-pass over that echelon.  The Gorenstein pairing needs no lift, so its
-degree-5 echelon carries no tags.  The eigenvector check skips zero
-entries, and the eigenspace ranks keep the rational entries of the rotation
-as Fractions; only the shifted diagonal lies in Q(zeta_5), whose elements
-are integer numerators over one denominator (`cyclo`), and a rational
-scalar times one of them costs no Fraction.  The rank sum of
-the eigenspaces is the order check: it reaches 10 exactly when the
-rotation matrix M has M^5 = 1, so M^5 is never formed.
+products m * dS/dx_i, formed by adding exponent tuples, with integer
+coefficients and each tagged with a column of its own, so one reduction of
+A yields both the harmonic part of A (coordinates over the monomial
+complement) and a lift B_i of the rest.  The echelon is fraction-free
+(`linalg`): a reduction visits only the rows whose pivot columns it meets
+and returns an integer multiple of the remainder, and `DegreeData.split`
+divides once per coordinate it reads.  The Gorenstein pairing needs no
+lift, so its degree-5 echelon carries no tags, each product m1 * m4 is one
+exponent sum, and only the socle coordinate is divided.  The eigenvector
+check skips zero entries.  The eigenspace ranks clear each row of the
+rational rotation of its denominators once, so the shifted diagonal is the
+one entry outside Z, an element of Z[zeta_5] held as integer numerators
+(`cyclo`), and those eliminations build no Fraction.  The rank sum of the
+eigenspaces is the order check: it reaches 10 exactly when the rotation
+matrix M has M^5 = 1, so M^5 is never formed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CyclotomicNumber
-from .linalg import Echelon, _is_zero, rank
+from .cyclo import CyclotomicNumber, common_denominator
+from .linalg import Echelon, exact_quotient, rank
 
 NVARS = 5
+
+
+def _is_zero(x) -> bool:
+    if hasattr(x, "is_zero"):
+        return x.is_zero()
+    return x == 0
 
 
 def monomials_of_degree(d: int) -> list:
@@ -145,7 +156,7 @@ def klein_form() -> CycPoly:
         e = [0] * NVARS
         e[i] = 2
         e[(i + 1) % NVARS] = 1
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
     return CycPoly.make(terms)
 
 
@@ -159,13 +170,19 @@ def jacobian_generators() -> list:
 # graded structure of the Jacobian ring
 
 
+def _times_monomial(m, e):
+    """The exponent tuple of the monomial product x^m x^e."""
+    return tuple(map(operator.add, m, e))
+
+
 def _ideal_rows(d: int, index: dict):
     """The products m * dS/dx_i spanning the degree-d part of the Jacobian
-    ideal, i outer and m inner, as rows over the monomial columns index."""
-    gens = jacobian_generators()
-    for i in range(NVARS):
-        for m in monomials_of_degree(d - 2):
-            yield {index[e]: c for e, c in (monomial(m) * gens[i]).terms}
+    ideal, i outer and m inner, as integer rows over the monomial columns
+    index; a monomial times a term only adds exponent tuples."""
+    mons = monomials_of_degree(d - 2)
+    for g in jacobian_generators():
+        for m in mons:
+            yield {index[_times_monomial(m, e)]: c for e, c in g.terms}
 
 
 class DegreeData:
@@ -187,8 +204,8 @@ class DegreeData:
         ech = Echelon()
         tag0 = len(self.monomials)
         for t, row in enumerate(_ideal_rows(d, self.index)):
-            row[tag0 + t] = Fraction(1)
-            red = ech.reduce(row)
+            row[tag0 + t] = 1
+            red, _ = ech.reduce(row)
             if min(red) < tag0:  # a row left with tags only is a syzygy: lifts need none
                 ech.append(red)
         self.echelon = ech
@@ -207,17 +224,17 @@ class DegreeData:
         coords = [Fraction(0)] * self.quotient_dim
         parts = [dict() for _ in range(NVARS)]
         if not poly.is_zero():
-            red = self.echelon.reduce({self.index[e]: c for e, c in poly.terms})
+            red, scale = self.echelon.reduce({self.index[e]: c for e, c in poly.terms})
             tag0 = len(self.monomials)
             for col, v in red.items():
                 if col >= tag0:
                     i, m = self.generators[col - tag0]
-                    parts[i][m] = -v
+                    parts[i][m] = exact_quotient(-v, scale)
                     continue
                 j = self._comp_index.get(col)
                 if j is None:
                     raise ArithmeticError("normal form escaped the complement")
-                coords[j] = v
+                coords[j] = exact_quotient(v, scale)
         return coords, [CycPoly.make(t, max(d - 2, 0)) for t in parts]
 
     def harmonic(self, coords) -> CycPoly:
@@ -342,7 +359,9 @@ def eigenspace_split(M) -> EigenSplit:
     The dimensions sum to n exactly when M is diagonalizable over Q(zeta_5)
     with fifth roots of unity as eigenvalues, that is when M^5 = 1 (x^5 - 1
     is separable), so callers read their sum as the order check.
-    Rational entries stay Fractions; only the shifted diagonal is cyclotomic.
+    Each row of the rational M is cleared of its denominators once, to
+    integers over den; row i of den (M - zeta^j) is then integral, with the
+    one cyclotomic entry den M_ii - den zeta^j, and spans the same kernel.
 
     One elimination serves both ranks.  Each echelon row pivots at its first
     nonzero column and no two rows share a pivot, so the vectors of the row
@@ -351,15 +370,16 @@ def eigenspace_split(M) -> EigenSplit:
     pivots among them.
     """
     n = len(M)
+    cleared = [common_denominator(row) for row in M]
     dims = []
     fil2 = []
     for j in range(5):
-        z = 1 if j == 0 else CyclotomicNumber.zeta_pow(5, j)
+        z = CyclotomicNumber.zeta_pow(5, j)
         ech = Echelon()
-        for i, row in enumerate(M):
-            shifted = dict(enumerate(row))
-            shifted[i] = row[i] - z
-            ech.append(ech.reduce(shifted))
+        for i, (num, den) in enumerate(cleared):
+            shifted = {k: v for k, v in enumerate(num) if v}
+            shifted[i] = num[i] - den if j == 0 else num[i] - z * den
+            ech.append(ech.reduce(shifted)[0])
         dims.append(n - ech.rank)
         fil2.append(5 - sum(pc < 5 for pc in ech.pivot_cols))
     return EigenSplit(tuple(dims), tuple(fil2))
@@ -400,19 +420,23 @@ def gorenstein_pairing_matrix():
     """Multiplication (R/J)_1 x (R/J)_4 -> (R/J)_5 in the socle coordinate.
 
     Only that one coordinate is read and no lift is needed, so the degree-5
-    part of the ideal is echelonized without DegreeData's tag columns.
+    part of the ideal is echelonized without DegreeData's tag columns, and
+    each product m1 * m4 is one monomial, found by adding exponent tuples.
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(5))}
     ech = Echelon()
     for row in _ideal_rows(5, index):
-        ech.append(ech.reduce(row))
+        ech.append(ech.reduce(row)[0])
     socle = sorted(set(index.values()) - set(ech.pivot_cols))
     if len(socle) != 1:
         raise ArithmeticError("socle is not 1-dimensional")
-    return [[ech.reduce({index[e]: c for e, c in (monomial(m1) * monomial(m4)).terms})
-             .get(socle[0], Fraction(0))
-             for m4 in degree_data(4).complement]
-            for m1 in degree_data(1).complement]
+    out = []
+    for m1 in degree_data(1).complement:
+        out.append([])
+        for m4 in degree_data(4).complement:
+            red, scale = ech.reduce({index[_times_monomial(m1, m4)]: 1})
+            out[-1].append(exact_quotient(red.get(socle[0], 0), scale))
+    return out
 
 
 def gorenstein_pairing_nondegenerate() -> bool:

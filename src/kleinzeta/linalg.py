@@ -1,10 +1,19 @@
-"""Exact sparse linear algebra over Q or Q(zeta_5).
+"""Exact sparse linear algebra over Q or Q(zeta_5), by fraction-free elimination.
 
-Rows are dicts {column index: coefficient} holding no zero coefficients;
-coefficients may be Fraction or CyclotomicNumber (any type with field
-arithmetic and an is-zero test), mixed within one row.  Everything is
-deterministic: rows are processed in input order and pivots prefer the
-smallest column index.
+Rows are dicts {column index: coefficient}.  A coefficient must be an int, a
+Fraction or a CyclotomicNumber, mixed within one row as needed; any other
+type raises TypeError, as cyclo.common_denominator does, so a float never
+enters an echelon.  Everything is deterministic: rows are processed in input
+order and pivots prefer the smallest column index.
+
+Elimination keeps integers integral (Bareiss 1968, Math. Comp. 22).  A
+reduction first clears its row's denominators; from then on every entry is an
+int or an integral element of Z[zeta_n].  A pivot is cleared by
+r <- a r - c P, where a is the pivot entry of the stored row P and c the
+entry of r, both first divided by their gcd.  So a reduction builds no
+Fraction: it returns its remainder together with the positive integer scale
+that multiplies it, and a caller divides once for each coordinate it reads
+(`exact_quotient`).
 
 Elimination keeps row echelon form, not reduced row echelon form: a stored
 row is never revisited once later rows arrive.  That is all that reduction
@@ -15,65 +24,152 @@ the ones it eliminates (see gdcohom.DegreeData).
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
 
+from .cyclo import CyclotomicNumber
 
-def _is_zero(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
+
+def _integral(row: dict) -> tuple:
+    """(row times den without its zero entries, den): den is the least positive
+    integer that makes every entry an int or an integral cyclotomic."""
+    den = 1
+    for v in row.values():
+        if isinstance(v, int):
+            continue
+        if isinstance(v, Fraction):
+            d = v.denominator
+        elif isinstance(v, CyclotomicNumber):
+            d = v.den
+        else:
+            raise TypeError(f"exact entries must be int, Fraction or CyclotomicNumber, got {v!r}")
+        if d != 1:
+            den = den // math.gcd(den, d) * d
+    out = {}
+    for col, v in row.items():
+        if isinstance(v, int):
+            if v:
+                out[col] = v * den
+        elif isinstance(v, Fraction):
+            if v:
+                out[col] = v.numerator * (den // v.denominator)
+        elif not v.is_zero():
+            out[col] = v if den == 1 else CyclotomicNumber(
+                v.n, tuple(x * (den // v.den) for x in v.num))
+    return out, den
+
+
+def _content(v) -> int:
+    """The gcd of an integral entry's integer coordinates."""
+    return abs(v) if type(v) is int else math.gcd(*v.num)
+
+
+def _divide(v, g: int):
+    """An integral entry divided by an integer that divides its content."""
+    return v // g if type(v) is int else CyclotomicNumber(v.n, tuple(x // g for x in v.num))
+
+
+def exact_quotient(v, scale: int):
+    """v / scale for an entry of a remainder and its positive integer scale:
+    an int when scale divides an int v, else a Fraction or CyclotomicNumber."""
+    if type(v) is int:
+        return v // scale if v % scale == 0 else Fraction(v, scale)
+    return CyclotomicNumber(v.n, v.num, scale)
 
 
 class Echelon:
     """Row echelon form maintained incrementally.
 
-    Row k has coefficient 1 at pivot_cols[k] and 0 at the pivot columns of
-    rows 0..k-1, so reducing against the rows in order clears every pivot
-    column.  The remainder is unique, because no nonzero vector of the row
-    space vanishes on every pivot column, so it equals the one a fully
-    reduced form would give.
+    Row k has a positive integer at pivot_cols[k] and 0 at the pivot columns
+    of rows 0..k-1, and its entries have no common integer factor.  So
+    reducing against the rows in order clears every pivot column, and a
+    remainder term in the pivot column of row k can only be brought in by
+    rows before k.  The remainder is unique up to its scale, because no
+    nonzero vector of the row space vanishes on every pivot column, so it is
+    a multiple of the one a fully reduced form would give.
     """
 
     def __init__(self):
         self.rows = []          # parallel to pivot_cols
         self.pivot_cols = []
+        self._row_of = {}       # pivot column -> row index
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: dict) -> dict:
-        """Return row reduced modulo the current echelon (fresh dict, no zeros)."""
-        out = {c: v for c, v in row.items() if not _is_zero(v)}
-        for pc, prow in zip(self.pivot_cols, self.rows):
+    def reduce(self, row: dict) -> tuple:
+        """(remainder, scale): scale times row, reduced modulo the current
+        echelon, as a fresh dict of integral entries without zeros, and the
+        positive integer scale.
+
+        Only the rows whose pivot columns the remainder holds are visited,
+        in row order."""
+        out, scale = _integral(row)
+        row_of = self._row_of
+        pending = sorted(row_of[c] for c in out if c in row_of)
+        while pending:
+            k = pending.pop(0)
+            pc = self.pivot_cols[k]
             c = out.pop(pc, None)
-            if c is None:
+            if c is None:  # cancelled, or a repeated entry of pending
                 continue
+            prow = self.rows[k]
+            a = prow[pc]
+            g = math.gcd(a, _content(c))
+            if g != 1:
+                a //= g
+                c = _divide(c, g)
+            if a != 1:
+                scale *= a
+                for col in out:
+                    out[col] *= a
             for col, v in prow.items():
                 if col == pc:
                     continue
                 old = out.get(col)
                 if old is None:
                     out[col] = -(c * v)
+                    later = row_of.get(col)
+                    if later is not None:
+                        bisect.insort(pending, later)
                     continue
                 nv = old - c * v
-                if _is_zero(nv):
+                if nv == 0 if type(nv) is int else nv.is_zero():
                     del out[col]
                 else:
                     out[col] = nv
-        return out
+        return out, scale
 
     def append(self, red: dict) -> None:
-        """Insert a row that `reduce` returned; a zero row adds nothing."""
-        if red:
-            pc = min(red)
-            inv = Fraction(1) / red[pc]
-            self.rows.append({c: v * inv for c, v in red.items()})
-            self.pivot_cols.append(pc)
+        """Insert a remainder that `reduce` returned; a zero row adds nothing.
+
+        A cyclotomic pivot p is first made a positive integer: 1/p = u/N with
+        u integral and N a positive integer, so the row times u stays
+        integral and has pivot N."""
+        if not red:
+            return
+        pc = min(red)
+        if type(red[pc]) is not int:
+            inv = red[pc].inverse()
+            u = CyclotomicNumber(inv.n, inv.num)
+            red = {c: v * u for c, v in red.items()}
+            red[pc] = inv.den
+        g = 0
+        for v in red.values():
+            g = math.gcd(g, _content(v))
+            if g == 1:
+                break
+        if red[pc] < 0:
+            g = -g
+        self._row_of[pc] = len(self.rows)
+        self.rows.append({c: _divide(v, g) for c, v in red.items()} if g != 1 else dict(red))
+        self.pivot_cols.append(pc)
 
 
 def rank(matrix) -> int:
     ech = Echelon()
     for r in matrix:
-        ech.append(ech.reduce({j: v for j, v in enumerate(r) if not _is_zero(v)}))
+        ech.append(ech.reduce(dict(enumerate(r)))[0])
     return ech.rank

@@ -251,12 +251,27 @@ def _fractions_built(monkeypatch, fn):
     return built[0]
 
 
+def _h3_basis_from_scratch():
+    gdcohom.degree_data.cache_clear()
+    return gdcohom.h3_basis()
+
+
 def test_cyclotomic_callers_build_few_fractions(monkeypatch):
     M = gdcohom.alpha_pullback()
     # pins: the counts at the integer representation plus 10% headroom; the
-    # Fraction-coordinate representation built 1181, 2188, 612 and 532
+    # Fraction-coordinate representation built 1181, 2188, 612 and 532, and
+    # the Fraction echelon 90 in the eigenspace split
     assert _fractions_built(monkeypatch, lambda: hecke.h3_local_factor_product(3)) <= 12
-    assert _fractions_built(monkeypatch, lambda: gdcohom.eigenspace_split(M)) <= 99
+    assert _fractions_built(monkeypatch, lambda: gdcohom.eigenspace_split(M)) == 0
     assert _fractions_built(monkeypatch, lambda: gdcohom.fil2_eigenvector_map(M)) == 0
     assert _fractions_built(monkeypatch, lambda: [thetasupp.char_sum(11, v)
                                                   for v in range(1, 5)]) == 0
+
+
+def test_cohomology_echelon_builds_few_fractions(monkeypatch):
+    # pins: the counts of the fraction-free echelon plus 10% headroom; the
+    # Fraction echelon built 1262 (basis from scratch), 126 (pullback) and
+    # 1805 (pairing), and the one Fraction left in the pairing is its -1/2
+    assert _fractions_built(monkeypatch, _h3_basis_from_scratch) == 0
+    assert _fractions_built(monkeypatch, gdcohom.alpha_pullback) <= 91
+    assert _fractions_built(monkeypatch, gdcohom.gorenstein_pairing_matrix) <= 1

@@ -39,6 +39,26 @@ def _add(F, a, b):
     return _index(F, [x + y for x, y in zip(_coeffs(F, a), _coeffs(F, b))])
 
 
+def _square_and_multiply(base, e, modulus, p):
+    result, cur = [1], list(base)
+    while e > 0:
+        if e & 1:
+            result = _poly_mulmod(result, cur, modulus, p)
+        cur = _poly_mulmod(cur, cur, modulus, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (3, 3), (7, 2), (13, 1)])
+def test_constant_powmod_matches_square_and_multiply(p, k):
+    # a constant base takes one integer power; 0, the empty list and e = 0
+    # included, it must equal the list-polynomial route
+    modulus = build_field(p, k).modulus
+    for base in [[]] + [[c] for c in range(p)]:
+        for e in (0, 1, 2, 3, p - 1, p, p ** k - 1, 5 * p + 3):
+            assert _poly_powmod(base, e, modulus, p) == _square_and_multiply(base, e, modulus, p)
+
+
 def test_build_field_prime_field():
     F = build_field(3, 1)
     assert F.q == 3 and F.modulus == (0, 1)

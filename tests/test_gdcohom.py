@@ -222,7 +222,8 @@ def test_fourier_vectors_are_eigenvectors():
 
 def test_gorenstein_pairing():
     mat = gorenstein_pairing_matrix()
-    assert len(mat) == 5 and len(mat[0]) == 5
+    assert mat == [[Fraction(-1, 2), 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, 0, 1],
+                   [0, 0, 0, 1, 0], [0, 1, 0, 0, 0]]
     assert rank(mat) == 5
     assert gorenstein_pairing_nondegenerate()
 
