@@ -24,12 +24,18 @@ and returns an integer multiple of the remainder, and `DegreeData.split`
 divides once per coordinate it reads.  The Gorenstein pairing needs no
 lift, so its degree-5 echelon carries no tags, each product m1 * m4 is one
 exponent sum, and only the socle coordinate is divided.  The eigenvector
-check skips zero entries.  The eigenspace ranks clear each row of the
-rational rotation of its denominators once, so the shifted diagonal is the
-one entry outside Z, an element of Z[zeta_5] held as integer numerators
-(`cyclo`), and those eliminations build no Fraction.  The rank sum of the
-eigenspaces is the order check: it reaches 10 exactly when the rotation
-matrix M has M^5 = 1, so M^5 is never formed.
+check skips zero entries.
+
+The eigenspaces need no elimination.  The order-11 diagonal symmetry
+x_i -> zeta_11^(e_i) x_i, e = (1, 9, 4, 3, 5), fixes S and Omega, so it
+grades every basis class m Omega/S^k by the weight e.m mod 11, and the ten
+weights are distinct.  The rotation multiplies weights by 9 (e_(i+1) = 9 e_i
+mod 11; it conjugates the symmetry to its 9th power), so the rotation matrix
+M sends the class of weight w to a multiple of the one class of weight 9w:
+M is monomial.  Its eigenspaces are then read off its cycles
+(`eigenspace_split`), with integer products and no Fraction.  Their
+dimensions sum to 10 exactly when M^5 = 1, so that sum is the order check
+and M^5 is never formed.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CyclotomicNumber, common_denominator
+from .cyclo import CyclotomicNumber
 from .linalg import Echelon, exact_quotient, rank
 
 NVARS = 5
@@ -297,6 +303,9 @@ def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
     pole order m - 1, until A is zero or at pole order 2.  The harmonic part
     at pole order 3 gives the coordinates over the degree-4 complement; the
     numerator left at pole order 2 gives those over the x_i (J_1 = 0).
+    Coefficients may lie in Q(zeta_5) at pole order 2 only: above it the
+    numerator goes through the rational echelon (`linalg`), which raises
+    TypeError on a cyclotomic coefficient.
 
     first_lift, when given, must be an exact lift of the numerator's ideal
     part (five polynomials with sum_i B_i dS/dx_i = A - harmonic part, which
@@ -353,35 +362,54 @@ class EigenSplit:
 
 
 def eigenspace_split(M) -> EigenSplit:
-    """Kernel dimensions of (M - zeta_5^j) over Q(zeta_5), with the
-    intersection against the pole-order-2 block (first five coordinates).
+    """Kernel dimensions of (M - zeta_5^j) over Q(zeta_5) for a rational
+    monomial M, with the intersection against the pole-order-2 block (first
+    five coordinates).  A matrix that is not monomial raises ArithmeticError.
 
-    The dimensions sum to n exactly when M is diagonalizable over Q(zeta_5)
-    with fifth roots of unity as eigenvalues, that is when M^5 = 1 (x^5 - 1
-    is separable), so callers read their sum as the order check.
-    Each row of the rational M is cleared of its denominators once, to
-    integers over den; row i of den (M - zeta^j) is then integral, with the
-    one cyclotomic entry den M_ii - den zeta^j, and spans the same kernel.
+    alpha_pullback() is monomial because the rotation permutes the weight
+    lines of the order-11 diagonal symmetry (module docstring).  A
+    cycle of M of length L whose entries multiply to c acts as M^L = c on
+    the span of its L coordinates, so its eigenvalues are the L roots of
+    x^L - c, each simple, with eigenvectors nonzero on the whole cycle.
+    A fifth root of unity zeta_5^j is among them, once, exactly when
+    zeta_5^(jL) = c, that is when c = 1 and 5 divides jL.  The eigenspace of
+    zeta_5^j is the sum of those lines, and it meets the first five
+    coordinates in the lines of the cycles that lie in them.
 
-    One elimination serves both ranks.  Each echelon row pivots at its first
-    nonzero column and no two rows share a pivot, so the vectors of the row
-    space that vanish on the first five columns are spanned by the rows that
-    pivot past them: the rank of the first five columns is the number of
-    pivots among them.
+    The dimensions sum to n exactly when every cycle has c = 1 and length
+    1 or 5, that is when M^5 = 1, so callers read their sum as the order
+    check.  c is kept as an integer numerator over a positive integer
+    denominator, so no Fraction is built.
     """
     n = len(M)
-    cleared = [common_denominator(row) for row in M]
-    dims = []
-    fil2 = []
-    for j in range(5):
-        z = CyclotomicNumber.zeta_pow(5, j)
-        ech = Echelon()
-        for i, (num, den) in enumerate(cleared):
-            shifted = {k: v for k, v in enumerate(num) if v}
-            shifted[i] = num[i] - den if j == 0 else num[i] - z * den
-            ech.append(ech.reduce(shifted)[0])
-        dims.append(n - ech.rank)
-        fil2.append(5 - sum(pc < 5 for pc in ech.pivot_cols))
+    # column j -> row i of its one nonzero entry, M e_j = M_ij e_i; n rows
+    # with one nonzero entry each, in distinct columns, fill every column once
+    image = {}
+    for i, row in enumerate(M):
+        nonzero = [j for j, v in enumerate(row) if v]
+        if len(nonzero) != 1 or nonzero[0] in image:
+            raise ArithmeticError("rotation matrix is not monomial")
+        image[nonzero[0]] = i
+    dims, fil2 = [0] * 5, [0] * 5
+    seen = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        length, num, den, in_block = 0, 1, 1, True
+        j = start
+        while j not in seen:
+            seen.add(j)
+            i = image[j]
+            num *= M[i][j].numerator
+            den *= M[i][j].denominator
+            in_block = in_block and j < 5
+            length += 1
+            j = i
+        if num == den:
+            for k in range(5):
+                if k * length % 5 == 0:
+                    dims[k] += 1
+                    fil2[k] += in_block
     return EigenSplit(tuple(dims), tuple(fil2))
 
 

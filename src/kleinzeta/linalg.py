@@ -1,19 +1,18 @@
-"""Exact sparse linear algebra over Q or Q(zeta_5), by fraction-free elimination.
+"""Exact sparse linear algebra over Q, by fraction-free elimination.
 
-Rows are dicts {column index: coefficient}.  A coefficient must be an int, a
-Fraction or a CyclotomicNumber, mixed within one row as needed; any other
-type raises TypeError, as cyclo.common_denominator does, so a float never
-enters an echelon.  Everything is deterministic: rows are processed in input
-order and pivots prefer the smallest column index.
+Rows are dicts {column index: coefficient}.  A coefficient must be an int or
+a Fraction, mixed within one row as needed; any other type raises TypeError,
+so a float or a Q(zeta_n) element never enters an echelon.  Everything is
+deterministic: rows are processed in input order and pivots prefer the
+smallest column index.
 
 Elimination keeps integers integral (Bareiss 1968, Math. Comp. 22).  A
 reduction first clears its row's denominators; from then on every entry is an
-int or an integral element of Z[zeta_n].  A pivot is cleared by
-r <- a r - c P, where a is the pivot entry of the stored row P and c the
-entry of r, both first divided by their gcd.  So a reduction builds no
-Fraction: it returns its remainder together with the positive integer scale
-that multiplies it, and a caller divides once for each coordinate it reads
-(`exact_quotient`).
+int.  A pivot is cleared by r <- a r - c P, where a is the pivot entry of the
+stored row P and c the entry of r, both first divided by their gcd.  So a
+reduction builds no Fraction: it returns its remainder together with the
+positive integer scale that multiplies it, and a caller divides once for each
+coordinate it reads (`exact_quotient`).
 
 Elimination keeps row echelon form, not reduced row echelon form: a stored
 row is never revisited once later rows arrive.  That is all that reduction
@@ -28,54 +27,30 @@ import bisect
 import math
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber
-
 
 def _integral(row: dict) -> tuple:
     """(row times den without its zero entries, den): den is the least positive
-    integer that makes every entry an int or an integral cyclotomic."""
+    integer that makes every entry an int."""
     den = 1
     for v in row.values():
         if isinstance(v, int):
             continue
-        if isinstance(v, Fraction):
-            d = v.denominator
-        elif isinstance(v, CyclotomicNumber):
-            d = v.den
-        else:
-            raise TypeError(f"exact entries must be int, Fraction or CyclotomicNumber, got {v!r}")
+        if not isinstance(v, Fraction):
+            raise TypeError(f"exact entries must be int or Fraction, got {v!r}")
+        d = v.denominator
         if d != 1:
             den = den // math.gcd(den, d) * d
     out = {}
     for col, v in row.items():
-        if isinstance(v, int):
-            if v:
-                out[col] = v * den
-        elif isinstance(v, Fraction):
-            if v:
-                out[col] = v.numerator * (den // v.denominator)
-        elif not v.is_zero():
-            out[col] = v if den == 1 else CyclotomicNumber(
-                v.n, tuple(x * (den // v.den) for x in v.num))
+        if v:
+            out[col] = v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
     return out, den
 
 
-def _content(v) -> int:
-    """The gcd of an integral entry's integer coordinates."""
-    return abs(v) if type(v) is int else math.gcd(*v.num)
-
-
-def _divide(v, g: int):
-    """An integral entry divided by an integer that divides its content."""
-    return v // g if type(v) is int else CyclotomicNumber(v.n, tuple(x // g for x in v.num))
-
-
-def exact_quotient(v, scale: int):
+def exact_quotient(v: int, scale: int):
     """v / scale for an entry of a remainder and its positive integer scale:
-    an int when scale divides an int v, else a Fraction or CyclotomicNumber."""
-    if type(v) is int:
-        return v // scale if v % scale == 0 else Fraction(v, scale)
-    return CyclotomicNumber(v.n, v.num, scale)
+    an int when scale divides v, else a Fraction."""
+    return v // scale if v % scale == 0 else Fraction(v, scale)
 
 
 class Echelon:
@@ -117,10 +92,10 @@ class Echelon:
                 continue
             prow = self.rows[k]
             a = prow[pc]
-            g = math.gcd(a, _content(c))
+            g = math.gcd(a, c)
             if g != 1:
                 a //= g
-                c = _divide(c, g)
+                c //= g
             if a != 1:
                 scale *= a
                 for col in out:
@@ -136,35 +111,22 @@ class Echelon:
                         bisect.insort(pending, later)
                     continue
                 nv = old - c * v
-                if nv == 0 if type(nv) is int else nv.is_zero():
+                if nv == 0:
                     del out[col]
                 else:
                     out[col] = nv
         return out, scale
 
     def append(self, red: dict) -> None:
-        """Insert a remainder that `reduce` returned; a zero row adds nothing.
-
-        A cyclotomic pivot p is first made a positive integer: 1/p = u/N with
-        u integral and N a positive integer, so the row times u stays
-        integral and has pivot N."""
+        """Insert a remainder that `reduce` returned; a zero row adds nothing."""
         if not red:
             return
         pc = min(red)
-        if type(red[pc]) is not int:
-            inv = red[pc].inverse()
-            u = CyclotomicNumber(inv.n, inv.num)
-            red = {c: v * u for c, v in red.items()}
-            red[pc] = inv.den
-        g = 0
-        for v in red.values():
-            g = math.gcd(g, _content(v))
-            if g == 1:
-                break
+        g = math.gcd(*red.values())
         if red[pc] < 0:
             g = -g
         self._row_of[pc] = len(self.rows)
-        self.rows.append({c: _divide(v, g) for c, v in red.items()} if g != 1 else dict(red))
+        self.rows.append({c: v // g for c, v in red.items()} if g != 1 else dict(red))
         self.pivot_cols.append(pc)
 
 

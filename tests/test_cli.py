@@ -147,6 +147,11 @@ def _identity_rotation():
     return [[Fraction(int(i == j)) for j in range(10)] for i in range(10)]
 
 
+def _jordan_rotation():
+    # a Jordan block for eigenvalue 1: not monomial, so the split refuses it
+    return [[Fraction(int(i == j or j == i + 1)) for j in range(10)] for i in range(10)]
+
+
 _NO_EIGENSPACES = {"cohomology-eigenspace-dims": ("inconclusive", "not computed"),
                    "cohomology-fil2-intersections": ("inconclusive", "not computed")}
 
@@ -154,15 +159,17 @@ _NO_EIGENSPACES = {"cohomology-eigenspace-dims": ("inconclusive", "not computed"
 @pytest.mark.parametrize("pullback, rotation, eigen", [
     (_order_two_rotation, ("fail", "False"), _NO_EIGENSPACES),
     (_failing_pullback, ("fail", "ArithmeticError: ideal"), _NO_EIGENSPACES),
+    (_jordan_rotation, ("fail", "ArithmeticError: rotation matrix is not monomial"),
+     _NO_EIGENSPACES),
     (_identity_rotation, ("pass", "True"),
      {"cohomology-eigenspace-dims": ("fail", "(10, 0, 0, 0, 0)"),
       "cohomology-fil2-intersections": ("fail", "(5, 0, 0, 0, 0)")}),
-], ids=["order-two", "arithmetic-error", "identity"])
+], ids=["order-two", "arithmetic-error", "not-monomial", "identity"])
 def test_cohomology_failure_is_a_failing_check(monkeypatch, tmp_path, capsys, pullback,
                                                rotation, eigen):
-    # a bad rotation matrix fails a check; when its order does not divide 5
-    # the eigenspace checks are inconclusive; the JSON is still written and
-    # the exit code is 1
+    # a bad rotation matrix fails a check; when its order does not divide 5,
+    # or it is not monomial, the eigenspace checks are inconclusive; the
+    # JSON is still written and the exit code is 1
     import kleinzeta.cli as climod
     monkeypatch.setattr(climod.gdcohom, "alpha_pullback", pullback)
     out = tmp_path / "c.json"

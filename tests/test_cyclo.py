@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinzeta import gdcohom, hecke, thetasupp
+from kleinzeta import cli, gdcohom, hecke, thetasupp
 from kleinzeta.cyclo import CyclotomicNumber
 
 
@@ -266,6 +266,22 @@ def test_cyclotomic_callers_build_few_fractions(monkeypatch):
     assert _fractions_built(monkeypatch, lambda: gdcohom.fil2_eigenvector_map(M)) == 0
     assert _fractions_built(monkeypatch, lambda: [thetasupp.char_sum(11, v)
                                                   for v in range(1, 5)]) == 0
+
+
+def test_cohomology_run_inverts_no_cyclotomic(monkeypatch, tmp_path):
+    # the eigenspaces are read off the rotation's cycles, so no cyclotomic
+    # is inverted; the Q(zeta_5) echelon inverted 32, one per pivot
+    calls = [0]
+    inverse = CyclotomicNumber.inverse
+
+    def counting_inverse(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counting_inverse)
+    gdcohom.degree_data.cache_clear()
+    assert cli.main(["cohomology", "--json", str(tmp_path / "c.json")]) == 0
+    assert calls[0] == 0
 
 
 def test_cohomology_echelon_builds_few_fractions(monkeypatch):

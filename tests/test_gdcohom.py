@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,8 @@ from kleinzeta.gdcohom import (CycPoly, RationalDifferential, alpha_pullback, de
                                gorenstein_pairing_nondegenerate, griffiths_reduce, h3_basis,
                                jacobian_generators, klein_form, monomial, monomials_of_degree)
 from kleinzeta.linalg import rank
+
+import gauss_jordan
 
 
 def rand_poly(rng, d, density=0.5, bound=4):
@@ -180,37 +183,108 @@ def test_eigenspace_split():
     assert split.fil2_dims == (1, 1, 1, 1, 1)
 
 
+def test_basis_is_graded_by_the_order_11_symmetry():
+    # x_i -> zeta_11^(e_i) x_i fixes S and Omega, so the class m Omega/S^k
+    # has the weight e.m mod 11; the rotation multiplies weights by 9
+    e = (1, 9, 4, 3, 5)
+
+    def weight(m):
+        return sum(a * b for a, b in zip(e, m)) % 11
+
+    assert sum(e) % 11 == 0 and all(weight(t) == 0 for t, _ in klein_form().terms)
+    assert all(e[(i + 1) % 5] == 9 * e[i] % 11 for i in range(5))
+    basis = h3_basis()
+    hodge = [weight(m) for m in basis.pole2_monomials]
+    pole3 = [weight(m) for m in basis.pole3_monomials]
+    residues = {x * x % 11 for x in range(1, 11)}
+    assert hodge == [1, 9, 4, 3, 5] and set(hodge) == residues
+    assert pole3 == [10, 6, 2, 8, 7] and set(pole3) == set(range(1, 11)) - residues
+    w = hodge + pole3
+    M = alpha_pullback()
+    for i in range(10):
+        for j in range(10):
+            if M[i][j] != 0:
+                assert w[i] == 9 * w[j] % 11
+    # so M is monomial: two 5-cycles, one per block, each multiplying to 1
+    col = [next(j for j, v in enumerate(row) if v) for row in M]
+    for start in (0, 5):
+        cycle = [start]
+        while col[cycle[-1]] != start:
+            cycle.append(col[cycle[-1]])
+        assert sorted(cycle) == list(range(start, start + 5))
+    entries = [M[i][col[i]] for i in range(10)]
+    assert entries[:5] == [1] * 5
+    assert entries[5:] == [-2, 1, Fraction(1, 4), 1, -2]
+    assert math.prod(entries[5:]) == 1
+
+
 def _split_by_two_ranks(M):
-    """Reference: the kernel dimensions from two separate rank computations,
-    one of the shifted matrix and one of its first five columns."""
+    """Reference: the kernel dimensions from two separate Gauss-Jordan ranks
+    over Q(zeta_5), one of the shifted matrix and one of its first five
+    columns."""
     dims, fil2 = [], []
     for j in range(5):
         z = 1 if j == 0 else CyclotomicNumber.zeta_pow(5, j)
         shifted = [[v - z if i == k else v for k, v in enumerate(row)] for i, row in enumerate(M)]
-        dims.append(len(M) - rank(shifted))
-        fil2.append(5 - rank([row[:5] for row in shifted]))
+        dims.append(len(M) - gauss_jordan.rank(shifted))
+        fil2.append(5 - gauss_jordan.rank([row[:5] for row in shifted]))
     return tuple(dims), tuple(fil2)
 
 
+def _monomial_matrix(rng, products):
+    """A seeded 10x10 monomial matrix, each cycle multiplying to an element
+    of products; returns it with the cycle products."""
+    perm = rng.sample(range(10), 10)  # column j holds its entry in row perm[j]
+    M = [[Fraction(0)] * 10 for _ in range(10)]
+    seen, chosen = set(), []
+    for start in range(10):
+        if start in seen:
+            continue
+        cycle = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = perm[j]
+        chosen.append(rng.choice(products))
+        entries = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in cycle[1:]]
+        entries.append(Fraction(chosen[-1]) / math.prod(entries))
+        for j, v in zip(cycle, entries):
+            M[perm[j]][j] = v
+    return M, chosen
+
+
 def test_eigenspace_split_matches_separate_ranks():
-    # one elimination gives both ranks; checked on the rotation, on seeded
-    # permutation matrices (their cycles give roots of unity of every order
-    # up to 10) and on sparse rational matrices plus the identity
+    # the cycle reading against a general elimination over Q(zeta_5), on the
+    # rotation, on seeded permutation matrices (their cycles give roots of
+    # unity of every order up to 10), on seeded monomial matrices with
+    # cycle products 1, -1, 2 and 1/4, and on the identity
     rng = random.Random(31)
     mats = [alpha_pullback()]
     for _ in range(12):
         perm = rng.sample(range(10), 10)
         mats.append([[Fraction(int(perm[i] == k)) for k in range(10)] for i in range(10)])
+    # identity plus sparse rational noise: not monomial, so no cycles to read
+    noisy = [[[Fraction(int(i == k)) + (Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                        if rng.random() < 0.15 else 0)
+               for k in range(10)] for i in range(10)] for _ in range(12)]
+    products = [1, -1, 2, Fraction(1, 4)]
+    products_seen = set()
     for _ in range(12):
-        mats.append([[Fraction(int(i == k)) + (Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                                             if rng.random() < 0.15 else 0)
-                      for k in range(10)] for i in range(10)])
+        M, chosen = _monomial_matrix(rng, products)
+        mats.append(M)
+        products_seen.update(chosen)
+    assert products_seen == set(products)
+    mats.append([[Fraction(int(i == k)) for k in range(10)] for i in range(10)])
     fil2_seen = set()
     for M in mats:
         split = eigenspace_split(M)
         assert (split.dims, split.fil2_dims) == _split_by_two_ranks(M)
         fil2_seen.update(split.fil2_dims)
     assert len(fil2_seen) >= 3
+    for M in noisy:
+        with pytest.raises(ArithmeticError, match="not monomial"):
+            eigenspace_split(M)
 
 
 def test_fourier_vectors_are_eigenvectors():
@@ -240,6 +314,15 @@ def test_reduce_handles_cyclotomic_coefficients():
     icoords = griffiths_reduce(RationalDifferential(image, 2))
     lam = z(5, -1)
     assert icoords[:5] == [lam * c for c in coords[:5]]
+
+
+def test_reduce_refuses_cyclotomic_coefficients_above_pole_order_two():
+    # a numerator at pole order 3 goes through the rational echelon, which
+    # takes ints and Fractions only
+    z = CyclotomicNumber.zeta_pow(5, 1)
+    A = CycPoly.make({m: z for m in h3_basis().pole3_monomials}, 4)
+    with pytest.raises(TypeError):
+        griffiths_reduce(RationalDifferential(A, 3))
 
 
 GOLDEN = Path(__file__).parent / "data" / "cohomology_golden.json"
@@ -323,7 +406,9 @@ def test_eigenspace_split_rejects_rotation_without_order_five():
     doubled = [[2 * c for c in row] for row in M]
     assert _dense_power(doubled, 5) != _dense_power(doubled, 0)
     assert sum(eigenspace_split(doubled).dims) < 10
-    # a Jordan block for eigenvalue 1: order not dividing 5, no eigenvalue off 1
+    # a Jordan block for eigenvalue 1: order not dividing 5, and not
+    # monomial, so there are no cycles to read
     jordan = [[Fraction(int(i == j or j == i + 1)) for j in range(10)] for i in range(10)]
     assert _dense_power(jordan, 5) != _dense_power(jordan, 0)
-    assert sum(eigenspace_split(jordan).dims) < 10
+    with pytest.raises(ArithmeticError, match="not monomial"):
+        eigenspace_split(jordan)
