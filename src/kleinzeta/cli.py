@@ -111,20 +111,21 @@ class VerificationReport:
 # check batteries
 
 
-def run_count(report: VerificationReport, cache: cachemod.CountCache, p: int, k: int):
-    counted, error, dt = report.run(cachemod.count_with_cache, cache, p, k)
-    if error is not None:
-        report.add(f"count-p{p}-k{k}", False, "one count per (p, k)", error, dt)
-        return None
-    n, hit = counted
-    if p == lfunc.BAD_PRIME:
-        expected = "(no prediction at the bad prime)"
-        ok = True
-    else:
-        expected = hecke.predicted_count(p, k)
-        ok = n == expected
-    report.add(f"count-p{p}-k{k}{'-cached' if hit else ''}", ok, expected, n, dt)
-    return n
+def run_count(report: VerificationReport, cache: cachemod.CountCache, p: int, k: int,
+              name: str | None = None):
+    """Check the count at (p, k) against hecke's prediction; the count, or None
+    on an error.  Both share one run, so a failing prediction fails the check.
+    The check is name, or count-p{p}-k{k} with -cached on a cache hit."""
+    def counted():
+        n, hit = cachemod.count_with_cache(cache, p, k)
+        bad = p == lfunc.BAD_PRIME
+        return n, hit, "(no prediction at the bad prime)" if bad else hecke.predicted_count(p, k)
+
+    value, error, dt = report.run(counted)
+    n, hit, expected = value or (error, False, "a count and its prediction")
+    ok = error is None and (p == lfunc.BAD_PRIME or n == expected)
+    report.add(name or f"count-p{p}-k{k}{'-cached' if hit else ''}", ok, expected, n, dt)
+    return None if error else n
 
 
 def _counting_route(cache: cachemod.CountCache) -> lfunc.LocalFactor:
@@ -151,8 +152,7 @@ def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
 def run_trace_sweep(report: VerificationReport, cache: cachemod.CountCache, max_p: int):
     for p in hecke.primes_up_to(max_p):
         if p != lfunc.BAD_PRIME:
-            report.check(f"trace-p{p}", hecke.predicted_count(p, 1),
-                         lambda p: cachemod.count_with_cache(cache, p, 1)[0], p)
+            run_count(report, cache, p, 1, f"trace-p{p}")
 
 
 def run_hecke_table(report: VerificationReport, max_p: int, out_path):
@@ -250,8 +250,7 @@ def _archimedean_worst() -> float:
     for _ in range(1000):
         t1, t2 = rng.uniform(0, 6.3), rng.uniform(0, 6.3)
         x = [[rng.uniform(-2, 2), rng.uniform(-2, 2)], [rng.uniform(-2, 2), rng.uniform(-2, 2)]]
-        for sign in "+-":
-            worst = max(worst, thetasupp.archimedean_equivariance(t1, t2, x, sign))
+        worst = max(worst, *thetasupp.archimedean_equivariance(t1, t2, x))
     return worst
 
 

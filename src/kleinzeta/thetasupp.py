@@ -28,12 +28,13 @@ cancellation of each orbit x + j/p and the Z_p pattern then follow from
 the rows in closed form.
 
 The scanner never multiplies matrices per tuple.  For each family
-(type, m, n, r) it forms, once and exactly, the kernels K_y and K'_y with
-rho-image(y) = U(-s) (K_y + K'_y x) U(t) for y in {e1, alpha}; the
-unipotent factors give every entry in closed form as a bilinear integer
-polynomial in the numerators of s and t.  Each entry is then decided by
-valuations alone, except in the one row where its two terms have equal
-valuation and membership depends on the unit u: _entry_rule marks that
+(type, m, n, r) it forms, once and in integers over one power of p, the
+kernels K_y and K'_y with rho-image(y) = U(-s) (K_y + K'_y x) U(t) for y
+in {e1, alpha}; the unipotent factors give every entry in closed form as a
+bilinear integer polynomial in the numerators of s and t.  Each entry is
+then decided by the valuations of its two terms alone (one rule per pair
+and constraint), except in the one row where the two valuations tie and
+membership depends on the unit u: _entry_rule marks that
 row, no marked row survives the meet (the proof is in _Scan.shift_rules),
 and scan_type raises ArithmeticError if one does, so the check fails
 rather than guess.  The entries separate by the shift they read: c depends
@@ -42,8 +43,8 @@ once, its a rules once per s, and forms the b rules only for the (s, t)
 whose partial meet is not already empty.  Entry d gets no rule: a, b and
 c of both images imply both d constraints (also proved there).
 PadicMat2 (integer numerators over one denominator), coset_rep and rho_act
-stay as the brute-force route the tests hold the scanner to; the scanner
-forms its kernels with the same PadicMat2 products.
+stay as the brute-force route the tests hold the scanner to; in_lattice
+reads each entry's valuation off the numerators, as the scanner does.
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ def alpha_matrix(p: int) -> PadicMat2:
     return PadicMat2(1, 0, 0, -1, p)
 
 
-def val_p(p: int, f: Fraction) -> int | None:
-    """p-adic valuation of a rational; None for 0."""
-    if f == 0:
+def _val_int(p: int, n: int, shift: int = 0) -> int | None:
+    """v_p(n) - shift for an integer n; None for n = 0."""
+    if n == 0:
         return None
-    return _val_int(p, f.numerator) - _val_int(p, f.denominator)
+    v = -shift
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +152,10 @@ class EntryConstraint:
     v_min: int
     unit_exact: bool = False
 
-    def satisfied(self, p: int, f: Fraction) -> bool:
-        if f == 0:
+    def satisfied(self, v: int | None) -> bool:
+        """Whether an entry of valuation v (None for the entry 0) meets it."""
+        if v is None:
             return not self.unit_exact
-        v = val_p(p, f)
         return v == self.v_min if self.unit_exact else v >= self.v_min
 
 
@@ -166,7 +171,10 @@ class LatticeSpec:
 
 
 def in_lattice(x: PadicMat2, L: LatticeSpec) -> bool:
-    return all(c.satisfied(L.p, e) for c, e in zip(L.constraints, x.entries()))
+    """Whether every entry meets its constraint, read off v(e) - v(den)."""
+    p, vden = L.p, _val_int(L.p, x.den)
+    return all(c.satisfied(_val_int(p, e, vden))
+               for c, e in zip(L.constraints, (x.a, x.b, x.c, x.d)))
 
 
 def lev_support(p: int):
@@ -291,50 +299,32 @@ class ScanBox:
             raise ValueError(f"scan box bounds must be >= 0: {self}")
 
 
-def _val_int(p: int, n: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _entry_rule(p: int, na: int, nb: int, shift: int, con: EntryConstraint, vals):
-    """Membership of the affine entry (na + nb x) / p^shift on the rows of x.
+def _entry_rule(vA: int | None, vB: int | None, con: EntryConstraint, vals):
+    """Membership of an affine entry A + B x on the rows of x, read off the
+    valuations vA of A and vB of B (None for a zero term).
 
     Returns (zero, bits, marked): zero is the verdict at x = 0, and bit k of
     bits is set when row vals[k], every x = u p^v with v = vals[k] and u a
     unit, may hold members.  The valuations decide every row for all its
     units at once, except the one row where the two terms have equal
     valuation and the verdict needs v_p(a + b u), a and b the unit parts of
-    na and nb; that row is set both in bits and in the bitmask marked, for
+    A and B; that row is set both in bits and in the bitmask marked, for
     the meet to see.
     """
-    vmin, exact = con.v_min, con.unit_exact
-
-    def ok(w):
-        return w == vmin if exact else w >= vmin
-
-    if na == 0:
-        zero = not exact
-    else:
-        vA = _val_int(p, na) - shift
-        zero = ok(vA)
-    if nb == 0:
+    zero = con.satisfied(vA)
+    if vB is None:
         return zero, (1 << len(vals)) - 1 if zero else 0, 0
-    vB = _val_int(p, nb) - shift
     bits = marked = 0
     for k, v in enumerate(vals):
         w = vB + v                      # valuation of the slope term
-        if na == 0 or w < vA:
-            row = ok(w)
+        if vA is None or w < vA:
+            row = con.satisfied(w)
         elif w > vA:
-            row = ok(vA)
+            row = zero                  # the constant term decides
         else:
-            g = vmin - vA               # the unit part a + b u needs valuation g
-            row = g >= 0 if exact else True
-            if row and (exact or g > 0):
+            g = con.v_min - vA          # the unit part a + b u needs valuation g
+            row = g >= 0 if con.unit_exact else True
+            if row and (con.unit_exact or g > 0):
                 marked |= 1 << k
         if row:
             bits |= 1 << k
@@ -366,40 +356,47 @@ class _Scan:
         self.p, self.type, self.box = p, ty, box
         self.vals = range(-box.x_val_range, box.x_val_range + 1)
         self.units = (p - 1) * p ** box.x_res_exponent // p     # per row; none when e = 0
-        self.rules = {}         # (na, nb, shift, entry) -> _entry_rule
-        self.left = {}          # m -> (H^-1, -H^-1 e12)
-        self.right = {}         # n -> (e1 h2, alpha h2)
+        self.rules = {}         # (vA, vB, entry) -> _entry_rule
+        self.left = {}          # m -> ((H^-1, -H^-1 e12) numerators, v_p(den))
+        self.right = {}         # n -> ((e1 h2, alpha h2) numerators, v_p(den))
         L1, L2 = lev_support(p)
         self.constraints = L1.constraints + L2.constraints
 
     def kernels(self, m: int, n: int, r: int):
         """The numerators of K_e1, K'_e1, K_alpha, K'_alpha and the shift:
-        the kernels are the numerators over p^(shift - 2), shift - 2 >= 0 least."""
+        the kernels are the numerators over p^(shift - 2), shift - 2 >= 0 least.
+
+        The factors are kept as integer numerators over a power of p, one
+        exponent per pair, so the products and p^-r stay in integers and the
+        common power of p is cancelled once, over all 16 numerators."""
         p = self.p
-        if m not in self.left:
-            inv = _h1_core(p, self.type, m, 0).inv()
-            self.left[m] = (inv, inv * PadicMat2(0, -1, 0, 0))
-        if n not in self.right:
-            h2 = _h2(p, self.type, n, 0)
-            self.right[n] = (e1_matrix(p) * h2, alpha_matrix(p) * h2)
-        f = Fraction(p) ** -r
-        ks = [(a * b).scale(f) for b in self.right[n] for a in self.left[m]]
-        den = max(k.den for k in ks)                # a power of p, so the lcm
-        nums = [tuple(e * (den // k.den) for e in (k.a, k.b, k.c, k.d)) for k in ks]
-        return nums, _val_int(p, den) + 2
+        if m not in self.left:      # H^-1 and -H^-1 e12 = [[0, -a], [0, -c]]
+            h = _h1_core(p, self.type, m, 0).inv()
+            self.left[m] = ((h.a, h.b, h.c, h.d), (0, -h.a, 0, -h.c)), _val_int(p, h.den)
+        if n not in self.right:     # e1 h2 and alpha h2, both over p den
+            h = _h2(p, self.type, n, 0)
+            self.right[n] = ((h.c, h.d, 0, 0), (h.a, h.b, -h.c, -h.d)), _val_int(p, h.den) + 1
+        (lefts, dl), (rights, dr) = self.left[m], self.right[n]
+        f, e = p ** max(-r, 0), dl + dr + max(r, 0)     # p^-r = f / p^max(r, 0)
+        nums = [(f * (a * w + b * y), f * (a * x + b * z), f * (c * w + d * y), f * (c * x + d * z))
+                for w, x, y, z in rights for a, b, c, d in lefts]
+        cancel = min(e, _val_int(p, math.gcd(*(v for kernel in nums for v in kernel))))
+        if cancel:
+            nums = [tuple(v // p ** cancel for v in kernel) for kernel in nums]
+        return nums, e - cancel + 2
 
     def _meet(self, rule, shift: int, entries):
         """rule met with the rules of entries (e, na, nb), e the index of the
-        constraint; None once the meet is empty on valuations."""
+        constraint and (na + nb x) / p^shift the entry; None once the meet is
+        empty on valuations.  Rules are keyed by the entry's two valuations."""
         zero, bits, marked = rule
         for e, na, nb in entries:
             if not zero and not bits:
                 return None
-            key = (na, nb, shift, e)
+            key = (_val_int(self.p, na, shift), _val_int(self.p, nb, shift), e)
             got = self.rules.get(key)
             if got is None:
-                got = _entry_rule(self.p, na, nb, shift, self.constraints[e], self.vals)
-                self.rules[key] = got
+                got = self.rules[key] = _entry_rule(key[0], key[1], self.constraints[e], self.vals)
             zero = zero and got[0]
             bits &= got[1]
             marked |= got[2]
@@ -708,12 +705,12 @@ def p_minus(x) -> complex:
     return (c - b) + 1j * (a + d)
 
 
-def archimedean_equivariance(t1: float, t2: float, x, sign: str) -> float:
-    """Residual of the rotation equivariance of the P+- projectors.
+def archimedean_equivariance(t1: float, t2: float, x) -> tuple:
+    """Residuals (P+, P-) of the rotation equivariance of the projectors.
 
     With u_t = [[cos t, sin t], [-sin t, cos t]] and the action
     x -> u_(t1)^-1 x u_(t2), P+ picks up the phase e^(-i(t2 + t1)) and
-    P- picks up e^(-i(t1 - t2)).
+    P- picks up e^(-i(t1 - t2)).  Both residuals read one moved matrix.
     """
     c1, s1 = math.cos(t1), math.sin(t1)
     c2, s2 = math.cos(t2), math.sin(t2)
@@ -725,11 +722,7 @@ def archimedean_equivariance(t1: float, t2: float, x, sign: str) -> float:
     ya, yb = ra * c2 - rb * s2, ra * s2 + rb * c2
     yc, yd = rc * c2 - rd * s2, rc * s2 + rd * c2
     moved = ((ya, yb), (yc, yd))
-    if sign == "+":
-        phase = complex(math.cos(t2 + t1), -math.sin(t2 + t1))
-        return abs(p_plus(moved) - phase * p_plus(x))
-    if sign == "-":
-        phase = complex(math.cos(t1 - t2), -math.sin(t1 - t2))
-        return abs(p_minus(moved) - phase * p_minus(x))
-    raise ValueError("sign must be '+' or '-'")
-
+    plus = complex(math.cos(t2 + t1), -math.sin(t2 + t1))
+    minus = complex(math.cos(t1 - t2), -math.sin(t1 - t2))
+    return (abs(p_plus(moved) - plus * p_plus(x)),
+            abs(p_minus(moved) - minus * p_minus(x)))

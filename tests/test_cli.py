@@ -458,6 +458,41 @@ def test_failing_check_exit_code(monkeypatch, tmp_path, capsys):
     assert "fail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, fed", [
+    (["count", "--p", "3", "--k", "2"], "count-p3-k2"),
+    (["trace-sweep", "--max", "10"], "trace-p"),
+    (["report", "--max", "10"], "trace-p"),
+], ids=["count", "trace-sweep", "report"])
+def test_failing_prediction_is_a_failing_check(monkeypatch, tmp_path, argv, fed):
+    # the prediction runs inside the check it feeds: one that raises
+    # ArithmeticError fails that check with the error as its actual value,
+    # exit 1 with the JSON written, not a traceback; every other check reads
+    # as it does without the fault
+    import kleinzeta.cli as climod
+
+    def checks(name):
+        out = tmp_path / name
+        code = run(argv + ["--json", str(out)])
+        return code, {c["name"]: (c["status"], c["expected"], c["actual"])
+                      for c in json.loads(out.read_text())["checks"]}
+
+    def no_prediction(p, k):
+        raise ArithmeticError("no prediction")
+
+    code, clean = checks("clean.json")
+    assert code == 0
+    monkeypatch.setattr(climod.hecke, "predicted_count", no_prediction)
+    code, broken = checks("broken.json")
+    assert code == 1
+    assert list(broken) == list(clean)
+    assert any(name.startswith(fed) for name in broken)
+    for name, (status, expected, actual) in broken.items():
+        if name.startswith(fed):
+            assert (status, actual) == ("fail", "ArithmeticError: no prediction")
+        else:
+            assert (status, expected, actual) == clean[name]
+
+
 @pytest.mark.parametrize("ty", ["I", "IV"])
 def test_theta_support_negative_box_is_a_usage_error(monkeypatch, tmp_path, capsys, ty):
     # a negative radius scans no combination, which must not refute the

@@ -268,6 +268,18 @@ def test_cyclotomic_callers_build_few_fractions(monkeypatch):
                                                   for v in range(1, 5)]) == 0
 
 
+def test_theta_battery_builds_few_fractions(monkeypatch):
+    # pins: the counts with integer kernels and lattice tests plus 10%
+    # headroom; PadicMat2 kernel products and entries() built 455 over the
+    # four default p = 11 scans and 1101 in the stabilizer check
+    def scans():
+        for ty in thetasupp.COSET_TYPES:
+            thetasupp.scan_type(11, ty)
+
+    assert _fractions_built(monkeypatch, scans) <= 145
+    assert _fractions_built(monkeypatch, lambda: thetasupp.stabilizer_invariance_check(11)) <= 67
+
+
 def test_cohomology_run_inverts_no_cyclotomic(monkeypatch, tmp_path):
     # the eigenspaces are read off the rotation's cycles, so no cyclotomic
     # is inverted; the Q(zeta_5) echelon inverted 32, one per pivot

@@ -11,7 +11,21 @@ from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, a
                                  archimedean_equivariance, char_sum, coset_rep,
                                  default_invariance_probes, e1_matrix, in_lattice,
                                  in_support_pair, lev_support, rho_act, scan_type,
-                                 stabilizer_invariance_check, val_p)
+                                 stabilizer_invariance_check)
+
+
+def val_p(p, f):
+    """p-adic valuation of a rational, None for 0: the tests' Fraction
+    reference for the scanner's integer valuations."""
+    f = Fraction(f)
+    if f == 0:
+        return None
+    v = 0
+    while f.numerator % p == 0:
+        f, v = f / p, v + 1
+    while f.denominator % p == 0:
+        f, v = f * p, v - 1
+    return v
 
 
 def test_val_p():
@@ -140,6 +154,33 @@ def test_in_lattice_examples():
     assert in_lattice(alpha_matrix(p), L2)
     assert not in_lattice(PadicMat2.identity(), L2)
     assert in_lattice(PadicMat2.identity(), L1)
+
+
+def test_in_lattice_matches_fraction_valuations():
+    # the integer lattice test, which reads v(e) - v(den) off the
+    # numerators, against the Fraction valuation of every entry: seeded
+    # matrices with zero entries, both signs, and factors prime to p in the
+    # denominator, on the two support lattices and on random constraints
+    from kleinzeta.thetasupp import EntryConstraint, LatticeSpec
+
+    rng = random.Random(23)
+    members = 0
+    for p in (3, 5, 11):
+        lattices = list(lev_support(p))
+        lattices += [LatticeSpec(p, tuple(EntryConstraint(rng.randint(-3, 3), rng.random() < 0.3)
+                                         for _ in range(4))) for _ in range(6)]
+        for _ in range(300):
+            nums = [0 if rng.random() < 0.2 else
+                    rng.choice([1, -1]) * rng.choice([1, 2, 4, 7, 13]) * p ** rng.randint(0, 3)
+                    for _ in range(4)]
+            den = rng.choice([1, 2, 3, 7, 10]) * p ** rng.randint(0, 3)
+            x = PadicMat2(*nums, den)
+            for L in lattices:
+                expected = all(c.satisfied(val_p(p, Fraction(e, den)))
+                               for c, e in zip(L.constraints, nums))
+                assert in_lattice(x, L) == expected, (p, nums, den, L)
+                members += expected
+    assert members > 100
 
 
 def test_membership_homogeneous_under_scaling():
@@ -283,11 +324,11 @@ def test_entry_d_is_implied_on_the_bruteforce_route():
         assert h1.det() == h2.det()
         L1, L2 = lev_support(p)
         cons = L1.constraints + L2.constraints
-        entries = x1.entries() + x2.entries()
-        if all(cons[e].satisfied(p, entries[e]) for e in (0, 1, 2, 4, 5, 6)):
+        v = [val_p(p, f) for f in x1.entries() + x2.entries()]
+        if all(cons[e].satisfied(v[e]) for e in (0, 1, 2, 4, 5, 6)):
             hits[ty] += 1
-            assert cons[3].satisfied(p, entries[3]), (p, ty, m, r, s, t, x)
-            assert cons[7].satisfied(p, entries[7]), (p, ty, m, r, s, t, x)
+            assert cons[3].satisfied(v[3]), (p, ty, m, r, s, t, x)
+            assert cons[7].satisfied(v[7]), (p, ty, m, r, s, t, x)
     # the sample reaches the support
     assert hits["I"] > 0 and hits["IV"] > 0, hits
 
@@ -319,11 +360,12 @@ def test_family_kernels_match_coset_rep(p):
 
 
 def test_entry_rule_matches_constraint_pointwise():
-    # the valuation rule of one affine entry (na + nb x) / p^shift, against
-    # EntryConstraint.satisfied at x = 0 and at every unit of every row it
-    # does not mark; a marked row (at most one) stays set, for the meet to
-    # see it.  The cases include a + b u = 0 at a unit, and rows whose
-    # verdict needs u mod p and finer classes
+    # the valuation rule of one affine entry (na + nb x) / p^shift, formed
+    # from the valuations of its two terms, against EntryConstraint.satisfied
+    # of the Fraction value at x = 0 and at every unit of every row it does
+    # not mark; a marked row (at most one) stays set, for the meet to see
+    # it.  The cases include a + b u = 0 at a unit, and rows whose verdict
+    # needs u mod p and finer classes
     from kleinzeta.thetasupp import EntryConstraint, _entry_rule
 
     p = 3
@@ -343,11 +385,12 @@ def test_entry_rule_matches_constraint_pointwise():
         for v_min in range(-2, 4):
             for exact in (False, True):
                 con = EntryConstraint(v_min, exact)
-                zero, bits, marked = _entry_rule(p, na, nb, shift, con, vals)
+                vA, vB = (val_p(p, Fraction(n, p ** shift)) for n in (na, nb))
+                zero, bits, marked = _entry_rule(vA, vB, con, vals)
                 assert marked & bits == marked and marked & (marked - 1) == 0
 
                 def direct(x):
-                    return con.satisfied(p, (na + nb * x) / Fraction(p) ** shift)
+                    return con.satisfied(val_p(p, (na + nb * x) / Fraction(p) ** shift))
 
                 assert zero == direct(Fraction(0))
                 for k, v in enumerate(vals):
@@ -451,10 +494,32 @@ def test_scan_reproduces_golden_certificates(p, ty):
     assert json.loads(json.dumps(rep.to_dict())) == golden
 
 
+# SHA-256 over the sorted-key JSON of scan_type(p, ty, box).to_dict() for p, box
+# and ty in the orders below, frozen from the scanner that keyed its entry
+# rules by numerators and formed its kernels with PadicMat2 products
+CERTIFICATE_DIGEST = "e69aecff6fc1fd758241d5cc1dc3c66cddbdf392aca7a20c06d767e17a2a5b94"
+
+
+def test_scans_reproduce_the_certificate_digest():
+    # every certificate, not only the claims, at four more primes and four
+    # boxes: the default, a zero bound, and two coarse or narrow x-grids
+    import hashlib
+
+    boxes = [ScanBox(), ScanBox(radius=0), ScanBox(radius=2, x_val_range=3, x_res_exponent=1),
+             ScanBox(radius=3, x_val_range=2, x_res_exponent=2)]
+    digest = hashlib.sha256()
+    for p in (3, 5, 7, 13):
+        for box in boxes:
+            for ty in COSET_TYPES:
+                digest.update(json.dumps(scan_type(p, ty, box).to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
+
+
 def test_default_scans_entry_rule_count(monkeypatch):
-    # operation-count guard: the separable shift rules form 1314 entry rules
-    # over the four default p = 11 scans (per-shift evaluation formed 3760),
-    # and no rule reads entry d (constraints 3 and 7), which a, b and c imply
+    # operation-count guard: rules keyed by the valuations of the entry's two
+    # terms form 152 entry rules over the four default p = 11 scans (keyed
+    # by the numerators, 1314; per-shift evaluation formed 3760), and no rule
+    # reads entry d (constraints 3 and 7), which a, b and c imply
     from kleinzeta import thetasupp
 
     calls = 0
@@ -467,18 +532,18 @@ def test_default_scans_entry_rule_count(monkeypatch):
         d_constraints.extend((L1.constraints[3], L2.constraints[3]))
         return L1, L2
 
-    def counted(p, na, nb, shift, con, vals):
+    def counted(vA, vB, con, vals):
         nonlocal calls
         calls += 1
         assert not any(con is d for d in d_constraints)
-        return entry_rule(p, na, nb, shift, con, vals)
+        return entry_rule(vA, vB, con, vals)
 
     monkeypatch.setattr(thetasupp, "lev_support", lattices)
     monkeypatch.setattr(thetasupp, "_entry_rule", counted)
     for ty in COSET_TYPES:
         scan_type(11, ty, ScanBox())
     assert d_constraints
-    assert 0 < calls <= 1392
+    assert 0 < calls <= 160
 
 
 def test_no_marked_row_survives_a_sweep():
@@ -585,19 +650,15 @@ def test_level_p_conjugation_moves_the_support():
 
 
 def test_archimedean_equivariance():
-    assert archimedean_equivariance(0.0, 0.0, [[1.0, 0.5], [0.25, -1.0]], "+") == 0.0
+    assert archimedean_equivariance(0.0, 0.0, [[1.0, 0.5], [0.25, -1.0]]) == (0.0, 0.0)
     rng = random.Random(99)
     worst = 0.0
     for _ in range(1000):
         t1, t2 = rng.uniform(0, 6.3), rng.uniform(0, 6.3)
         x = [[rng.uniform(-3, 3), rng.uniform(-3, 3)],
              [rng.uniform(-3, 3), rng.uniform(-3, 3)]]
-        for sign in "+-":
-            worst = max(worst, archimedean_equivariance(t1, t2, x, sign))
+        worst = max(worst, *archimedean_equivariance(t1, t2, x))
     assert worst < 1e-12
     # the minus projector depends on t2 - t1 only
     x = [[1.0, 2.0], [3.0, 4.0]]
-    assert archimedean_equivariance(0.7, 0.7, x, "-") < 1e-12
-    with pytest.raises(ValueError):
-        archimedean_equivariance(0, 0, x, "x")
-
+    assert archimedean_equivariance(0.7, 0.7, x)[1] < 1e-12
