@@ -140,8 +140,7 @@ def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
     report.add("l3-counting-route", actual == target, target, actual, dt)
     report.check("l3-product-route", target,
                  lambda: list(hecke.h3_local_factor_product(3).coeffs))
-    tol = f"{lfunc.PURITY_TOLERANCE:.0e}".replace("e-0", "e-")  # 1e-6, not 1e-06
-    expected = f"all |lambda| = 3^(3/2) ({tol} rel)"
+    expected = "all |lambda| = 3^(3/2) (exact)"
     if L_counting is None:
         report.add("l3-purity", False, expected, "no counting-route factor", inconclusive=True)
     else:

@@ -24,7 +24,10 @@ memory, on the field's discrete-log/exp vectors.
 
 The naive projective oracle evaluates an integer-coefficient `gdcohom.CycPoly`
 on all of P^(n-1)(F_q).  It shares no equation with the slice counter, and
-at p = 2 it also counts the Weierstrass curves.
+over a prime field no table either (its products are residue products); at
+p = 2 it also counts the Weierstrass curves.  For odd p a curve's count is
+#E(F_q) = 1 + sum_x r(f(x)), r(c) the number of square roots of c, which
+reads no discrete log.
 """
 
 from __future__ import annotations
@@ -205,14 +208,15 @@ def count_weierstrass(E: WeierstrassCurve, F: FieldDescriptor) -> int:
     q = F.q
     # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
     # evaluated by Horner steps on index vectors (constants lie in F_p);
-    # chi(f) = (-1)^(log f) at nonzero f, and chi(0) = 0
+    # y -> 2y + a1 x + a3 is a bijection for odd p, so each x contributes
+    # the number of square roots of f(x), counted once over all squares
     b2, b4, b6, _ = E.b_invariants
     xs = np.arange(q, dtype=np.int64)
     f = np.full(q, 4 % F.p, dtype=np.int64)
     for c in (b2, 2 * b4, b6):
         f = digitwise_add(F, log_exp_mul(F, f, xs), c % F.p)
-    log, _ = log_exp_tables(F)
-    return q + 1 + int((1 - 2 * (log[f[f != 0]] % 2)).sum())
+    square_roots = np.bincount(log_exp_mul(F, xs, xs), minlength=q)
+    return 1 + int(square_roots[f].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Elements of F_{p^k} are residue polynomials modulo a fixed monic irreducible
 modulus, stored little-endian in the root, and are encoded as the integer
 index sum of c_i * p^i.  The counting kernels work on numpy arrays of
-indices through two O(q) vectors per field, the discrete log and exp of one
-generator: products add logs, and sums add base-p digits.  Polynomial
-arithmetic on coefficient lists serves only to build the field (modulus,
-generator, first walk step).
+indices: sums add base-p digits, and in a prime field, where an index is
+its residue, products are residue products.  The one field table is a pair
+of O(q) vectors, the discrete log and exp of one generator, built only
+where a discrete log is read: by the slice counter, and for products in an
+extension field, where they add logs.  Polynomial arithmetic on coefficient
+lists serves only to build the field (modulus, generator, first walk step).
 """
 
 from __future__ import annotations
@@ -263,10 +265,14 @@ def digitwise_add(F: FieldDescriptor, a, b) -> np.ndarray:
 
 
 def log_exp_mul(F: FieldDescriptor, a, b) -> np.ndarray:
-    """Index of a b, elementwise over broadcast index arrays: the discrete
-    logs add mod q - 1, and a zero factor gives zero."""
-    log, exp = log_exp_tables(F)
+    """Index of a b, elementwise over broadcast index arrays.  In a prime
+    field the indices are residues, so it is a b mod p and reads no table;
+    in an extension the discrete logs add mod q - 1, and a zero factor
+    gives zero."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if F.k == 1:
+        return a * b % F.p
+    log, exp = log_exp_tables(F)
     out = exp[(log[a] + log[b]) % (F.q - 1)]
     return np.where((a == 0) | (b == 0), 0, out)
 

@@ -5,18 +5,17 @@ of degree 10 and weight 3.  Counts over F_{p^k} give Frobenius power sums
 through the Lefschetz fixed-point bookkeeping (the even cohomology of a
 smooth cubic threefold contributes 1 + q + q^2 + q^3), Newton's identities
 recover the elementary symmetric functions, and the weight-3 functional
-equation supplies the top half of the coefficients.
+equation supplies the top half of the coefficients.  Purity (every inverse
+root of modulus p^(3/2)) is decided exactly, by a Sturm chain in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+import math
 
 H3_DEGREE = 10
 BAD_PRIME = 11
-PURITY_TOLERANCE = 1e-6  # relative, on |lambda| against p^(3/2)
 
 
 class InconsistentCounts(ArithmeticError):
@@ -103,74 +102,92 @@ def local_factor_power_sums(L: LocalFactor, m: int = 5) -> list:
     return t
 
 
-def _poly_derivative(c):
-    return [k * c[k] for k in range(1, len(c))]
+def _trace_polynomial(L: LocalFactor) -> list:
+    """R(y), low degree first, with x^5 R(x + q/x) = x^10 L(1/x), q = p^3.
 
-
-def _poly_divmod(a, b):
-    """Exact Fraction division of coefficient lists (lowest degree first)."""
-    from fractions import Fraction
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while b and b[-1] == 0:
-        b.pop()
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            r[shift + i] -= f * bc
-    return q, r
-
-
-def _poly_gcd_q(a, b):
-    from fractions import Fraction
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while any(x != 0 for x in b):
-        _, r = _poly_divmod(a, b)
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _squarefree_part(coeffs):
-    """Exact square-free part of an integer polynomial (low degree first).
-
-    Repeated inverse roots (they do occur: the degree-10 factor at a split
-    p = 1 mod 11 is a fifth power of a quadratic) make companion-matrix
-    root finding useless at tight tolerances, so the multiplicity is
-    stripped exactly before any floating point happens.
+    The functional equation pairs c_j x^(5-j) with c_(10-j) x^(j-5) =
+    c_j (q/x)^(5-j), so R = c_5 + sum_(j=1..5) c_(5-j) D_j, where
+    D_j(x + q/x) = x^j + (q/x)^j: D_0 = 2, D_1 = y, D_(j+1) = y D_j - q D_(j-1).
+    R is monic of degree 5; its roots are lambda + q/lambda over the inverse
+    roots lambda of L, taken in pairs.
     """
-    g = _poly_gcd_q(list(coeffs), _poly_derivative(list(coeffs)))
-    if len(g) <= 1:
-        return [float(c) for c in coeffs]
-    q, r = _poly_divmod(list(coeffs), g)
-    if any(x != 0 for x in r):
-        raise ArithmeticError("square-free reduction failed to divide exactly")
-    return [float(x) for x in q]
+    c, q = L.coeffs, L.p ** 3
+    R = [c[5]] + [0] * 5
+    prev, cur = [2], [0, 1]
+    for j in range(1, 6):
+        for i, d in enumerate(cur):
+            R[i] += c[5 - j] * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= q * d
+        prev, cur = cur, nxt
+    return R
+
+
+def _at_sqrt(s: list, N: int) -> tuple:
+    """(A(N), B(N)) for s(y) = A(y^2) + y B(y^2), so s(+-sqrt N) = A(N) +- sqrt(N) B(N)."""
+    return (sum(x * N ** i for i, x in enumerate(s[0::2])),
+            sum(x * N ** i for i, x in enumerate(s[1::2])))
+
+
+def _sign_at_sqrt(s: list, N: int, side: int) -> int:
+    """Sign of s(side sqrt N), side = +-1, for a non-square N, in integers."""
+    a, b = _at_sqrt(s, N)
+    b *= side
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > N * b * b else sb
+
+
+def _sturm_next(a: list, b: list) -> list:
+    """-(a mod b) times a positive rational, primitive: the member of a Sturm
+    chain after a and b.  Each pseudo-division step scales by |lc(b)|."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = list(a)
+    while len(r) >= len(b):
+        f, shift = sign * r[-1], len(r) - len(b)
+        r = [scale * x for x in r]
+        for i, x in enumerate(b):
+            r[shift + i] -= f * x
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r) if r else 1
+    return [-x // g for x in r]
 
 
 def weil_bound_check(L: LocalFactor) -> bool:
-    """Purity: every inverse root has absolute value p^(3/2), up to the
-    relative PURITY_TOLERANCE."""
-    sf = _squarefree_part(L.coeffs)
-    # numpy expects highest degree first; roots r of P are 1/lambda
-    roots = np.roots(sf[::-1])
-    if len(roots) != len(sf) - 1 or not np.all(np.isfinite(roots)):
-        raise ArithmeticError("root finding failed on the square-free part")
-    target = L.p ** 1.5
-    lam = 1.0 / np.abs(roots)
-    return bool(np.all(np.abs(lam - target) <= PURITY_TOLERANCE * target))
+    """Purity, exactly: every inverse root has absolute value p^(3/2).
+
+    With q = p^3, L is pure iff every root of the trace polynomial R (see
+    _trace_polynomial) is real and lies in [-2 sqrt q, 2 sqrt q] (Kedlaya,
+    Search techniques for root-unitary polynomials, 2008).  N = 4q is never
+    a square.  Real inverse roots +-sqrt q give roots +-sqrt N of R, so the
+    factors y^2 - N are divided out first; then a Sturm chain of primitive
+    integer pseudo-remainders counts the distinct roots in the open interval,
+    with its signs at +-sqrt N read in integers, and L is pure iff that is
+    every distinct root, deg R - deg gcd(R, R').  Repeated roots occur: the
+    factor at a split p = 1 mod 11 is a fifth power of a quadratic.
+    """
+    N = 4 * L.p ** 3
+    R = _trace_polynomial(L)
+    while len(R) > 2 and _at_sqrt(R, N) == (0, 0):
+        # exact division by the monic y^2 - N: y^d = y^(d-2) (y^2 - N) + N y^(d-2)
+        quotient = [0] * (len(R) - 2)
+        for d in range(len(R) - 1, 1, -1):
+            quotient[d - 2] = R[d]
+            R[d - 2] += N * R[d]
+        R = quotient
+    chain = [R, [i * x for i, x in enumerate(R)][1:]]
+    while len(chain[-1]) > 1:
+        nxt = _sturm_next(chain[-2], chain[-1])
+        if not nxt:
+            break
+        chain.append(nxt)
+
+    def variations(side):
+        signs = [s for s in (_sign_at_sqrt(f, N, side) for f in chain) if s]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    distinct = len(R) - len(chain[-1])
+    return variations(-1) - variations(1) == distinct

@@ -115,9 +115,6 @@ class PadicMat2:
         k = self.den
         return PadicMat2(k * self.d, -k * self.b, -k * self.c, k * self.a, dt)
 
-    def entries(self):
-        return tuple(Fraction(e, self.den) for e in (self.a, self.b, self.c, self.d))
-
 
 def rho_act(h1: PadicMat2, h2: PadicMat2, x: PadicMat2) -> PadicMat2:
     """rho(h1, h2) x = h1^-1 x h2, computed exactly."""
@@ -676,15 +673,15 @@ def stabilizer_invariance_check(p: int, samples=None, probes=None) -> bool:
     samples = default_invariance_samples(p) if samples is None else samples
     probes = default_invariance_probes(p) if probes is None else probes
     sup = lev_support(p)
+    before = [in_support_pair(x1, x2, sup) for x1, x2 in probes]
     for g1, g2 in samples:
         if not (_is_gamma0_p2(g1, p) and _is_gamma0_p2(g2, p)):
             raise ValueError("sample pair is not in Gamma_0(p^2) x Gamma_0(p^2)")
         if g1.det() != g2.det():
             raise ValueError("sample pair does not have equal determinants")
-        for x1, x2 in probes:
-            before = in_support_pair(x1, x2, sup)
+        for (x1, x2), inside in zip(probes, before):
             after = in_support_pair(rho_act(g1, g2, x1), rho_act(g1, g2, x2), sup)
-            if before != after:
+            if inside != after:
                 return False
     return True
 

@@ -210,5 +210,5 @@ def test_criterion_8_purity_of_counting_route_factors(store):
                 counts.append(predicted)
         L = lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, p))
         assert lfunc.weil_bound_check(L), f"purity failed at {p}"
-    _report(8, "purity (|lambda| = p^1.5 within 1e-6) for p in {2,3,5,7,13,23}",
+    _report(8, "purity (|lambda| = p^1.5, exact) for p in {2,3,5,7,13,23}",
             time.perf_counter() - t0)

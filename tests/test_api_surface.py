@@ -4,6 +4,8 @@ The test parses `src/kleinzeta/*.py` and collects each public top-level
 function, class and constant and each public method.  A name passes when
 some code in `src/`, `demos/` or `perfbench/` loads it: as a name, as an
 attribute, or as a string (perfbench looks its targets up with `getattr`).
+A method is reached only through an attribute or a string, so a bare name
+that happens to match it (a parameter or a local) does not count for it.
 Importing a name is not a use of it.  Tests do not count as callers.
 """
 
@@ -28,7 +30,7 @@ def _public(name):
 
 
 def _definitions():
-    """(module, qualified name, bare name) of each public definition."""
+    """(module, qualified name, bare name, is a method) of each public definition."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -42,37 +44,56 @@ def _definitions():
             else:
                 continue
             for name in filter(_public, names):
-                found.append((path.stem, name, name))
+                found.append((path.stem, name, name, False))
             if isinstance(node, ast.ClassDef) and _public(node.name):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and _public(item.name):
-                        found.append((path.stem, f"{node.name}.{item.name}", item.name))
+                        found.append((path.stem, f"{node.name}.{item.name}", item.name,
+                                      True))
     return found
 
 
+def _loads(tree, names, attributes):
+    """Add the tree's bare-name loads to names, and its attribute loads and
+    string constants to attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attributes.add(node.value)
+
+
 def _loaded_names():
-    loaded = set()
+    """(bare names loaded, attribute names loaded and string constants)."""
+    names, attributes = set(), set()
     for top in CALLER_DIRS:
         for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    loaded.add(node.value)
-    return loaded
+            _loads(ast.parse(path.read_text(), filename=str(path)), names, attributes)
+    return names, attributes
 
 
 def test_every_public_name_has_a_caller():
     defined = _definitions()
-    loaded = _loaded_names()
-    unused = [f"{module}.{qualname}" for module, qualname, name in defined
-              if name not in loaded and name not in ALLOWED]
+    names, attributes = _loaded_names()
+    loaded = names | attributes
+    unused = [f"{module}.{qualname}" for module, qualname, name, method in defined
+              if name not in (attributes if method else loaded) and name not in ALLOWED]
     assert not unused, f"public names nothing in {CALLER_DIRS} loads: {unused}"
     # the allowlist names live definitions that still have no caller
-    assert set(ALLOWED) <= {name for _, _, name in defined}
+    assert set(ALLOWED) <= {name for _, _, name, _ in defined}
     assert not [name for name in ALLOWED if name in loaded]
+
+
+def test_a_bare_name_does_not_count_as_a_method_call():
+    # a parameter named like a method must not keep the method alive; an
+    # attribute load or a getattr string does
+    names, attributes = set(), set()
+    _loads(ast.parse("def f(entries):\n    return entries\n"), names, attributes)
+    assert "entries" in names and "entries" not in attributes
+    _loads(ast.parse("m.entries()\ngetattr(m, 'det')\n"), names, attributes)
+    assert {"entries", "det"} <= attributes
 
 
 def test_package_version_matches_pyproject():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import cache as cachemod
-from kleinzeta import counting
+from kleinzeta import cli, counting, ffield
 from kleinzeta.cache import ConflictingRecords, CountCache, cached_count, record_count
 from kleinzeta.cli import build_parser, main
 from kleinzeta.counting import CountRecord
@@ -353,6 +353,48 @@ def test_report_without_cache(tmp_path, monkeypatch):
     assert all(c["elapsed_ms"] > 0 for c in payload["checks"])   # each check read the clock
     assert payload["certificates"]["IV"]["status"] == "certified"
     assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
+
+
+def _eigvals_calls(monkeypatch):
+    """A list that records every LAPACK eigvals call, np.roots's included."""
+    import inspect
+
+    import numpy as np
+
+    calls, real = [], np.linalg.eigvals
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    monkeypatch.setitem(inspect.unwrap(np.roots).__globals__, "eigvals", spy)
+    np.roots([1, 0, -1])
+    assert len(calls) == 1      # the spy sees the call behind np.roots
+    calls.clear()
+    return calls
+
+
+def test_cm_structure_builds_no_field_table():
+    # #E(F_p) from square-root counts and residue products: the 45 curve
+    # counts to 200 build and read no log/exp table
+    before = ffield._log_exp_cached.cache_info()
+    assert cli._cm_structure(200)
+    assert ffield._log_exp_cached.cache_info() == before
+
+
+def test_warm_report_builds_no_field_table_and_calls_no_lapack(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "c.jsonl"
+    assert run(["report", "--cache", str(cache)]) == 0     # the counts fill the cache
+    eigvals_calls = _eigvals_calls(monkeypatch)
+    before = ffield._log_exp_cached.cache_info()
+    out = tmp_path / "report.json"
+    assert run(["report", "--cache", str(cache), "--json", str(out)]) == 0
+    assert ffield._log_exp_cached.cache_info() == before
+    assert eigvals_calls == []
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert checks["l3-purity"]["expected"] == "all |lambda| = 3^(3/2) (exact)"
 
 
 def test_verify_l3_times_every_check(tmp_path):

@@ -178,6 +178,25 @@ def test_tables_match_scalar_ops():
             assert total == _add(F, a, b)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 1009])
+def test_prime_field_products_match_the_table_route(p):
+    # at k = 1 an index is its residue and log_exp_mul multiplies residues;
+    # the table route exp[(log a + log b) mod (p - 1)], zeros included
+    F = build_field(p)
+    log, exp = log_exp_tables(F)
+    rng = random.Random(p)
+    grid = np.arange(p, dtype=np.int64)
+    if p <= 101:
+        a, b = np.repeat(grid, p), np.tile(grid, p)
+    else:
+        a = np.array([rng.randrange(p) for _ in range(2000)] + [0, 0, 5, p - 1])
+        b = np.array([rng.randrange(p) for _ in range(2000)] + [0, 7, 0, p - 1])
+    table = np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % (p - 1)])
+    assert log_exp_mul(F, a, b).tolist() == table.tolist()
+    # broadcasting a scalar against a vector, as the oracle's monomials do
+    assert log_exp_mul(F, 3 % p, grid).tolist() == (3 * grid % p).tolist()
+
+
 @pytest.mark.parametrize("p,k", [(3, 12), (13, 5), (5, 3), (2, 6)])
 def test_digitwise_add_of_a_prime_field_constant(p, k):
     # a scalar addend c in [0, p) takes the digit-0 path; it must equal the

@@ -1,11 +1,19 @@
+import ast
+import functools
+import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kleinzeta import lfunc
+from kleinzeta.hecke import h3_local_factor_product, primes_up_to
 from kleinzeta.lfunc import (InconsistentCounts, LocalFactor, PowerSums, counts_to_power_sums,
                              local_factor_power_sums, power_sums_to_local_factor,
                              weil_bound_check)
-from kleinzeta.reference import reference_degree10_at_3
+from kleinzeta.reference import _poly_mul, reference_degree10_at_3
 
 TARGET3 = reference_degree10_at_3()
 
@@ -95,3 +103,117 @@ def test_weil_bound_check_detects_corruption():
     bumped[9] = 3 ** 12 * bumped[1]
     assert not weil_bound_check(LocalFactor(3, tuple(bumped)))
 
+
+
+# ---------------------------------------------------------------------------
+# exact purity against the floating-point check it replaced: np.roots on the
+# exact square-free part, |lambda| against p^(3/2) within 1e-6 relative
+
+
+def _divmod_q(a, b):
+    """Quotient and remainder of Fraction coefficient lists, low degree first."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b[-1] == 0:
+        b.pop()
+    quotient = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = a[shift + len(b) - 1] / b[-1]
+        quotient[shift] = f
+        for i, x in enumerate(b):
+            a[shift + i] -= f * x
+    remainder = a[:len(b) - 1]
+    while remainder and remainder[-1] == 0:
+        remainder.pop()
+    return quotient, remainder
+
+
+def _float_purity(L):
+    coeffs = list(L.coeffs)
+    a, b = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, _divmod_q(a, b)[1]
+    squarefree, remainder = _divmod_q(coeffs, a)
+    assert not remainder
+    roots = np.roots([float(c) for c in squarefree][::-1])
+    assert len(roots) == len(squarefree) - 1 and np.all(np.isfinite(roots))
+    target = L.p ** 1.5
+    return bool(np.all(np.abs(1.0 / np.abs(roots) - target) <= 1e-6 * target))
+
+
+def _mirrored(p, half):
+    """The factor with c_0 .. c_5 = half and the weight-3 functional equation."""
+    return LocalFactor(p, tuple(half) + tuple(p ** (3 * (5 - j)) * half[j]
+                                              for j in range(4, -1, -1)))
+
+
+def _product(p, *factors):
+    return LocalFactor(p, tuple(functools.reduce(_poly_mul, factors)))
+
+
+def test_exact_purity_matches_root_moduli_on_perturbed_product_factors():
+    # the product-route factor at every good p <= 97 and 39 seeded
+    # perturbations of c_1 .. c_4 (their mirrors follow)
+    rng = random.Random(24)
+    verdicts = []
+    for p in primes_up_to(97):
+        if p == 11:
+            continue
+        base = list(h3_local_factor_product(p).coeffs[:6])
+        assert weil_bound_check(_mirrored(p, base))
+        for _ in range(39):
+            half = list(base)
+            for j in range(1, 5):
+                half[j] += rng.randint(-3, 3) * rng.choice([1, p, p * p])
+            L = _mirrored(p, half)
+            verdict = weil_bound_check(L)
+            assert verdict == _float_purity(L), (p, half)
+            verdicts.append(verdict)
+    # both verdicts occur, so the agreement is not vacuous
+    assert len(verdicts) == 24 * 39 and 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("p", [23, 67, 89])
+def test_exact_purity_on_fifth_powers_at_split_primes(p):
+    # at p = 1 mod 11 the factor is the fifth power of one quadratic, so the
+    # trace polynomial has a single root of multiplicity 5
+    L = h3_local_factor_product(p)
+    quadratic = (1, L.coeffs[1] // 5, p ** 3)
+    assert _product(p, *[quadratic] * 5).coeffs == L.coeffs
+    assert weil_bound_check(L) and _float_purity(L)
+    edge = math.isqrt(4 * p ** 3)
+    for a, pure in ((edge, True), (-edge, True), (edge + 1, False), (-edge - 1, False)):
+        M = _product(p, *[(1, a, p ** 3)] * 5)
+        assert weil_bound_check(M) == pure == _float_purity(M), a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_purity_counts_real_inverse_roots_at_the_endpoints(p):
+    # (1 - q x^2)^4 (1 + a x + q x^2): inverse roots +-p^(3/2) put roots of
+    # the trace polynomial exactly at +-2 sqrt q, which are inside
+    q = p ** 3
+    edge = math.isqrt(4 * q)
+    for a, pure in ((edge, True), (-edge, True), (0, True),
+                    (edge + 1, False), (-edge - 1, False)):
+        L = _product(p, *[(1, 0, -q)] * 4, (1, a, q))
+        assert weil_bound_check(L) == pure == _float_purity(L), a
+
+
+def test_trace_polynomial_substitution():
+    # x^5 R(x + q/x) = x^10 L(1/x), checked at several rational x
+    for L in (TARGET3, h3_local_factor_product(23), h3_local_factor_product(7)):
+        R, q = lfunc._trace_polynomial(L), L.p ** 3
+        assert len(R) == 6 and R[-1] == 1
+        for x in (Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(q, 5)):
+            y = x + q / x
+            lhs = x ** 5 * sum(c * y ** i for i, c in enumerate(R))
+            rhs = sum(c * x ** (10 - i) for i, c in enumerate(L.coeffs))
+            assert lhs == rhs
+
+
+def test_lfunc_imports_no_numpy():
+    tree = ast.parse(Path(lfunc.__file__).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not any(m and m.split(".")[0] == "numpy" for m in modules)
+    assert not hasattr(lfunc, "PURITY_TOLERANCE")

@@ -14,6 +14,11 @@ from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, a
                                  stabilizer_invariance_check)
 
 
+def entries(M):
+    """The four entries of a PadicMat2 as Fractions, row major."""
+    return tuple(Fraction(e, M.den) for e in (M.a, M.b, M.c, M.d))
+
+
 def val_p(p, f):
     """p-adic valuation of a rational, None for 0: the tests' Fraction
     reference for the scanner's integer valuations."""
@@ -81,9 +86,9 @@ def test_padicmat2_arithmetic_matches_fraction_formulas():
     def rnd_entry():
         return Fraction(rng.randint(-12, 12), rng.choice(dens))
 
-    def canonical(M, entries):
+    def canonical(M, expected):
         assert M.den > 0 and math.gcd(M.a, M.b, M.c, M.d, M.den) == 1
-        assert M.entries() == tuple(entries)
+        assert entries(M) == tuple(expected)
         # the same matrix built from scaled-up numerators is the same value
         k = rng.choice([-6, -1, 2, 3 * p])
         N = PadicMat2(M.a * k, M.b * k, M.c * k, M.d * k, M.den * k)
@@ -200,9 +205,9 @@ def test_coset_rep_shapes():
     assert h1 == PadicMat2.identity() and h2 == PadicMat2.identity()
     # weyl factor sits on the first component for II, on both for IV
     h1, h2 = coset_rep(p, CosetParams("II", 0, 2, 0, s=Fraction(1, p)))
-    assert h1.entries()[2] == p * p and h2.entries()[2] == 0
+    assert entries(h1)[2] == p * p and entries(h2)[2] == 0
     h1, h2 = coset_rep(p, CosetParams("IV", 0, 0, 0, s=Fraction(1, p), t=Fraction(2, p)))
-    assert h1.entries()[2] == p * p and h2.entries()[2] == p * p
+    assert entries(h1)[2] == p * p and entries(h2)[2] == p * p
     with pytest.raises(ValueError):
         CosetParams("I", 1, 0, 0)
     with pytest.raises(ValueError):
@@ -324,7 +329,7 @@ def test_entry_d_is_implied_on_the_bruteforce_route():
         assert h1.det() == h2.det()
         L1, L2 = lev_support(p)
         cons = L1.constraints + L2.constraints
-        v = [val_p(p, f) for f in x1.entries() + x2.entries()]
+        v = [val_p(p, f) for f in entries(x1) + entries(x2)]
         if all(cons[e].satisfied(v[e]) for e in (0, 1, 2, 4, 5, 6)):
             hits[ty] += 1
             assert cons[3].satisfied(v[3]), (p, ty, m, r, s, t, x)
@@ -352,9 +357,9 @@ def test_family_kernels_match_coset_rep(p):
                 exact += [inv * y * h2, (inv * e12 * y * h2).scale(-1)]
             scale = Fraction(p) ** (shift - 2)
             got = [tuple(Fraction(x) / scale for x in k) for k in kernels]
-            assert got == [K.entries() for K in exact], (ty, m, n, r)
+            assert got == [entries(K) for K in exact], (ty, m, n, r)
             # the least power of p clears the denominators
-            denominators = {f.denominator for K in exact for f in K.entries()}
+            denominators = {f.denominator for K in exact for f in entries(K)}
             assert max(denominators) == scale
         assert len(scan.left) <= 2 * box.radius + 1 and len(scan.right) <= 2 * box.radius + 1
 
@@ -624,6 +629,27 @@ def test_scan_report_serializes():
 def test_stabilizer_invariance():
     assert stabilizer_invariance_check(3)
     assert stabilizer_invariance_check(11)
+
+
+def test_stabilizer_tests_each_probe_once_before_the_action(monkeypatch):
+    # the untransformed pair reads no sample: one support test per probe,
+    # then one per (sample, probe), so 7 + 10 * 7 = 77 at p = 11
+    from kleinzeta import thetasupp
+    calls = []
+    original = thetasupp.in_support_pair
+
+    def counted(x1, x2, supports):
+        calls.append((x1, x2))
+        return original(x1, x2, supports)
+
+    monkeypatch.setattr(thetasupp, "in_support_pair", counted)
+    p = 11
+    probes = default_invariance_probes(p)
+    samples = thetasupp.default_invariance_samples(p)
+    assert (len(probes), len(samples)) == (7, 10)
+    assert stabilizer_invariance_check(p)
+    assert len(calls) == len(probes) * (1 + len(samples)) == 77
+    assert calls[:len(probes)] == probes
 
 
 def test_stabilizer_invariance_rejects_bad_samples():
