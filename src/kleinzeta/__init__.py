@@ -1,6 +1,7 @@
 """Exact desk-scale verification of the arithmetic of Klein's cubic threefold.
 
 Modules:
+  poly       dense univariate polynomials over Z, Q, F_p and Q(zeta_n)
   ffield     F_{p^k} construction and its O(q) log/exp index vectors
   counting   point counts (slice Klein counter, naive oracle, curves)
   cache      opt-in append-only JSONL cache of point counts, read once per run

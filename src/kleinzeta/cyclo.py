@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import is_prime
+from .poly import mul
 
 EXACT_SCALARS = (int, Fraction)
 
@@ -164,15 +165,10 @@ class CyclotomicNumber:
 
 
 def _cyclic_mul(a, b) -> list:
-    """Product in Z[z]/(z^n - 1) of two length-n coefficient sequences."""
-    n = len(a)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % n] += x * y
-    return out
+    """Product in Z[z]/(z^n - 1) of two length-n coefficient sequences:
+    the product in Z[z], with z^(n+i) folded onto z^i."""
+    full = mul(a, b)
+    return [x + y for x, y in zip(full, full[len(a):] + [0])]
 
 
 def _check_conductor(n: int):

@@ -7,8 +7,9 @@ indices: sums add base-p digits, and in a prime field, where an index is
 its residue, products are residue products.  The one field table is a pair
 of O(q) vectors, the discrete log and exp of one generator, built only
 where a discrete log is read: by the slice counter, and for products in an
-extension field, where they add logs.  Polynomial arithmetic on coefficient
-lists serves only to build the field (modulus, generator, first walk step).
+extension field, where they add logs.  Residues mod p of poly's coefficient
+lists are used only to build the field: the modulus search, the generator
+and the matrix of the log/exp walk's step.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .poly import mul, pdivmod, trim
 
 LOG_TABLE_MAX_Q = 1 << 20  # largest q with log/exp vectors, hence largest q build_field accepts
 
@@ -66,31 +69,11 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense little-endian polynomial arithmetic over F_p on coefficient lists,
-# used only at build time; the hot loops use log/exp vectors
-
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
+# polynomial arithmetic over F_p on coefficient lists, used only at build
+# time; the hot loops use log/exp vectors
 
 def _poly_mulmod(a, b, modulus, p):
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(k):
-                prod[d - k + j] = (prod[d - k + j] - c * modulus[j]) % p
-    return _poly_trim(prod)
+    return trim([c % p for c in pdivmod(mul(a, b), modulus)[1]])
 
 
 def _poly_powmod(base, e, modulus, p):
@@ -108,19 +91,11 @@ def _poly_powmod(base, e, modulus, p):
 
 
 def _poly_gcd(a, b, p):
-    a, b = list(_poly_trim(a)), list(_poly_trim(b))
+    a, b = trim(a), trim(b)
     while b:
-        # a mod b, with b made monic on the fly
         inv_lead = pow(b[-1], p - 2, p)
-        bb = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        for d in range(len(r) - 1, len(bb) - 2, -1):
-            c = r[d]
-            if c:
-                r[d] = 0
-                for j in range(len(bb) - 1):
-                    r[d - (len(bb) - 1) + j] = (r[d - (len(bb) - 1) + j] - c * bb[j]) % p
-        a, b = b, _poly_trim(r)
+        b = [c * inv_lead % p for c in b]  # monic, so pdivmod needs no scale
+        a, b = b, trim([c % p for c in pdivmod(a, b)[1]])
     return a
 
 
@@ -128,7 +103,7 @@ def _poly_sub(a, b, p):
     n = max(len(a), len(b))
     a = list(a) + [0] * (n - len(a))
     b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+    return trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def is_irreducible(modulus, p: int) -> bool:
@@ -184,8 +159,9 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** k > LOG_TABLE_MAX_Q:
-        raise BudgetExceeded(f"q = {p ** k} exceeds the log/exp limit {LOG_TABLE_MAX_Q}")
+    # p >= 2, so k past log2 of the limit refuses before p^k is formed
+    if k >= LOG_TABLE_MAX_Q.bit_length() or p ** k > LOG_TABLE_MAX_Q:
+        raise BudgetExceeded(f"q = {p}^{k} exceeds the log/exp limit {LOG_TABLE_MAX_Q}")
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
     for idx in range(p ** (k - 1), p ** k):  # c0 = idx // p^(k-1) >= 1

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .cyclo import CyclotomicNumber
 from .ffield import is_prime
 from .lfunc import BAD_PRIME, LocalFactor
+from .poly import mul
 
 SPLIT_RESIDUES = frozenset({1, 3, 4, 5, 9})      # nonzero squares mod 11
 # discrete log base 2 in (Z/11)^*; 2 is a primitive root
@@ -155,20 +156,6 @@ def predicted_count(p: int, k: int) -> int:
     return 1 + pk + pk * pk + pk ** 3 - predicted_power_sum(p, k)
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over Q(zeta_5)
-
-
-def _poly_mul(a, b):
-    n = 5
-    out = [CyclotomicNumber.zero(n) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _twisted_quadratic(p: int, i: int, trace_coeff: int, weight_power: int):
     """1 - trace_coeff * chi^i(p) * T + chi^(2i)(p) * p^weight_power * T^2."""
     return [CyclotomicNumber.one(5), chi(p, i) * -trace_coeff, chi(p, 2 * i) * p ** weight_power]
@@ -185,7 +172,7 @@ def h3_local_factor_product(p: int) -> LocalFactor:
     a = ap_f(p)
     prod = [CyclotomicNumber.one(5)]
     for i in range(5):
-        prod = _poly_mul(prod, _twisted_quadratic(p, i, a * p, 3))
+        prod = mul(prod, _twisted_quadratic(p, i, a * p, 3))
     coeffs = []
     for c in prod:
         r = c.as_rational()
@@ -207,7 +194,7 @@ def spinor_local_factor(p: int, i: int):
         raise ValueError("twist index must lie in 0..4")
     f_part = _twisted_quadratic(p, i, ap_f(p), 1)
     g_part = _twisted_quadratic(p, i, ap_g(p), 3)
-    return _poly_mul(f_part, g_part)
+    return mul(f_part, g_part)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+from .poly import pdivmod
+
 H3_DEGREE = 10
 BAD_PRIME = 11
 
@@ -124,16 +126,11 @@ def _trace_polynomial(L: LocalFactor) -> list:
     return R
 
 
-def _at_sqrt(s: list, N: int) -> tuple:
-    """(A(N), B(N)) for s(y) = A(y^2) + y B(y^2), so s(+-sqrt N) = A(N) +- sqrt(N) B(N)."""
-    return (sum(x * N ** i for i, x in enumerate(s[0::2])),
-            sum(x * N ** i for i, x in enumerate(s[1::2])))
-
-
 def _sign_at_sqrt(s: list, N: int, side: int) -> int:
-    """Sign of s(side sqrt N), side = +-1, for a non-square N, in integers."""
-    a, b = _at_sqrt(s, N)
-    b *= side
+    """Sign of s(side sqrt N), side = +-1, for a non-square N, in integers:
+    with s(y) = A(y^2) + y B(y^2), s(+-sqrt N) = A(N) +- sqrt(N) B(N)."""
+    a = sum(x * N ** i for i, x in enumerate(s[0::2]))
+    b = side * sum(x * N ** i for i, x in enumerate(s[1::2]))
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:
         return sa or sb
@@ -142,17 +139,9 @@ def _sign_at_sqrt(s: list, N: int, side: int) -> int:
 
 def _sturm_next(a: list, b: list) -> list:
     """-(a mod b) times a positive rational, primitive: the member of a Sturm
-    chain after a and b.  Each pseudo-division step scales by |lc(b)|."""
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    r = list(a)
-    while len(r) >= len(b):
-        f, shift = sign * r[-1], len(r) - len(b)
-        r = [scale * x for x in r]
-        for i, x in enumerate(b):
-            r[shift + i] -= f * x
-        while r and r[-1] == 0:
-            r.pop()
-    g = math.gcd(*r) if r else 1
+    chain after a and b."""
+    r = pdivmod(a, b)[1]
+    g = math.gcd(*r)
     return [-x // g for x in r]
 
 
@@ -171,13 +160,8 @@ def weil_bound_check(L: LocalFactor) -> bool:
     """
     N = 4 * L.p ** 3
     R = _trace_polynomial(L)
-    while len(R) > 2 and _at_sqrt(R, N) == (0, 0):
-        # exact division by the monic y^2 - N: y^d = y^(d-2) (y^2 - N) + N y^(d-2)
-        quotient = [0] * (len(R) - 2)
-        for d in range(len(R) - 1, 1, -1):
-            quotient[d - 2] = R[d]
-            R[d - 2] += N * R[d]
-        R = quotient
+    while not (split := pdivmod(R, [-N, 0, 1]))[1]:  # y^2 - N divides R
+        R = split[0]
     chain = [R, [i * x for i, x in enumerate(R)][1:]]
     while len(chain[-1]) > 1:
         nxt = _sturm_next(chain[-2], chain[-1])

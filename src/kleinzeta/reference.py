@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .lfunc import LocalFactor
+from .poly import mul
 
 # The degree-10 factor at p = 3 factors as a CM quadratic times an
 # irreducible degree-8 cofactor; both are fixed targets of the build.
@@ -10,17 +11,9 @@ FACTOR3_QUADRATIC = (1, 3, 27)
 FACTOR3_DEGREE8 = (1, -3, -18, 135, 81, 3645, -13122, -59049, 531441)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def reference_degree10_at_3() -> LocalFactor:
     """Exact expansion of the two pinned factors at p = 3."""
-    return LocalFactor(3, tuple(_poly_mul(FACTOR3_QUADRATIC, FACTOR3_DEGREE8)))
+    return LocalFactor(3, tuple(mul(FACTOR3_QUADRATIC, FACTOR3_DEGREE8)))
 
 
 # coefficient samples frozen from the agreement of two independent routes:

@@ -93,8 +93,16 @@ def test_count_past_the_budget_is_a_usage_error(tmp_path, capsys):
     # 23^5 is past the log/exp cap: BudgetExceeded exits 2 and records nothing
     cache = tmp_path / "c.jsonl"
     assert run(["count", "--p", "23", "--k", "5", "--cache", str(cache)]) == 2
-    assert f"q = 6436343 exceeds the log/exp limit {LOG_TABLE_MAX_Q}" in capsys.readouterr().err
+    assert f"q = 23^5 exceeds the log/exp limit {LOG_TABLE_MAX_Q}" in capsys.readouterr().err
     assert not cache.exists()
+
+
+def test_count_with_a_huge_degree_names_the_field_limit(capsys):
+    # the degree is refused before p^k is formed: 3^100000 has 47713 digits,
+    # past what Python converts to a string, and 3^30000000 takes seconds
+    for k in ("100000", "30000000"):
+        assert run(["count", "--p", "3", "--k", k]) == 2
+        assert f"q = 3^{k} exceeds the log/exp limit 1048576" in capsys.readouterr().err
 
 
 def test_trace_sweep_small(tmp_path, capsys):

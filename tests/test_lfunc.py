@@ -13,7 +13,8 @@ from kleinzeta.hecke import h3_local_factor_product, primes_up_to
 from kleinzeta.lfunc import (InconsistentCounts, LocalFactor, PowerSums, counts_to_power_sums,
                              local_factor_power_sums, power_sums_to_local_factor,
                              weil_bound_check)
-from kleinzeta.reference import _poly_mul, reference_degree10_at_3
+from kleinzeta.poly import mul
+from kleinzeta.reference import reference_degree10_at_3
 
 TARGET3 = reference_degree10_at_3()
 
@@ -147,7 +148,7 @@ def _mirrored(p, half):
 
 
 def _product(p, *factors):
-    return LocalFactor(p, tuple(functools.reduce(_poly_mul, factors)))
+    return LocalFactor(p, tuple(functools.reduce(mul, factors)))
 
 
 def test_exact_purity_matches_root_moduli_on_perturbed_product_factors():
