@@ -668,13 +668,12 @@ def default_invariance_probes(p: int):
     ]
 
 
-def stabilizer_invariance_check(p: int, samples=None, probes=None) -> bool:
+def stabilizer_invariance_check(p: int) -> bool:
     """Support stability of phi^lev under sampled Gamma_0(p^2)^2 pairs."""
-    samples = default_invariance_samples(p) if samples is None else samples
-    probes = default_invariance_probes(p) if probes is None else probes
+    probes = default_invariance_probes(p)
     sup = lev_support(p)
     before = [in_support_pair(x1, x2, sup) for x1, x2 in probes]
-    for g1, g2 in samples:
+    for g1, g2 in default_invariance_samples(p):
         if not (_is_gamma0_p2(g1, p) and _is_gamma0_p2(g2, p)):
             raise ValueError("sample pair is not in Gamma_0(p^2) x Gamma_0(p^2)")
         if g1.det() != g2.det():
@@ -690,36 +689,39 @@ def stabilizer_invariance_check(p: int, samples=None, probes=None) -> bool:
 # archimedean equivariance
 
 
-def p_plus(x) -> complex:
-    """Tr(x * [[-i, -1], [-1, i]])."""
-    a, b, c, d = x[0][0], x[0][1], x[1][0], x[1][1]
-    return -(b + c) - 1j * (a - d)
+def _projectors() -> tuple:
+    """(P+, P-) on the unit matrices E11, E12, E21, E22, as Gaussian
+    integers (re, im): P+(x) = Tr(x [[-i, -1], [-1, i]]) and
+    P-(x) = Tr(x [[i, 1], [-1, i]])."""
+    return (((0, -1), (-1, 0), (-1, 0), (0, 1)),
+            ((0, 1), (-1, 0), (1, 0), (0, 1)))
 
 
-def p_minus(x) -> complex:
-    """Tr(x * [[i, 1], [-1, i]])."""
-    a, b, c, d = x[0][0], x[0][1], x[1][0], x[1][1]
-    return (c - b) + 1j * (a + d)
+def archimedean_equivariance() -> list:
+    """The nonzero residuals of the rotation equivariance of P+ and P-, exactly.
 
-
-def archimedean_equivariance(t1: float, t2: float, x) -> tuple:
-    """Residuals (P+, P-) of the rotation equivariance of the projectors.
-
-    With u_t = [[cos t, sin t], [-sin t, cos t]] and the action
-    x -> u_(t1)^-1 x u_(t2), P+ picks up the phase e^(-i(t2 + t1)) and
-    P- picks up e^(-i(t1 - t2)).  Both residuals read one moved matrix.
+    u_t = [[cos t, sin t], [-sin t, cos t]] is exp(tJ) with
+    J = [[0, 1], [-1, 0]], so x -> u(t1)^-1 x u(t2) is exp(t1 L1 + t2 L2)
+    with L1 x = -J x and L2 x = x J, which commute.  A functional with
+    P o L_k = lam_k P has P o L_k^n = lam_k^n P, hence
+    P(u(t1)^-1 x u(t2)) = e^(lam1 t1 + lam2 t2) P(x) for every t1, t2 and
+    x.  The phases e^(-i(t1 + t2)) of P+ and e^(-i(t1 - t2)) of P- are
+    lam = (-i, -i) and (-i, +i), and the identities are linear in x, so the
+    16 values P(L_k E) - lam_k P(E) over the four unit matrices E decide
+    them.  Each is a Gaussian integer (re, im); the list holds
+    (projector, k, E index, residual) of each nonzero one.
     """
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
-    a, b, c, d = x[0][0], x[0][1], x[1][0], x[1][1]
-    # u(t1)^-1 x
-    ra, rb = c1 * a - s1 * c, c1 * b - s1 * d
-    rc, rd = s1 * a + c1 * c, s1 * b + c1 * d
-    # ... u(t2)
-    ya, yb = ra * c2 - rb * s2, ra * s2 + rb * c2
-    yc, yd = rc * c2 - rd * s2, rc * s2 + rd * c2
-    moved = ((ya, yb), (yc, yd))
-    plus = complex(math.cos(t2 + t1), -math.sin(t2 + t1))
-    minus = complex(math.cos(t1 - t2), -math.sin(t1 - t2))
-    return (abs(p_plus(moved) - plus * p_plus(x)),
-            abs(p_minus(moved) - minus * p_minus(x)))
+    generators = (lambda a, b, c, d: (-c, -d, a, b),    # L1 x = -J x
+                  lambda a, b, c, d: (-b, a, -d, c))    # L2 x = x J
+    residuals = []
+    for name, P, signs in zip(("P+", "P-"), _projectors(), ((-1, -1), (-1, 1))):
+        for k, (L, s) in enumerate(zip(generators, signs), 1):
+            for e, (pre, pim) in enumerate(P):
+                moved = L(*(int(j == e) for j in range(4)))
+                re = sum(v * w for v, (w, _) in zip(moved, P))
+                im = sum(v * w for v, (_, w) in zip(moved, P))
+                # lam_k P(E) = s i (pre + i pim) = (-s pim, s pre)
+                residual = (re + s * pim, im - s * pre)
+                if residual != (0, 0):
+                    residuals.append((name, k, e, residual))
+    return residuals

@@ -586,6 +586,29 @@ def test_theta_scan_with_a_surviving_marked_row_fails_its_check(monkeypatch, tmp
     assert payload["certificates"] == {"I": None}
 
 
+@pytest.mark.parametrize("command", ["theta-support", "report"])
+def test_swapped_projectors_fail_the_archimedean_check(monkeypatch, tmp_path, command):
+    # P+ and P- trade phases: the archimedean check fails (exit 1, JSON
+    # written) and every other check reads as it does unpatched
+    from kleinzeta import thetasupp
+
+    def checks(code):
+        out = tmp_path / "r.json"
+        assert run([command, "--json", str(out)]) == code
+        return {c["name"]: (c["status"], c["expected"], c["actual"])
+                for c in json.loads(out.read_text())["checks"]}
+
+    name = "theta-archimedean-equivariance"
+    before = checks(0)
+    plus, minus = thetasupp._projectors()
+    monkeypatch.setattr(thetasupp, "_projectors", lambda: (minus, plus))
+    after = checks(1)
+    assert before[name] == ("pass", "no residual at either rotation generator (exact)", "[]")
+    assert after.pop(name)[0] == "fail"
+    del before[name]
+    assert after == before
+
+
 @pytest.mark.parametrize("argv, patch, check", [
     (["hecke-table", "--out", "h.csv"], ("hecke", "ap_f", lambda p: 100), "hecke-table"),
     (["count", "--p", "3"], ("counting", "count_klein_fast", lambda F: 10 ** 12), "count-p3-k1"),

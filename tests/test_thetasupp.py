@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kleinzeta import thetasupp
 from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, alpha_matrix,
                                  archimedean_equivariance, char_sum, coset_rep,
@@ -77,8 +79,6 @@ def test_padicmat2_arithmetic_matches_fraction_formulas():
     # formulas, on seeded matrices whose denominators mix powers of p, 2 and
     # 3p; results must be in lowest terms with den > 0 so that equal
     # matrices compare equal
-    import math
-
     p = 5
     rng = random.Random(5)
     dens = [1, p, p * p, p ** 3, 2, 4, 3 * p]
@@ -652,14 +652,16 @@ def test_stabilizer_tests_each_probe_once_before_the_action(monkeypatch):
     assert calls[:len(probes)] == probes
 
 
-def test_stabilizer_invariance_rejects_bad_samples():
+def test_stabilizer_invariance_rejects_bad_samples(monkeypatch):
     p = 11
     bad = (PadicMat2.of(1, 0, p, 1), PadicMat2.identity())  # only level p
+    monkeypatch.setattr(thetasupp, "default_invariance_samples", lambda p: [bad])
     with pytest.raises(ValueError):
-        stabilizer_invariance_check(p, samples=[bad])
+        stabilizer_invariance_check(p)
     unequal = (PadicMat2.of(1, 0, 0, 2), PadicMat2.identity())
+    monkeypatch.setattr(thetasupp, "default_invariance_samples", lambda p: [unequal])
     with pytest.raises(ValueError):
-        stabilizer_invariance_check(p, samples=[unequal])
+        stabilizer_invariance_check(p)
 
 
 def test_level_p_conjugation_moves_the_support():
@@ -675,16 +677,79 @@ def test_level_p_conjugation_moves_the_support():
     assert before and not after
 
 
-def test_archimedean_equivariance():
-    assert archimedean_equivariance(0.0, 0.0, [[1.0, 0.5], [0.25, -1.0]]) == (0.0, 0.0)
-    rng = random.Random(99)
+# ---------------------------------------------------------------------------
+# archimedean equivariance: the exact check against the float rotation route
+
+
+def p_plus(x) -> complex:
+    """Tr(x * [[-i, -1], [-1, i]])."""
+    a, b, c, d = x[0][0], x[0][1], x[1][0], x[1][1]
+    return -(b + c) - 1j * (a - d)
+
+
+def p_minus(x) -> complex:
+    """Tr(x * [[i, 1], [-1, i]])."""
+    a, b, c, d = x[0][0], x[0][1], x[1][0], x[1][1]
+    return (c - b) + 1j * (a + d)
+
+
+def float_equivariance(t1, t2, x, plus=p_plus, minus=p_minus) -> tuple:
+    """Residuals (P+, P-) of the rotation equivariance at one sample, in floats.
+
+    With u_t = [[cos t, sin t], [-sin t, cos t]] and the action
+    x -> u_(t1)^-1 x u_(t2), P+ picks up the phase e^(-i(t2 + t1)) and
+    P- picks up e^(-i(t1 - t2)).  Both residuals read one moved matrix.
+    """
+    c1, s1 = math.cos(t1), math.sin(t1)
+    c2, s2 = math.cos(t2), math.sin(t2)
+    a, b, c, d = x[0][0], x[0][1], x[1][0], x[1][1]
+    # u(t1)^-1 x
+    ra, rb = c1 * a - s1 * c, c1 * b - s1 * d
+    rc, rd = s1 * a + c1 * c, s1 * b + c1 * d
+    # ... u(t2)
+    ya, yb = ra * c2 - rb * s2, ra * s2 + rb * c2
+    yc, yd = rc * c2 - rd * s2, rc * s2 + rd * c2
+    moved = ((ya, yb), (yc, yd))
+    phase_plus = complex(math.cos(t2 + t1), -math.sin(t2 + t1))
+    phase_minus = complex(math.cos(t1 - t2), -math.sin(t1 - t2))
+    return (abs(plus(moved) - phase_plus * plus(x)),
+            abs(minus(moved) - phase_minus * minus(x)))
+
+
+def worst_float_residual(seed, draws=1000, **projectors):
+    rng = random.Random(seed)
     worst = 0.0
-    for _ in range(1000):
+    for _ in range(draws):
         t1, t2 = rng.uniform(0, 6.3), rng.uniform(0, 6.3)
         x = [[rng.uniform(-3, 3), rng.uniform(-3, 3)],
              [rng.uniform(-3, 3), rng.uniform(-3, 3)]]
-        worst = max(worst, *archimedean_equivariance(t1, t2, x))
-    assert worst < 1e-12
+        worst = max(worst, *float_equivariance(t1, t2, x, **projectors))
+    return worst
+
+
+def test_archimedean_equivariance():
+    # the exact identity at the generators, and the float route at samples
+    assert archimedean_equivariance() == []
+    assert float_equivariance(0.0, 0.0, [[1.0, 0.5], [0.25, -1.0]]) == (0.0, 0.0)
+    assert worst_float_residual(99) < 1e-12
     # the minus projector depends on t2 - t1 only
     x = [[1.0, 2.0], [3.0, 4.0]]
-    assert archimedean_equivariance(0.7, 0.7, x)[1] < 1e-12
+    assert float_equivariance(0.7, 0.7, x)[1] < 1e-12
+
+
+def test_exact_projectors_are_the_trace_formulas():
+    units = [[[int(2 * i + j == e) for j in range(2)] for i in range(2)] for e in range(4)]
+    plus, minus = thetasupp._projectors()
+    assert [complex(*v) for v in plus] == [p_plus(E) for E in units]
+    assert [complex(*v) for v in minus] == [p_minus(E) for E in units]
+
+
+def test_swapped_phases_fail_both_routes(monkeypatch):
+    assert worst_float_residual(99, draws=100, plus=p_minus, minus=p_plus) > 0.1
+    plus, minus = thetasupp._projectors()
+    monkeypatch.setattr(thetasupp, "_projectors", lambda: (minus, plus))
+    residuals = archimedean_equivariance()
+    # each projector meets the other's phase at L2, on all four unit matrices
+    assert len(residuals) == 8
+    assert {(name, k) for name, k, _, _ in residuals} == {("P+", 2), ("P-", 2)}
+    assert all(r != (0, 0) for *_, r in residuals)
