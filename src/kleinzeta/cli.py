@@ -12,20 +12,24 @@ Subcommands:
 
 The counting subcommands read and append a count cache only with --cache.
 
+The flags of each subcommand are one table, COMMANDS, read by parse_args.
+A flag is its exact name (no abbreviations), given as `--flag value` or
+`--flag=value`; a repeated flag keeps its last value.  `kleinzeta --help`
+lists every subcommand with its flags, `kleinzeta CMD --help` one of them.
+
 Every check's work goes through VerificationReport.run, which times it on
 one clock and applies one failure rule: an ArithmeticError (a failed exact
 computation, or counts that cannot be right, such as lfunc.InconsistentCounts
 and the cache's bad or conflicting records) fails the check it feeds, and
 the report is still written.  Any other exception -- a ValueError or OSError
-from bad usage, a field past the size limit, an unwritable path -- ends the
-run in main.
+from bad usage (an unknown command or flag, a missing or malformed value), a
+field past the size limit, an unwritable path -- ends the run in main.
 
 Exit status: 0 when every check passes, 1 on any failure, 2 on bad usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -262,56 +266,90 @@ def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# command line
+
+# subcommand -> (help, {flag: (type, default, help)}); the type is int, str or
+# a tuple of choices, and a default of ... marks a required flag
+_CACHE = (str, None, "count cache file (JSONL); none if omitted")
+_JSON = (str, None, "write the report as JSON to this path")
+COMMANDS = {
+    "count": ("count points over F_{p^k}",
+              {"p": (int, ..., ""), "k": (int, 1, ""), "cache": _CACHE, "json": _JSON}),
+    "verify-l3": ("flagship degree-10 identity at p = 3", {"cache": _CACHE, "json": _JSON}),
+    "trace-sweep": ("count vs trace prediction for good p <= B",
+                    {"max": (int, 100, ""), "cache": _CACHE, "json": _JSON}),
+    "hecke-table": ("write the coefficient table as CSV",
+                    {"max": (int, 200, ""), "out": (str, ..., ""), "json": _JSON}),
+    "cohomology": ("middle-cohomology verification summary", {"json": _JSON}),
+    "theta-support": ("coset support scan certificates",
+                      {"p": (int, 11, ""), "box": (int, 4, "|m|,|n|,|r| radius"),
+                       "type": (("I", "II", "III", "IV", "all"), "all", ""), "json": _JSON}),
+    "report": ("run the full battery",
+               {"max": (int, 100, "trace-sweep prime bound"), "cache": _CACHE, "json": _JSON}),
+}
 
 
-def _add_cache_flag(sp):
-    sp.add_argument("--cache", default=None, help="count cache file (JSONL); none if omitted")
+def _help(commands) -> str:
+    lines = ["usage: kleinzeta COMMAND [--FLAG VALUE | --FLAG=VALUE ...]", "",
+             "desk-scale zeta verification for the Klein cubic"]
+    for command in commands:
+        text, flags = COMMANDS[command]
+        lines += ["", f"{command:<15}{text}"]
+        for flag, (kind, default, note) in flags.items():
+            value = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                     else "INT" if kind is int else "PATH")
+            state = "required" if default is ... else f"default {default}"
+            if default is not None:
+                note = f"{note}; {state}" if note else state
+            lines.append(f"  --{flag + ' ' + value:<26}{note}")
+    return "\n".join(lines)
 
 
-def _add_json_flag(sp):
-    sp.add_argument("--json", default=None, help="write the report as JSON to this path")
+def parse_args(argv) -> tuple:
+    """(command, {flag: value}) with every flag of the command, at its default
+    when not given; (None, None) once -h or --help has printed the help.
 
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kleinzeta",
-                                 description="desk-scale zeta verification for the Klein cubic")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("count", help="count points over F_{p^k}")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    _add_cache_flag(sp)
-    _add_json_flag(sp)
-
-    sp = sub.add_parser("verify-l3", help="flagship degree-10 identity at p = 3")
-    _add_cache_flag(sp)
-    _add_json_flag(sp)
-
-    sp = sub.add_parser("trace-sweep", help="count vs trace prediction for good p <= B")
-    sp.add_argument("--max", type=int, default=100)
-    _add_cache_flag(sp)
-    _add_json_flag(sp)
-
-    sp = sub.add_parser("hecke-table", help="write the coefficient table as CSV")
-    sp.add_argument("--max", type=int, default=200)
-    sp.add_argument("--out", required=True)
-    _add_json_flag(sp)
-
-    sp = sub.add_parser("cohomology", help="middle-cohomology verification summary")
-    _add_json_flag(sp)
-
-    sp = sub.add_parser("theta-support", help="coset support scan certificates")
-    sp.add_argument("--p", type=int, default=11)
-    sp.add_argument("--box", type=int, default=4, help="|m|,|n|,|r| radius")
-    sp.add_argument("--type", default="all", choices=["I", "II", "III", "IV", "all"])
-    _add_json_flag(sp)
-
-    sp = sub.add_parser("report", help="run the full battery")
-    sp.add_argument("--max", type=int, default=100, help="trace-sweep prime bound")
-    _add_cache_flag(sp)
-    _add_json_flag(sp)
-    return ap
+    A flag is its exact name, as `--flag value` or `--flag=value`, and a
+    repeated flag keeps its last value.  A value may start with one dash
+    (`--box -1`), not with two.  Every usage error raises ValueError.
+    """
+    if not argv:
+        raise ValueError(f"a command is required: {', '.join(COMMANDS)}")
+    if argv[0] in ("-h", "--help"):
+        print(_help(COMMANDS))
+        return None, None
+    command, words = argv[0], list(argv[1:])
+    if command not in COMMANDS:
+        raise ValueError(f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    flags = COMMANDS[command][1]
+    args = {flag: default for flag, (_, default, _) in flags.items()}
+    unknown = []
+    while words:
+        word = words.pop(0)
+        if word in ("-h", "--help"):
+            print(_help([command]))
+            return None, None
+        flag, eq, value = word[2:].partition("=")
+        if not word.startswith("--") or flag not in flags:
+            unknown.append(word)
+            continue
+        if not eq:
+            if not words or words[0].startswith("--"):
+                raise ValueError(f"argument --{flag}: expected one argument")
+            value = words.pop(0)
+        kind = flags[flag][0]
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"argument --{flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        if kind is int and not value.strip().lstrip("+-").replace("_", "").isdecimal():
+            raise ValueError(f"argument --{flag}: invalid int value: {value!r}")
+        args[flag] = int(value) if kind is int else value
+    missing = [f"--{flag}" for flag, value in args.items() if value is ...]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, args
 
 
 def _finish(report: VerificationReport, json_path, extra=None) -> int:
@@ -326,54 +364,55 @@ def _finish(report: VerificationReport, json_path, extra=None) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    report = VerificationReport("kleinzeta", __version__, {"command": args.command, **config})
     try:
-        if getattr(args, "max", 2) < 2:     # a sweep with no primes checks nothing
-            raise ValueError(f"--max {args.max} leaves no primes to check; use --max >= 2")
-        if args.command in ("trace-sweep", "report"):
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+        if command is None:     # the help was printed
+            return 0
+        report = VerificationReport("kleinzeta", __version__, {"command": command, **args})
+        if args.get("max", 2) < 2:     # a sweep with no primes checks nothing
+            raise ValueError(f"--max {args['max']} leaves no primes to check; use --max >= 2")
+        if command in ("trace-sweep", "report"):
             # build_field refuses every q past LOG_TABLE_MAX_Q, so a sweep that
             # reaches a prime past it would count every smaller prime and then fail
             past = LOG_TABLE_MAX_Q + 1
             while not is_prime(past):
                 past += 1
-            if args.max >= past:
-                raise ValueError(f"--max {args.max} reaches the prime {past}, past the "
+            if args["max"] >= past:
+                raise ValueError(f"--max {args['max']} reaches the prime {past}, past the "
                                  f"field limit {LOG_TABLE_MAX_Q}; use --max < {past}")
         if "cache" in args:     # the subcommands that count
-            cache = cachemod.CountCache(args.cache)
-        if args.command == "count":
-            n = run_count(report, cache, args.p, args.k)
+            cache = cachemod.CountCache(args["cache"])
+        if command == "count":
+            n = run_count(report, cache, args["p"], args["k"])
             if n is not None:
-                print(f"#X(P^4(F_{args.p}^{args.k})) = {n}")
-            return _finish(report, args.json)
-        if args.command == "verify-l3":
+                print(f"#X(P^4(F_{args['p']}^{args['k']})) = {n}")
+            return _finish(report, args["json"])
+        if command == "verify-l3":
             run_verify_l3(report, cache)
-            return _finish(report, args.json)
-        if args.command == "trace-sweep":
-            run_trace_sweep(report, cache, args.max)
-            return _finish(report, args.json)
-        if args.command == "hecke-table":
-            run_hecke_table(report, args.max, args.out)
-            return _finish(report, args.json)
-        if args.command == "cohomology":
+            return _finish(report, args["json"])
+        if command == "trace-sweep":
+            run_trace_sweep(report, cache, args["max"])
+            return _finish(report, args["json"])
+        if command == "hecke-table":
+            run_hecke_table(report, args["max"], args["out"])
+            return _finish(report, args["json"])
+        if command == "cohomology":
             summary = run_cohomology(report)
-            return _finish(report, args.json, {"cohomology": summary})
-        if args.command == "theta-support":
-            types = ("I", "II", "III", "IV") if args.type == "all" else (args.type,)
-            certs = run_theta_support(report, args.p, thetasupp.ScanBox(radius=args.box),
+            return _finish(report, args["json"], {"cohomology": summary})
+        if command == "theta-support":
+            types = ("I", "II", "III", "IV") if args["type"] == "all" else (args["type"],)
+            certs = run_theta_support(report, args["p"], thetasupp.ScanBox(radius=args["box"]),
                                       types=types)
-            return _finish(report, args.json, {"certificates": certs})
-        if args.command == "report":
+            return _finish(report, args["json"], {"certificates": certs})
+        if command == "report":
             run_verify_l3(report, cache)
-            run_trace_sweep(report, cache, args.max)
+            run_trace_sweep(report, cache, args["max"])
             report.check("fermat-cover", True, counting.verify_fermat_cover)
             run_cm_structure(report, 200)
             run_cohomology(report)
             certs = run_theta_support(report, 11, thetasupp.ScanBox())
-            return _finish(report, args.json, {"certificates": certs})
-        raise ValueError(f"unhandled command {args.command}")
+            return _finish(report, args["json"], {"certificates": certs})
+        raise ValueError(f"unhandled command {command}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -145,11 +145,9 @@ class CycPoly:
 
     def rotate_vars(self) -> "CycPoly":
         """Substitution x_i -> x_(i+1) (indices mod 5)."""
-        out = {}
-        for e, c in self.terms:
-            ne = tuple(e[(j - 1) % NVARS] for j in range(NVARS))
-            out[ne] = out.get(ne, 0) + c
-        return CycPoly.make(out, self.degree)
+        # a permutation of the variables maps distinct monomials to distinct ones
+        return CycPoly.make({tuple(e[(j - 1) % NVARS] for j in range(NVARS)): c
+                             for e, c in self.terms}, self.degree)
 
 
 def monomial(exps, coeff=Fraction(1)) -> CycPoly:
@@ -224,24 +222,24 @@ class DegreeData:
         return len(self.complement)
 
     def split(self, poly: CycPoly):
-        """poly = harmonic + sum_i B_i dS/dx_i: the harmonic part's coordinates
-        over the complement, and the five B_i."""
+        """(coords, B, scale) with scale * poly = harmonic + sum_i B_i dS/dx_i:
+        the harmonic part's integer coordinates over the complement, the five
+        B_i with integer coefficients, and the positive integer scale."""
         d = self.degree
-        coords = [Fraction(0)] * self.quotient_dim
+        coords = [0] * self.quotient_dim
         parts = [dict() for _ in range(NVARS)]
-        if not poly.is_zero():
-            red, scale = self.echelon.reduce({self.index[e]: c for e, c in poly.terms})
-            tag0 = len(self.monomials)
-            for col, v in red.items():
-                if col >= tag0:
-                    i, m = self.generators[col - tag0]
-                    parts[i][m] = exact_quotient(-v, scale)
-                    continue
-                j = self._comp_index.get(col)
-                if j is None:
-                    raise ArithmeticError("normal form escaped the complement")
-                coords[j] = exact_quotient(v, scale)
-        return coords, [CycPoly.make(t, max(d - 2, 0)) for t in parts]
+        red, scale = self.echelon.reduce({self.index[e]: c for e, c in poly.terms})
+        tag0 = len(self.monomials)
+        for col, v in red.items():
+            if col >= tag0:
+                i, m = self.generators[col - tag0]
+                parts[i][m] = -v
+                continue
+            j = self._comp_index.get(col)
+            if j is None:
+                raise ArithmeticError("normal form escaped the complement")
+            coords[j] = v
+        return coords, [CycPoly.make(t, max(d - 2, 0)) for t in parts], scale
 
     def harmonic(self, coords) -> CycPoly:
         """The polynomial with the given coordinates over the complement."""
@@ -303,6 +301,10 @@ def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
     pole order m - 1, until A is zero or at pole order 2.  The harmonic part
     at pole order 3 gives the coordinates over the degree-4 complement; the
     numerator left at pole order 2 gives those over the x_i (J_1 = 0).
+    The numerator is carried as a form over one positive integer
+    denominator, the product of the splits' scales and the factors m - 1,
+    so a Fraction is built only for a coordinate read at pole order 3 or 2
+    that the denominator does not divide.
     Coefficients may lie in Q(zeta_5) at pole order 2 only: above it the
     numerator goes through the rational echelon (`linalg`), which raises
     TypeError on a cyclotomic coefficient.
@@ -313,30 +315,33 @@ def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
     first reduction step in place of the one from DegreeData.split, which
     lets callers check that the reduction does not depend on the lift.
     """
-    A, m = omega.form, omega.pole_order
-    pole3 = [Fraction(0)] * degree_data(4).quotient_dim
+    A, m, den = omega.form, omega.pole_order, 1     # the numerator is A / den
+    pole3 = [0] * degree_data(4).quotient_dim
     while m > 2 and not A.is_zero():
         data = degree_data(A.degree)
-        coords, B = data.split(A)
+        coords, B, scale = data.split(A)
         if m == 3:
-            pole3 = coords
-        elif any(not _is_zero(c) for c in coords):
+            pole3 = [exact_quotient(c, den * scale) for c in coords]
+        elif any(coords):
             # (R/J)_d vanishes for d = 3m-5 > 5, so A is entirely ideal
             raise ArithmeticError("nonzero harmonic part above the socle degree")
         if first_lift is not None:
-            recomposed = CycPoly.make({}, A.degree)
+            recomposed = data.harmonic(coords)
             for Bi, g in zip(first_lift, jacobian_generators()):
-                recomposed = recomposed + Bi * g
-            if not (recomposed + data.harmonic(coords) - A).is_zero():
+                recomposed = recomposed + (Bi * g).scale(scale)
+            if not (recomposed - A.scale(scale)).is_zero():
                 raise ValueError("provided lift does not recompose the numerator")
-            B, first_lift = first_lift, None
+            B, scale, first_lift = first_lift, 1, None
         m -= 1
+        den *= scale * m
         A = CycPoly.make({}, 3 * m - 5)
         for i in range(NVARS):
             A = A + B[i].diff(i)
-        A = A.scale(Fraction(1, m))
-    pole2 = A.dict()  # empty unless A reached pole order 2
-    return [pole2.get(x, Fraction(0)) for x in degree_data(1).complement] + pole3
+    terms = A.dict()  # empty unless A reached pole order 2
+    pole2 = [terms.get(x, 0) for x in degree_data(1).complement]
+    if den > 1:     # a numerator given at pole order 2 is read as it is
+        pole2 = [exact_quotient(c, den) for c in pole2]
+    return pole2 + pole3
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from kleinzeta import cache as cachemod
 from kleinzeta import cli, counting, ffield
 from kleinzeta.cache import ConflictingRecords, CountCache, cached_count, record_count
-from kleinzeta.cli import build_parser, main
+from kleinzeta.cli import main, parse_args
 from kleinzeta.counting import CountRecord
 from kleinzeta.ffield import LOG_TABLE_MAX_Q
 from kleinzeta.hecke import predicted_count
@@ -55,11 +57,82 @@ def test_count_without_cache_writes_no_file(tmp_path, monkeypatch, capsys):
                               "report-no-cache", "report-quick"])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     assert "unrecognized arguments: " + argv[-1] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["counts", "--p", "3", "--json", "r.json"], "invalid command 'counts'"),
+    (["--p", "3", "count", "--json", "r.json"], "invalid command '--p'"),
+    (["count", "--p", "3", "--ks", "2", "--cache", "c.jsonl"], "unrecognized arguments: --ks 2"),
+    (["report", "--ma", "10", "--json", "r.json"], "unrecognized arguments: --ma 10"),
+    (["count", "--p", "3", "-k", "2", "--json", "r.json"], "unrecognized arguments: -k 2"),
+    (["count", "--cache", "c.jsonl", "--p"], "argument --p: expected one argument"),
+    (["count", "--cache", "--p", "3"], "argument --cache: expected one argument"),
+    (["count", "--k", "2", "--cache", "c.jsonl"], "the following arguments are required: --p"),
+    (["hecke-table", "--max", "10"], "the following arguments are required: --out"),
+    (["count", "--p", "three", "--json", "r.json"], "argument --p: invalid int value: 'three'"),
+    (["count", "--p", "3", "--k=2.5", "--json", "r.json"],
+     "argument --k: invalid int value: '2.5'"),
+    (["count", "--p", "3", "--k", "+-2", "--json", "r.json"], "invalid literal for int()"),
+    (["theta-support", "--type", "V", "--json", "t.json"], "argument --type: invalid choice: 'V'"),
+    (["theta-support", "--type=iv", "--json", "t.json"], "argument --type: invalid choice: 'iv'"),
+], ids=["no-command", "unknown-command", "flag-before-command", "unknown-flag",
+        "abbreviated-flag", "single-dash-flag", "no-value", "flag-as-value", "missing-p",
+        "missing-out", "bad-int", "bad-int-equals", "bad-int-signs", "bad-type",
+        "bad-type-equals"])
+def test_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    # every usage error leaves through main's one handler: exit 2, the
+    # message on stderr, and no report, cache or table written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_forms():
+    # --flag=value, the last of a repeated flag, and a value with one dash
+    assert parse_args(["count", "--p=5", "--k", "2", "--k=3"]) == (
+        "count", {"p": 5, "k": 3, "cache": None, "json": None})
+    assert parse_args(["theta-support", "--box", "-1", "--type=IV", "--type", "II"]) == (
+        "theta-support", {"p": 11, "box": -1, "type": "II", "json": None})
+    assert parse_args(["hecke-table", "--out=a=b.csv", "--max", " 1_0 "]) == (
+        "hecke-table", {"max": 10, "out": "a=b.csv", "json": None})
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["report", "--help"],
+                                  ["count", "--p", "3", "-h", "--bogus"]])
+def test_help_exits_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: kleinzeta COMMAND")
+    commands = [c for c in cli.COMMANDS if f"\n{c} " in out]
+    if argv[0].startswith("-"):
+        assert commands == list(cli.COMMANDS) and len(commands) == 7
+        assert "--type {I,II,III,IV,all}" in out and "count cache file (JSONL)" in out
+    else:
+        assert commands == [argv[0]]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_l3_loads_no_argparse(tmp_path):
+    # the flag table replaced argparse, which imports gettext, and gettext
+    # imports locale on first use: a verify-l3 run in a fresh interpreter
+    # loads none of the three
+    report = tmp_path / "r.json"
+    code = ("import sys\n"
+            "from kleinzeta.cli import main\n"
+            f"assert main(['verify-l3', '--json', {str(report)!r}]) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert json.loads(report.read_text())["overall"] == "pass"
 
 
 def test_count_reads_a_file_rewritten_between_runs(tmp_path, capsys):
@@ -627,13 +700,46 @@ def test_broken_record_bound_fails_its_check(monkeypatch, tmp_path, argv, patch,
     assert checks[0]["actual"].startswith("ArithmeticError: ")
 
 
-def test_readme_command_examples_parse():
-    # a flag removed from the parser must not linger in the docs
+def _readme_commands():
+    """The argv of each `kleinzeta` line of the README's command-line block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```")[1]
-    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
-                if line.startswith("kleinzeta ")]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("kleinzeta ")]
+
+
+def test_readme_command_examples_parse():
+    # a flag removed from the parser must not linger in the docs
+    commands = _readme_commands()
     assert len(commands) == 7
-    parser = build_parser()
     for argv in commands:
-        parser.parse_args(argv)
+        parse_args(argv)
+
+
+README_CONFIGS = [
+    {"command": "count", "p": 3, "k": 4, "cache": None, "json": None},
+    {"command": "verify-l3", "cache": None, "json": None},
+    {"command": "trace-sweep", "max": 100, "cache": None, "json": None},
+    {"command": "hecke-table", "max": 200, "out": "hecke.csv", "json": None},
+    {"command": "cohomology", "json": "coh.json"},
+    {"command": "theta-support", "p": 11, "box": 4, "type": "all", "json": "theta.json"},
+    {"command": "report", "max": 100, "cache": None, "json": "report.json"},
+]
+
+
+@pytest.mark.parametrize("config", README_CONFIGS, ids=[c["command"] for c in README_CONFIGS])
+def test_readme_command_config_blocks(monkeypatch, config):
+    # the report's config block of each README command: the command and
+    # every flag of it, given or at its default
+    argv = {argv[0]: argv for argv in _readme_commands()}[config["command"]]
+
+    class Built(Exception):
+        pass
+
+    def built(tool, version, config):
+        raise Built(config)
+
+    monkeypatch.setattr(cli, "VerificationReport", built)
+    with pytest.raises(Built) as exc:
+        main(argv)
+    assert exc.value.args[0] == config

@@ -260,7 +260,10 @@ def test_cyclotomic_callers_build_few_fractions(monkeypatch):
     M = gdcohom.alpha_pullback()
     # pins: the counts at the integer representation plus 10% headroom; the
     # Fraction-coordinate representation built 1181, 2188, 612 and 532, and
-    # the Fraction echelon 90 in the eigenspace split
+    # the Fraction echelon 90 in the eigenspace split.  The reduction carries
+    # its integer scale to pole orders 3 and 2, where one coordinate of the
+    # pullback is not integral; dividing at every step built 83
+    assert _fractions_built(monkeypatch, gdcohom.alpha_pullback) == 1
     assert _fractions_built(monkeypatch, lambda: hecke.h3_local_factor_product(3)) <= 12
     assert _fractions_built(monkeypatch, lambda: gdcohom.eigenspace_split(M)) == 0
     assert _fractions_built(monkeypatch, lambda: gdcohom.fil2_eigenvector_map(M)) == 0

@@ -29,10 +29,10 @@ def rand_poly(rng, d, density=0.5, bound=4):
 def _lift(A):
     """The five B_i with A = sum_i B_i dS/dx_i, read off DegreeData.split;
     None when a complement coordinate survives (A is off the ideal)."""
-    coords, lift = degree_data(A.degree).split(A)
+    coords, lift, scale = degree_data(A.degree).split(A)
     if any(c != 0 for c in coords):
         return None
-    return lift
+    return [B.scale(Fraction(1, scale)) for B in lift]
 
 
 def test_jacobian_generators():
@@ -379,12 +379,14 @@ def test_split_ignores_ideal_summands(d):
     for _ in range(4):
         A = rand_poly(rng, d)
         I, _ = _ideal_element(rng, d)
-        coords, B = data.split(A)
-        coords_shifted, B_shifted = data.split(A + I)
-        assert coords_shifted == coords
-        # each split recomposes its input
-        assert _recompose(B, d) + data.harmonic(coords) == A
-        assert _recompose(B_shifted, d) + data.harmonic(coords) == A + I
+        coords, B, scale = data.split(A)
+        coords_shifted, B_shifted, scale_shifted = data.split(A + I)
+        assert ([Fraction(c, scale_shifted) for c in coords_shifted]
+                == [Fraction(c, scale) for c in coords])
+        # each split recomposes its input, times its integer scale
+        assert _recompose(B, d) + data.harmonic(coords) == A.scale(scale)
+        assert (_recompose(B_shifted, d) + data.harmonic(coords_shifted)
+                == (A + I).scale(scale_shifted))
 
 
 def _dense_product(A, B):
