@@ -101,14 +101,17 @@ class VerificationReport:
         }
 
     def print_table(self, out=None) -> None:
-        out = out or sys.stdout
+        """Write the check table to out (stdout) in one write, so an
+        unbuffered stream does not write line by line."""
         width = max((len(c.name) for c in self.checks), default=4)
+        lines = []
         for c in self.checks:
             line = f"{c.name:<{width}}  {c.status:<12}"
             if c.status != "pass":
                 line += f"  expected={c.expected}  actual={c.actual}"
-            print(line, file=out)
-        print(f"overall: {'pass' if self.passed else 'FAIL'}", file=out)
+            lines.append(line)
+        lines.append(f"overall: {'pass' if self.passed else 'FAIL'}\n")
+        (out or sys.stdout).write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +361,10 @@ def _finish(report: VerificationReport, json_path, extra=None) -> int:
         payload = report.to_dict()
         if extra:
             payload.update(extra)
+        # one line: without indent, json.dumps runs the C encoder in one
+        # shot, where indent (and json.dump) take the pure-Python one
         with open(json_path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
+            fh.write(json.dumps(payload, sort_keys=True))
     return 0 if report.passed else 1
 
 

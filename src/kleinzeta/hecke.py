@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .cyclo import CyclotomicNumber
 from .ffield import is_prime
@@ -226,8 +227,16 @@ def hecke_record(p: int) -> HeckeRecord:
     return HeckeRecord(p, st, a, b, ap_f(p), ap_g(p), chi_dlog(p))
 
 
-def primes_up_to(bound: int):
-    return [n for n in range(2, bound + 1) if is_prime(n)]
+def primes_up_to(bound: int) -> list:
+    """The primes p <= bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for n in range(2, math.isqrt(bound) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, bound + 1, n)))
+    return list(compress(range(bound + 1), sieve))
 
 
 def hecke_table(max_p: int) -> list:

@@ -38,10 +38,12 @@ membership depends on the unit u: _entry_rule marks that
 row, no marked row survives the meet (the proof is in _Scan.shift_rules),
 and scan_type raises ArithmeticError if one does, so the check fails
 rather than guess.  The entries separate by the shift they read: c depends
-on neither, a on s alone and b on both.  So a family meets its c rules
-once, its a rules once per s, and forms the b rules only for the (s, t)
-whose partial meet is not already empty.  Entry d gets no rule: a, b and
-c of both images imply both d constraints (also proved there).
+on neither, a on s alone and b on both, and a term's valuation depends
+only on the residue class of the shift numerator it reads (the lemma is
+in _Scan.shift_rules).  So a family meets its c rules once, its a rules
+once per class of s, and its b rules once per class of t for each s whose
+partial meet is not already empty.  Entry d gets no rule: a, b and c of
+both images imply both d constraints (also proved there).
 PadicMat2 (integer numerators over one denominator), coset_rep and rho_act
 stay as the brute-force route the tests hold the scanner to; in_lattice
 reads each entry's valuation off the numerators, as the scanner does.
@@ -354,6 +356,7 @@ class _Scan:
         self.vals = range(-box.x_val_range, box.x_val_range + 1)
         self.units = (p - 1) * p ** box.x_res_exponent // p     # per row; none when e = 0
         self.rules = {}         # (vA, vB, entry) -> _entry_rule
+        self.meets = {}         # (rule, entry, valuations) -> _meet
         self.left = {}          # m -> ((H^-1, -H^-1 e12) numerators, v_p(den))
         self.right = {}         # n -> ((e1 h2, alpha h2) numerators, v_p(den))
         L1, L2 = lev_support(p)
@@ -382,34 +385,72 @@ class _Scan:
             nums = [tuple(v // p ** cancel for v in kernel) for kernel in nums]
         return nums, e - cancel + 2
 
-    def _meet(self, rule, shift: int, entries):
-        """rule met with the rules of entries (e, na, nb), e the index of the
-        constraint and (na + nb x) / p^shift the entry; None once the meet is
-        empty on valuations.  Rules are keyed by the entry's two valuations."""
+    def _meet(self, rule, e: int, vals):
+        """rule met with the rules of entry e of both images; None once the
+        meet is empty on valuations.  vals = (vA1, vB1, vA2, vB2) are the
+        valuations of the entry's constant and slope terms in the e1 image
+        (constraint e) and in the alpha image (constraint e + 4).  Rules are
+        keyed by the entry's two valuations."""
         zero, bits, marked = rule
-        for e, na, nb in entries:
+        for key in ((vals[0], vals[1], e), (vals[2], vals[3], e + 4)):
             if not zero and not bits:
                 return None
-            key = (_val_int(self.p, na, shift), _val_int(self.p, nb, shift), e)
             got = self.rules.get(key)
             if got is None:
-                got = self.rules[key] = _entry_rule(key[0], key[1], self.constraints[e], self.vals)
+                got = self.rules[key] = _entry_rule(key[0], key[1], self.constraints[key[2]],
+                                                    self.vals)
             zero = zero and got[0]
             bits &= got[1]
             marked |= got[2]
         return (zero, bits, marked) if zero or bits else None
 
+    def _live_residues(self, rule, e: int, shift: int, terms, n: int) -> list:
+        """(t, meet) in increasing t for every t in range(n), n = 1 or p, at
+        which rule met with entry e is live.  The entry's four terms are
+        (f0 + f1 t) / p^shift, given as the pairs (f0, f1) in the order of the
+        family's kernels.  Each residue class of t (shift_rules) is met once,
+        at one representative, and a meet is memoised by its valuations."""
+        p, classes, generic = self.p, {0}, 0
+        if n > 1:
+            for f0, f1 in terms:
+                w = _val_int(p, f0)
+                if w is not None and w == _val_int(p, f1):
+                    classes.add(-(f0 // p ** w) * pow(f1 // p ** w, -1, p) % p)
+            generic = next((t for t in range(1, n) if t not in classes), 0)
+            classes.add(generic)
+        met = {}
+        for t in classes:
+            key = (rule, e, tuple([_val_int(p, f0 + f1 * t, shift) for f0, f1 in terms]))
+            if key not in self.meets:
+                self.meets[key] = self._meet(*key)
+            met[t] = self.meets[key]
+        other = met[generic]
+        return [(t, got) for t in (range(n) if other else sorted(met))
+                if (got := met.get(t, other))]
+
     def shift_rules(self, family, ivals, jvals) -> list:
         """The live shifts of a family among s = i/p, t = j/p (i in ivals, j
-        in jvals): (i, j, rule) in scan order, rule = (zero, bits, marked)
-        the meet of the entry rules of a, b and c of both images at (s, t),
-        for every shift whose meet is not empty on valuations.
+        in jvals, each range(p) or range(1) as _shifts gives them):
+        (i, j, rule) in scan order, rule = (zero, bits, marked) the meet of
+        the entry rules of a, b and c of both images at (s, t), for every
+        shift whose meet is not empty on valuations.
 
         The entries of p^2 U(-s) K U(t), K = (ka, kb, kc, kd), are
         a = p (p ka - kc i), b = (p ka - kc i) j + p (p kb - kd i) and
-        c = p^2 kc: c reads neither shift and a only i.  So c is met once
-        per family, a once per i, and b once per (i, j) whose partial meet
-        is still live.
+        c = p^2 kc: c reads neither shift, a reads i alone, and for a fixed
+        i, b is affine in j.  Each term of a meet is so some f0 + f1 u with
+        integers f0, f1 and u = i or j over the residues [0, p), and its
+        valuation depends only on the class of u:
+          * at u = 0 it is v(f0);
+          * at every unit u it is min(v(f0), v(f1)), except when
+            v(f0) = v(f1) = w.  Then f0 + f1 u = p^w (u0 + u1 u) with units
+            u0, u1, and at the one special residue u = -u0 u1^-1 mod p the
+            valuation is higher; it is computed exactly there.
+        So a family meets its c rules once, its a rules once per class of i
+        (u = 0, the generic units and at most four special residues, one
+        per term), and, for each live i, its b rules once per class of j.
+        The meets are memoised by their valuation keys, and the residues of
+        a class whose meet is empty are never visited.
 
         Entry d (constraints 3 and 7) needs no rule: on the coset
         representatives, a, b and c of both images decide it.  Write
@@ -448,28 +489,17 @@ class _Scan:
         raises ArithmeticError if a marked row ever survives.
         """
         p = self.p
-        (KA1, KB1, KA2, KB2), shift = family
+        kernels, shift = family
         # x = 0 and every row; no row holds a point when no unit is scanned
         full = (True, (1 << len(self.vals)) - 1 if self.units else 0, 0)
-
-        def meet(rule, e, entry):
-            # entry e of K_e1 + K'_e1 x, then of K_alpha + K'_alpha x
-            return self._meet(rule, shift, [(e, entry(KA1), entry(KB1)),
-                                            (e + 4, entry(KA2), entry(KB2))])
-
-        base = meet(full, 2, lambda k: p * p * k[2])
-        if base is None:
-            return []
+        c = [(p * p * k[2], 0) for k in kernels]
+        a = [(p * p * k[0], -p * k[2]) for k in kernels]
         live = []
-        for i in ivals:
-            s_rule = meet(base, 0, lambda k: p * (p * k[0] - k[2] * i))
-            if s_rule is None:
-                continue
-            for j in jvals:
-                rule = meet(s_rule, 1,
-                            lambda k: (p * k[0] - k[2] * i) * j + p * (p * k[1] - k[3] * i))
-                if rule is not None:
-                    live.append((i, j, rule))
+        for _, base in self._live_residues(full, 2, shift, c, 1):
+            for i, s_rule in self._live_residues(base, 0, shift, a, len(ivals)):
+                b = [(p * (p * k[1] - k[3] * i), p * k[0] - k[2] * i) for k in kernels]
+                live += ((i, j, rule)
+                         for j, rule in self._live_residues(s_rule, 1, shift, b, len(jvals)))
         return live
 
     def count(self, zero: bool, bits: int) -> dict:

@@ -436,6 +436,55 @@ def test_report_without_cache(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
 
 
+def test_report_json_is_one_c_encoded_line(tmp_path, monkeypatch):
+    # the report is one compact line from the C encoder: the pure-Python
+    # encoder, which indent or json.dump would run, is never called, and the
+    # line parses to the report's to_dict() plus its certificates
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    finished = {}
+    finish = cli._finish
+
+    def spy(report, json_path, extra=None):
+        finished.update(report=report, extra=extra)
+        return finish(report, json_path, extra)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    monkeypatch.setattr(cli, "_finish", spy)
+    out = tmp_path / "report.json"
+    assert run(["report", "--json", str(out)]) == 0
+    text = out.read_text()
+    assert "\n" not in text
+    assert list(finished["extra"]) == ["certificates"]
+    expected = {**finished["report"].to_dict(), **finished["extra"]}
+    assert json.loads(text) == json.loads(json.dumps(expected))
+    assert len(json.loads(text)["checks"]) == 42
+
+
+def test_check_table_is_one_write():
+    # the aligned table and the overall line reach the stream in one write,
+    # which an unbuffered stdout (PYTHONUNBUFFERED) passes on as one write
+    class Stream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    report = cli.VerificationReport("kleinzeta", "0", {})
+    report.add("fermat-cover", True, True, True)
+    report.add("cm-structure-to-200", False, "x", "y")
+    out = Stream()
+    report.print_table(out)
+    assert out.writes == ["fermat-cover         pass        \n"
+                          "cm-structure-to-200  fail          expected=x  actual=y\n"
+                          "overall: FAIL\n"]
+    empty = Stream()
+    cli.VerificationReport("kleinzeta", "0", {}).print_table(empty)
+    assert empty.writes == ["overall: pass\n"]
+
+
 def _eigvals_calls(monkeypatch):
     """A list that records every LAPACK eigvals call, np.roots's included."""
     import inspect

@@ -4,7 +4,7 @@ import pytest
 
 from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.counting import CM_CURVE, count_weierstrass
-from kleinzeta.ffield import build_field
+from kleinzeta.ffield import build_field, is_prime
 from kleinzeta.hecke import (HeckeRecord, ap_f, ap_g, character_twist_sum, chi, chi_dlog,
                              h3_local_factor_product, hecke_record, hecke_table,
                              predicted_count, primes_up_to, solve_norm_form,
@@ -20,6 +20,18 @@ def test_split_type_examples():
     assert split_type(2) == "inert"
     with pytest.raises(ValueError):
         split_type(15)
+
+
+def test_primes_up_to_sieve_matches_is_prime():
+    # the sieve against a Miller-Rabin test per integer, at every bound up to
+    # 10^4 (0, 1, 2 and 3 included, and one below 0)
+    bound = 10 ** 4
+    primes = [n for n in range(2, bound + 1) if is_prime(n)]
+    assert primes_up_to(bound) == primes and len(primes) == 1229
+    count = 0
+    for b in range(-1, bound + 1):
+        count += b >= 2 and is_prime(b)
+        assert primes_up_to(b) == primes[:count], b
 
 
 def test_split_type_matches_legendre():

@@ -15,6 +15,8 @@ from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, a
                                  in_support_pair, lev_support, rho_act, scan_type,
                                  stabilizer_invariance_check)
 
+import shift_loop
+
 
 def entries(M):
     """The four entries of a PadicMat2 as Fractions, row major."""
@@ -549,6 +551,52 @@ def test_default_scans_entry_rule_count(monkeypatch):
         scan_type(11, ty, ScanBox())
     assert d_constraints
     assert 0 < calls <= 160
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_class_scan_matches_the_per_shift_loop(p):
+    # the scanner, which meets each residue class of each shift once, against
+    # the loop that meets every (i, j) on its own (tests/shift_loop.py): equal
+    # live lists, marked rows included, for every family of every type over
+    # the four boxes of the certificate digest test
+    from kleinzeta.thetasupp import _families, _Scan, _shifts
+
+    boxes = [ScanBox(), ScanBox(radius=0), ScanBox(radius=2, x_val_range=3, x_res_exponent=1),
+             ScanBox(radius=3, x_val_range=2, x_res_exponent=2)]
+    live = 0
+    for box in boxes:
+        for ty in COSET_TYPES:
+            scan = _Scan(p, ty, box)
+            ivals, jvals = _shifts(ty, p)
+            for m, n, r in _families(ty, box):
+                family = scan.kernels(m, n, r)
+                got = scan.shift_rules(family, ivals, jvals)
+                assert got == shift_loop.shift_rules(scan, family, ivals, jvals), (box, ty, m, n, r)
+                live += len(got)
+    assert live > 0
+
+
+def test_default_scans_meet_count(monkeypatch):
+    # operation-count guard: meeting each residue class of a shift once, and
+    # each (rule, entry, valuations) once per scan, takes 150 meets over the
+    # four default p = 11 scans and as many at p = 31; the meet per (i, j)
+    # took 1394 and 6614, growing as p^2
+    calls = 0
+    meet = thetasupp._Scan._meet
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return meet(self, *args)
+
+    monkeypatch.setattr(thetasupp._Scan, "_meet", counted)
+    counts = {}
+    for p in (11, 31):
+        calls = 0
+        for ty in COSET_TYPES:
+            assert scan_type(p, ty, ScanBox()).status == "certified"
+        counts[p] = calls
+    assert 0 < counts[11] <= 500 and counts[31] <= 2 * counts[11], counts
 
 
 def test_no_marked_row_survives_a_sweep():
