@@ -3,7 +3,7 @@
 Modules:
   poly       dense univariate polynomials over Z, Q, F_p and Q(zeta_n)
   ffield     F_{p^k} construction and its O(q) log/exp index vectors
-  counting   point counts (slice Klein counter, naive oracle, curves)
+  counting   point counts (Jacobi-sum Klein counter, naive oracle, curves)
   cache      opt-in append-only JSONL cache of point counts, read once per run
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology
   cyclo      exact Q(zeta_n) arithmetic for prime n

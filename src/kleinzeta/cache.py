@@ -1,6 +1,6 @@
 """Append-only JSONL cache for point counts.
 
-Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "slice-delsarte",
+Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "jacobi-weil",
 "version": "0.1.0"}.  The cache is used only when a run is given its path;
 without one, every count is computed and no file is written.  Each run holds
 one CountCache: it parses the file at most once, on its first lookup, and

@@ -344,7 +344,7 @@ def parse_args(argv) -> tuple:
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"argument --{flag}: invalid choice: {value!r} "
                              f"(choose from {', '.join(kind)})")
-        if kind is int and not value.strip().lstrip("+-").replace("_", "").isdecimal():
+        if kind is int and not all(map(str.isdecimal, value.strip().lstrip("+-").split("_"))):
             raise ValueError(f"argument --{flag}: invalid int value: {value!r}")
         args[flag] = int(value) if kind is int else value
     missing = [f"--{flag}" for flag, value in args.items() if value is ...]

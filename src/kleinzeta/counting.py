@@ -1,29 +1,20 @@
 """Point counting for the Klein cubic threefold and Weierstrass curves.
 
-The projective count #X(P^4(F_q)) is computed from the affine count as
-(N_aff - 1)/(q - 1).  The form is homogeneous, so every fiber x1 = c != 0
-of the affine cone is a copy of the x1 = 1 slice, and only that slice
-(N1 points) needs counting:
-
-    N_aff = (q - 1) N1 + q^2 (q - 1) + q (2q - 1),
-
-the last two terms being the x1 = 0 fiber.  On the slice, the equation
-x0^2 + x4^2 x0 + (x2 + x2^2 x3 + x3^2 x4) = 0 is quadratic in x0 and its
-discriminant is quadratic in x2, so the character sum over x0 and x2 has a
-closed form (Lidl-Niederreiter, Finite Fields, Thm 5.48):
-
-    odd q:  N1 = q^3 + q sum_{x3 != 0} chi(-x3) R(x3),
-            R(x3) = #{x4 : x3 x4^4 - 4 x3^3 x4 + 1 = 0},
-    q = 2^k: N1 = q^3 + q sum_{u != 0} (-1)^Tr(u^11)
-
-(the second by Artin-Schreier: x^2 + x = c is solvable iff Tr(c) = 0).
-For odd q the monomial substitution u = x3 x4^4, v = x3^3 x4, of
-determinant -11, turns the sum over the curve into one over the line
-u = 4v - 1 (Delsarte 1951; Shioda 1986).  Cost O(q k) for every q, in O(q)
-memory, on the field's discrete-log/exp vectors.
+The Klein cubic X : x0^2 x1 + x1^2 x2 + x2^2 x3 + x3^2 x4 + x4^2 x0 = 0 has
+#X(F_q) = 1 + q + q^2 + q^3 - Tr(Frob_q | H^3).  The monomial map
+x_i = y_i^4 y_(i+1)^2 y_(i+2)^3 y_(i+3)^8 (`_cover_exponents`) takes the
+Fermat threefold sum y_i^11 = 0 onto X, and H^3(X) is the part of its H^3
+that the deck group fixes: the ten classes a = t (1, 5, 3, 4, 9), t in
+F_11^*.  Weil (Numbers of solutions of equations in finite fields, 1949)
+gives their Frobenius eigenvalues as products of Jacobi sums of an
+order-11 character, and the ten are Galois conjugates in Z[zeta_11], so
+one eigenvalue, from one walk of F_(p^f) with f = ord_11(p), gives the
+count at every power q = p^k (`count_klein_fast`).  When 11 does not
+divide q - 1 there is no order-11 character on F_q^*, H^3 is invisible and
+#X(F_q) = 1 + q + q^2 + q^3 with no field table built.
 
 The naive projective oracle evaluates an integer-coefficient `gdcohom.CycPoly`
-on all of P^(n-1)(F_q).  It shares no equation with the slice counter, and
+on all of P^(n-1)(F_q).  It shares no equation with the Jacobi kernel, and
 over a prime field no table either (its products are residue products); at
 p = 2 it also counts the Weierstrass curves.  For odd p a curve's count is
 #E(F_q) = 1 + sum_x r(f(x)), r(c) the number of square roots of c, which
@@ -32,18 +23,19 @@ reads no discrete log.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .cyclo import _cyclic_mul
 from .ffield import (BudgetExceeded, FieldDescriptor, build_field, digitwise_add, log_exp_mul,
                      log_exp_tables)
 from .gdcohom import CycPoly, klein_form
 
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
+H3_CLASS = (1, 5, 3, 4, 9)           # the class a of H^3; the other nine are t a
 
 
 class BadReduction(ValueError):
@@ -51,62 +43,79 @@ class BadReduction(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# fast Klein counter
+# Klein counter: Jacobi sums over F_(p^f)
 
 
-def _odd_slice_sum(F: FieldDescriptor) -> int:
-    """sum_{x3 != 0} chi(-x3) R(x3) in one O(q) pass (Delsarte's reduction).
-
-    The sum runs over the torus points of x3 x4^4 - 4 x3^3 x4 + 1 = 0 (x4 = 0
-    is never a root), weighted by chi(-x3).  Put u = x3 x4^4, v = x3^3 x4,
-    so the curve becomes the line u = 4v - 1.  With m = q - 1 and
-    (a, b) = (log x3, log x4), the logs (log u, log v) = (a + 4b, 3a + b)
-    are the image of the exponent matrix [[1, 4], [3, 1]], of determinant
-    -11, acting on (Z/m)^2:
-
-    * its kernel is {(a, -3a) : 11 a = 0}, so every fibre has
-      g = gcd(11, m) points;
-    * (U, V) is in the image iff 11 b = 3U - V (mod m) is solvable, i.e.
-      3U = V (mod g), i.e. U = 4V (mod g) (multiply by 4; 12 = 1 mod 11);
-    * a = U - 4b = U (mod 2), since m is even, so chi(x3) = (-1)^U on the
-      whole fibre.
-
-    Hence, with chi(-1) = (-1)^(m/2),
-
-        sum = chi(-1) g sum_{v != 0, u = 4v - 1 != 0, log u = 4 log v (mod g)} (-1)^(log u),
-
-    which for g = 1 is chi(-1) (sum_u chi(u) - chi(-1)) = -1.
-    """
+def _jacobi_eigenvalue(F: FieldDescriptor) -> list:
+    """lambda = -J(1, 5) J(6, 3) J(9, 4) over F = F_(p^f), as 11 coefficients
+    in Z[z]/(z^11 - 1), which maps onto Z[zeta_11]; see count_klein_fast."""
     log, exp = log_exp_tables(F)
     m = F.q - 1
-    g = math.gcd(11, m)
-    lv = np.arange(m)
-    u = digitwise_add(F, exp[(lv + int(log[4 % F.p])) % m], F.p - 1)  # 4v + (-1)
-    lu = log[u]
-    hit = (u != 0) & ((lu - 4 * lv) % g == 0)
-    return (-1) ** (m // 2) * g * int((1 - 2 * (lu[hit] % 2)).sum())
-
-
-def _char2_slice_sum(F: FieldDescriptor) -> int:
-    """sum_{u != 0} (-1)^Tr(u^11) for q = 2^k, with Tr(g^n) = sum_j g^(n 2^j)."""
-    _, exp = log_exp_tables(F)
-    m = F.q - 1
-    n = np.arange(m)
-    trace = np.zeros(m, dtype=np.int64)  # index 0 or 1, i.e. Tr in F_2
-    for j in range(F.k):
-        trace = digitwise_add(F, trace, exp[n * 2 ** j % m])
-    return int(m - 2 * trace[n * 11 % m].sum())
+    e = np.arange(1, m)  # x = g^e runs over F^* but 1, and chi(x) = zeta^e
+    # 1 - x = (-x) + 1 with -x = g^(e + log(-1)); -1 has index p - 1
+    ly = log[digitwise_add(F, exp[(e + int(log[F.p - 1])) % m], 1)] % 11
+    lam, s = [-1] + [0] * 10, 0
+    for a, b in zip(H3_CLASS, H3_CLASS[1:4]):
+        s += a
+        lam = _cyclic_mul(lam, np.bincount((s * e + b * ly) % 11, minlength=11).tolist())
+    norm = _cyclic_mul(lam, lam[:1] + lam[:0:-1])  # lambda sigma_(-1)(lambda)
+    if norm[1:] != [norm[1]] * 10 or norm[0] - norm[1] != F.p ** (3 * F.k):
+        raise ArithmeticError("Jacobi eigenvalue is not pure of weight 3; counter is inconsistent")
+    return lam
 
 
 def count_klein_fast(F: FieldDescriptor) -> int:
-    """#X(P^4(F_q)) for the Klein cubic by the x1 = 1 slice count."""
+    """#X(P^4(F_q)) for the Klein cubic from one Frobenius eigenvalue on H^3.
+
+    Conventions.  Let f = ord_11(p), g the generator of F_(p^f)^* of
+    `ffield.log_exp_tables`, chi(g^e) = zeta_11^e, and
+    J(a, b) = sum_(x != 0, 1) chi^a(x) chi^b(1 - x).  With a = (1, 5, 3, 4, 9)
+    and its partial sums 1, 6, 9, Frob_(p^f) acts on the class a by
+
+        lambda = -J(1, 5) J(6, 3) J(9, 4)
+
+    and on t a by sigma_t(lambda), sigma_t: zeta_11 -> zeta_11^t (Weil).
+    By Hasse-Davenport the eigenvalue over F_(p^(f r)) is lambda^r, so for
+    q = p^k with f | k
+
+        #X(F_q) = 1 + q + q^2 + q^3 - Tr_(Q(zeta_11)/Q)(lambda^(k/f)).
+
+    Each J is one bincount of (a log x + b log(1 - x)) mod 11.  Self-check:
+    lambda sigma_(-1)(lambda) = |lambda|^2 must equal p^(3f) exactly, or
+    ArithmeticError.
+
+    When 11 does not divide q - 1 (so whenever f does not divide k, and at
+    p = 11) the count is 1 + q + q^2 + q^3 and no field is walked.  Proof,
+    on the x1 = 1 slice, with no use of smoothness: every fibre x1 = c != 0
+    of the affine cone is a copy of the slice (N1 points) and the fibre
+    x1 = 0 has q^2 (q - 1) + q (2q - 1), so
+    #X = ((q - 1) N1 + q^2 (q - 1) + q (2q - 1) - 1)/(q - 1), which is
+    1 + q + q^2 + q^3 when N1 = q^3 - q.  On the slice the equation is
+    quadratic in x0 with a discriminant quadratic in x2, which gives
+    (Lidl-Niederreiter, Finite Fields, Thm 5.48; Artin-Schreier for q = 2^k)
+
+        odd q:   N1 = q^3 + q sum_(x3 != 0) chi_2(-x3) R(x3),
+                 R(x3) = #{x4 : x3 x4^4 - 4 x3^3 x4 + 1 = 0},
+        q = 2^k: N1 = q^3 + q sum_(u != 0) (-1)^Tr(u^11),
+
+    chi_2 the quadratic character.  For q = 2^k, u -> u^11 permutes F_q^*,
+    so the sum is sum_(u != 0) (-1)^Tr(u) = -1.  For odd q, u = x3 x4^4,
+    v = x3^3 x4 takes the curve to the line u = 4v - 1 (x4 = 0 is never a
+    root); on logs mod m = q - 1 it is the exponent matrix [[1, 4], [3, 1]]
+    of determinant -11, prime to m, so a bijection of tori, and
+    log x3 = log u - 4 log x4 = log u (mod 2).  So chi_2(x3) = chi_2(u), and
+    the sum is chi_2(-1) sum_(u != 0, -1) chi_2(u) = -chi_2(-1)^2 = -1.
+    """
     q = F.q
-    slice_sum = _char2_slice_sum(F) if F.p == 2 else _odd_slice_sum(F)
-    n1 = q ** 3 + q * slice_sum
-    affine = (q - 1) * n1 + q * q * (q - 1) + q * (2 * q - 1)
-    if (affine - 1) % (q - 1) != 0:
-        raise ArithmeticError("affine count is not 1 mod (q-1); counter is inconsistent")
-    return (affine - 1) // (q - 1)
+    flat = 1 + q + q * q + q ** 3
+    if (q - 1) % 11:
+        return flat
+    f = next(f for f in (1, 2, 5, 10) if (F.p ** f - 1) % 11 == 0)
+    lam = _jacobi_eigenvalue(F if F.k == f else build_field(F.p, f))
+    power = lam
+    for _ in range(F.k // f - 1):
+        power = _cyclic_mul(power, lam)
+    return flat - (11 * power[0] - sum(power))  # Tr z^0 = 10, Tr z^j = -1
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +284,10 @@ class CountRecord:
 
 
 def count_klein(p: int, k: int) -> CountRecord:
-    """Count with timing, through the fast counter.  build_field refuses a
+    """Count with timing, through the Jacobi kernel.  build_field refuses a
     field past the log/exp limit with BudgetExceeded."""
     F = build_field(p, k)
     t0 = time.perf_counter()
     n = count_klein_fast(F)
     dt = time.perf_counter() - t0
-    algo = "slice-trace" if p == 2 else "slice-delsarte"
-    return CountRecord(p, k, n, algo, dt)
+    return CountRecord(p, k, n, "jacobi-weil", dt)

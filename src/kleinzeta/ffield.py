@@ -6,8 +6,9 @@ index sum of c_i * p^i.  The counting kernels work on numpy arrays of
 indices: sums add base-p digits, and in a prime field, where an index is
 its residue, products are residue products.  The one field table is a pair
 of O(q) vectors, the discrete log and exp of one generator, built only
-where a discrete log is read: by the slice counter, and for products in an
-extension field, where they add logs.  Residues mod p of poly's coefficient
+where a discrete log is read: by the Klein counter's Jacobi sums, on
+F_(p^f) with f = ord_11(p) and only when 11 divides q - 1, and for products
+in an extension field, where they add logs.  Residues mod p of poly's coefficient
 lists are used only to build the field: the modulus search, the generator
 and the matrix of the log/exp walk's step.
 """

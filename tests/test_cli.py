@@ -29,7 +29,7 @@ def test_count_subcommand_and_cache(tmp_path, capsys):
     assert "count-p3-k1" in first and "pass" in first
     assert cache.exists()
     rec = json.loads(cache.read_text().splitlines()[0])
-    assert rec == {"p": 3, "k": 1, "count": 40, "algorithm": "slice-delsarte",
+    assert rec == {"p": 3, "k": 1, "count": 40, "algorithm": "jacobi-weil",
                    "version": rec["version"]}
     # second run hits the cache
     assert run(["count", "--p", "3", "--k", "1", "--cache", str(cache)]) == 0
@@ -77,11 +77,15 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     (["count", "--p", "3", "--k=2.5", "--json", "r.json"],
      "argument --k: invalid int value: '2.5'"),
     (["count", "--p", "3", "--k", "+-2", "--json", "r.json"], "invalid literal for int()"),
+    (["count", "--p", "1__0", "--json", "r.json"], "argument --p: invalid int value: '1__0'"),
+    (["count", "--p", "_1", "--json", "r.json"], "argument --p: invalid int value: '_1'"),
+    (["count", "--p", "1_", "--json", "r.json"], "argument --p: invalid int value: '1_'"),
     (["theta-support", "--type", "V", "--json", "t.json"], "argument --type: invalid choice: 'V'"),
     (["theta-support", "--type=iv", "--json", "t.json"], "argument --type: invalid choice: 'iv'"),
 ], ids=["no-command", "unknown-command", "flag-before-command", "unknown-flag",
         "abbreviated-flag", "single-dash-flag", "no-value", "flag-as-value", "missing-p",
-        "missing-out", "bad-int", "bad-int-equals", "bad-int-signs", "bad-type",
+        "missing-out", "bad-int", "bad-int-equals", "bad-int-signs", "bad-int-double-underscore",
+        "bad-int-leading-underscore", "bad-int-trailing-underscore", "bad-type",
         "bad-type-equals"])
 def test_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
     # every usage error leaves through main's one handler: exit 2, the

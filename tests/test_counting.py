@@ -1,11 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kleinzeta import ffield, hecke
+from kleinzeta import counting, ffield, hecke
 from kleinzeta.counting import (NAIVE_POINT_BUDGET, BadReduction, BudgetExceeded, CM_CURVE,
-                                CountRecord, WeierstrassCurve, _odd_slice_sum,
+                                H3_CLASS, CountRecord, WeierstrassCurve, _cover_exponents,
                                 count_hypersurface_naive, count_klein, count_klein_fast,
                                 count_weierstrass, fermat_cover_substitution,
                                 verify_fermat_cover)
@@ -13,6 +14,7 @@ from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.ffield import (LOG_TABLE_MAX_Q, build_field, digitwise_add, is_prime,
                               log_exp_tables)
 from kleinzeta.gdcohom import CycPoly, klein_form
+from slice_sum import count_klein_slice, odd_slice_sum
 
 # independently frozen oracle values (naive enumeration, plus the trace rule
 # cross-checked at the curve level)
@@ -94,7 +96,7 @@ def test_naive_oracle_reads_coefficients():
 
 def _quadratic_slice_sum(F):
     """sum_{x3 != 0} chi(-x3) R(x3), one x3 row of O(q) vectors at a time:
-    the O(q^2) reference for the closed form of _odd_slice_sum.
+    the O(q^2) reference for the closed form of slice_sum.odd_slice_sum.
 
     With x3 = g^l and x4 = g^j, a root of x3 x4^4 + 1 = 4 x3^3 x4 is a j
     with zech[l + 4j] = log(4) + 3l + j (mod q - 1), where
@@ -128,7 +130,7 @@ _ODD_COUNTED = sorted({(p, 1) for p in range(3, 101) if is_prime(p)}
 @pytest.mark.parametrize("p,k", _ODD_COUNTED)
 def test_odd_slice_sum_equals_quadratic_reference(p, k):
     F = build_field(p, k)
-    assert _odd_slice_sum(F) == _quadratic_slice_sum(F)
+    assert odd_slice_sum(F) == _quadratic_slice_sum(F)
 
 
 def test_odd_slice_sum_is_minus_one_off_the_degree_11_fibres():
@@ -139,9 +141,93 @@ def test_odd_slice_sum_is_minus_one_off_the_degree_11_fibres():
     checked = 0
     for p, k in fields:
         if (p ** k - 1) % 11:
-            assert _odd_slice_sum(build_field(p, k)) == -1, (p, k)
+            assert odd_slice_sum(build_field(p, k)) == -1, (p, k)
             checked += 1
     assert checked == 791
+
+
+# both characteristics, p = 11, every f = ord_11(p) in {1, 2, 5, 10}, and
+# powers lambda^r with r = k/f up to 4: (2, 10) has f = 10; (3, 5), (3, 10)
+# and (5, 5) have f = 5; 43, 109 and 131 have f = 2; 23, 67, 89 and 199 f = 1
+_JACOBI_AGAINST_SLICE = sorted({(p, 1) for p in range(2, 200) if is_prime(p)}
+                               | {(p, 2) for p in range(2, 200) if is_prime(p)}
+                               | {(2, k) for k in range(1, 17)} | {(3, k) for k in range(1, 11)}
+                               | {(5, k) for k in range(1, 7)} | {(7, k) for k in range(1, 6)}
+                               | {(11, k) for k in range(1, 6)} | {(13, k) for k in range(1, 5)}
+                               | {(23, k) for k in range(1, 5)})
+
+
+def test_jacobi_kernel_equals_slice_reference():
+    for p, k in _JACOBI_AGAINST_SLICE:
+        F = build_field(p, k)
+        assert count_klein_fast(F) == count_klein_slice(F), (p, k)
+
+
+def test_the_ten_h3_classes_are_the_multiples_of_one():
+    # y_j -> zeta^(d_j) y_j fixes every x_i = prod_j y_j^(E_ij) iff E d = 0
+    # mod 11; the Fermat class a, on which d acts by zeta^(a . d), is
+    # deck-invariant iff a . d = 0 on that kernel, and lies in H^3 iff every
+    # a_j != 0 and sum a = 0
+    E = np.array(_cover_exponents())
+    every = np.array(list(itertools.product(range(11), repeat=5)))
+    deck = every[(every @ E.T % 11 == 0).all(axis=1)]
+    basis, span = [], {(0,) * 5}
+    for d in map(tuple, deck.tolist()):
+        if d not in span:
+            basis.append(d)
+            span = {tuple((s + c * x) % 11 for s, x in zip(v, d)) for v in span
+                    for c in range(11)}
+    assert len(span) == len(deck) == 11 ** 3
+    invariant = every[(every @ np.array(basis).T % 11 == 0).all(axis=1)]
+    h3 = invariant[(invariant != 0).all(axis=1) & (invariant.sum(axis=1) % 11 == 0)]
+    assert sorted(map(tuple, h3.tolist())) == sorted(
+        tuple(t * a % 11 for a in H3_CLASS) for t in range(1, 11))
+
+
+def test_no_table_off_the_degree_11_fibres(monkeypatch):
+    def refuse(F):
+        raise AssertionError(f"table read for {F!r}")
+
+    ffield._log_exp_cached.cache_clear()
+    monkeypatch.setattr(ffield, "log_exp_tables", refuse)
+    monkeypatch.setattr(counting, "log_exp_tables", refuse)
+    tried = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 29, 31) for k in range(1, 21)
+             if p ** k <= LOG_TABLE_MAX_Q and (p ** k - 1) % 11]
+    for p, k in tried:
+        q = p ** k
+        assert count_klein(p, k).count == 1 + q + q * q + q ** 3
+    assert len(tried) == 68
+    assert ffield._log_exp_cached.cache_info().currsize == 0
+
+
+def test_the_p3_tower_walks_only_f243():
+    ffield._log_exp_cached.cache_clear()
+    for k in range(1, 6):
+        assert count_klein(3, k).count == hecke.predicted_count(3, k)
+    info = ffield._log_exp_cached.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    ffield._log_exp_cached(3, 5, build_field(3, 5).modulus)  # the one entry is F_243
+    assert ffield._log_exp_cached.cache_info().hits == info.hits + 1
+
+
+def test_jacobi_kernel_checks_purity(monkeypatch):
+    # a log vector off by one on every nonzero element breaks chi's
+    # multiplicativity, and the Jacobi product is no longer pure
+    def shifted(F):
+        log, exp = ffield.log_exp_tables(F)
+        return np.where(np.arange(F.q) == 0, 0, (log + 1) % (F.q - 1)), exp
+
+    monkeypatch.setattr(counting, "log_exp_tables", shifted)
+    with pytest.raises(ArithmeticError, match="not pure of weight 3"):
+        count_klein_fast(build_field(23))
+
+
+@pytest.mark.parametrize("p,k,message", [(8, 1, "p = 8 is not prime"),
+                                         (3, 0, "extension degree must be >= 1")])
+def test_count_klein_refuses_through_build_field(p, k, message):
+    # q > 2^20: test_default_budget_is_the_log_exp_cap
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        count_klein(p, k)
 
 
 def test_naive_oracle_rejects_the_zero_form():
