@@ -9,9 +9,9 @@ F_11^*.  Weil (Numbers of solutions of equations in finite fields, 1949)
 gives their Frobenius eigenvalues as products of Jacobi sums of an
 order-11 character, and the ten are Galois conjugates in Z[zeta_11], so
 one eigenvalue, from one walk of F_(p^f) with f = ord_11(p), gives the
-count at every power q = p^k (`count_klein_fast`).  When 11 does not
+count at every power q = p^k (`count_klein`).  When 11 does not
 divide q - 1 there is no order-11 character on F_q^*, H^3 is invisible and
-#X(F_q) = 1 + q + q^2 + q^3 with no field table built.
+#X(F_q) = 1 + q + q^2 + q^3 with no field built.
 
 The naive projective oracle evaluates an integer-coefficient `gdcohom.CycPoly`
 on all of P^(n-1)(F_q).  It shares no equation with the Jacobi kernel, and
@@ -30,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import _cyclic_mul
-from .ffield import (BudgetExceeded, FieldDescriptor, build_field, digitwise_add, log_exp_mul,
-                     log_exp_tables)
+from .ffield import (BudgetExceeded, FieldDescriptor, build_field, digitwise_add, field_order,
+                     log_exp_mul, log_exp_tables)
 from .gdcohom import CycPoly, klein_form
 
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
@@ -48,7 +48,7 @@ class BadReduction(ValueError):
 
 def _jacobi_eigenvalue(F: FieldDescriptor) -> list:
     """lambda = -J(1, 5) J(6, 3) J(9, 4) over F = F_(p^f), as 11 coefficients
-    in Z[z]/(z^11 - 1), which maps onto Z[zeta_11]; see count_klein_fast."""
+    in Z[z]/(z^11 - 1), which maps onto Z[zeta_11]; see count_klein."""
     log, exp = log_exp_tables(F)
     m = F.q - 1
     e = np.arange(1, m)  # x = g^e runs over F^* but 1, and chi(x) = zeta^e
@@ -64,8 +64,26 @@ def _jacobi_eigenvalue(F: FieldDescriptor) -> list:
     return lam
 
 
-def count_klein_fast(F: FieldDescriptor) -> int:
-    """#X(P^4(F_q)) for the Klein cubic from one Frobenius eigenvalue on H^3.
+@dataclass(frozen=True)
+class CountRecord:
+    p: int
+    k: int
+    count: int
+    algorithm: str
+    elapsed_s: float
+
+    def __post_init__(self):
+        q = self.p ** self.k
+        bound = q ** 4 + q ** 3 + q ** 2 + q + 1
+        if not 0 <= self.count <= bound:
+            raise ArithmeticError("hypersurface count exceeds #P^4(F_q)")
+
+
+def count_klein(p: int, k: int) -> CountRecord:
+    """#X(P^4(F_q)), q = p^k, for the Klein cubic from one Frobenius
+    eigenvalue on H^3, with timing.  ffield.field_order refuses (p, k) as
+    build_field does; the only field built is F_(p^f), and only when 11
+    divides q - 1.
 
     Conventions.  Let f = ord_11(p), g the generator of F_(p^f)^* of
     `ffield.log_exp_tables`, chi(g^e) = zeta_11^e, and
@@ -85,7 +103,7 @@ def count_klein_fast(F: FieldDescriptor) -> int:
     ArithmeticError.
 
     When 11 does not divide q - 1 (so whenever f does not divide k, and at
-    p = 11) the count is 1 + q + q^2 + q^3 and no field is walked.  Proof,
+    p = 11) the count is 1 + q + q^2 + q^3 and no field is built.  Proof,
     on the x1 = 1 slice, with no use of smoothness: every fibre x1 = c != 0
     of the affine cone is a copy of the slice (N1 points) and the fibre
     x1 = 0 has q^2 (q - 1) + q (2q - 1), so
@@ -106,16 +124,17 @@ def count_klein_fast(F: FieldDescriptor) -> int:
     log x3 = log u - 4 log x4 = log u (mod 2).  So chi_2(x3) = chi_2(u), and
     the sum is chi_2(-1) sum_(u != 0, -1) chi_2(u) = -chi_2(-1)^2 = -1.
     """
-    q = F.q
-    flat = 1 + q + q * q + q ** 3
-    if (q - 1) % 11:
-        return flat
-    f = next(f for f in (1, 2, 5, 10) if (F.p ** f - 1) % 11 == 0)
-    lam = _jacobi_eigenvalue(F if F.k == f else build_field(F.p, f))
-    power = lam
-    for _ in range(F.k // f - 1):
-        power = _cyclic_mul(power, lam)
-    return flat - (11 * power[0] - sum(power))  # Tr z^0 = 10, Tr z^j = -1
+    q = field_order(p, k)
+    t0 = time.perf_counter()
+    n = 1 + q + q * q + q ** 3
+    if (q - 1) % 11 == 0:
+        f = next(f for f in (1, 2, 5, 10) if (p ** f - 1) % 11 == 0)
+        lam = _jacobi_eigenvalue(build_field(p, f))
+        power = lam
+        for _ in range(k // f - 1):
+            power = _cyclic_mul(power, lam)
+        n -= 11 * power[0] - sum(power)  # Tr z^0 = 10, Tr z^j = -1
+    return CountRecord(p, k, n, "jacobi-weil", time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +282,3 @@ def verify_fermat_cover() -> bool:
         e[i] += 11
         expected[tuple(e)] = 1
     return lhs.dict() == expected
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    p: int
-    k: int
-    count: int
-    algorithm: str
-    elapsed_s: float
-
-    def __post_init__(self):
-        q = self.p ** self.k
-        bound = q ** 4 + q ** 3 + q ** 2 + q + 1
-        if not 0 <= self.count <= bound:
-            raise ArithmeticError("hypersurface count exceeds #P^4(F_q)")
-
-
-def count_klein(p: int, k: int) -> CountRecord:
-    """Count with timing, through the Jacobi kernel.  build_field refuses a
-    field past the log/exp limit with BudgetExceeded."""
-    F = build_field(p, k)
-    t0 = time.perf_counter()
-    n = count_klein_fast(F)
-    dt = time.perf_counter() - t0
-    return CountRecord(p, k, n, "jacobi-weil", dt)

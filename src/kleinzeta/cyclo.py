@@ -113,38 +113,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        """1 / self as the product of its other Galois conjugates over its norm.
-
-        With sigma_a: z -> z^a (a = 1..n-1) the norm N(x) = prod_a sigma_a(x)
-        is rational, so 1/x = prod_(a >= 2) sigma_a(x) / N(x).  The work is
-        done on the numerators in Z[z]/(z^n - 1), which maps onto Q(zeta_n);
-        a rational element is inverted directly.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero in Q(zeta_n)")
-        n = self.n
-        if not any(self.num[1:]):
-            return CyclotomicNumber(n, (self.den,) + (0,) * (n - 2), self.num[0])
-        x = self.num + (0,)
-        prod = [1] + [0] * (n - 1)
-        for a in range(2, n):
-            conj = [0] * n
-            for i, c in enumerate(x):
-                conj[a * i % n] = c
-            prod = _cyclic_mul(prod, conj)
-        full = _cyclic_mul(x, prod)
-        # the norm is full[0] + k (1 + z + ... + z^(n-1)) with k = full[n - 1]
-        norm = full[0] - full[n - 1]
-        return CyclotomicNumber(n, tuple((c - prod[-1]) * self.den for c in prod[:-1]), norm)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other if isinstance(other, EXACT_SCALARS) else NotImplemented
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

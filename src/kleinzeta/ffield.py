@@ -10,7 +10,9 @@ where a discrete log is read: by the Klein counter's Jacobi sums, on
 F_(p^f) with f = ord_11(p) and only when 11 divides q - 1, and for products
 in an extension field, where they add logs.  Residues mod p of poly's coefficient
 lists are used only to build the field: the modulus search, the generator
-and the matrix of the log/exp walk's step.
+and the matrix of the log/exp walk's step.  One size rule, field_order,
+refuses a (p, k) past the tables' limit, for build_field and the Klein
+counter alike.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .poly import mul, pdivmod, trim
 
-LOG_TABLE_MAX_Q = 1 << 20  # largest q with log/exp vectors, hence largest q build_field accepts
+LOG_TABLE_MAX_Q = 1 << 20  # largest q with log/exp vectors, hence largest q field_order accepts
 
 
 class BudgetExceeded(ValueError):
@@ -144,8 +146,23 @@ class FieldDescriptor:
         return f"F_{self.p}^{self.k}"
 
 
+def field_order(p: int, k: int) -> int:
+    """q = p^k, or the refusal of (p, k): ValueError for a non-prime p or
+    k < 1, BudgetExceeded for q past LOG_TABLE_MAX_Q.  The one size rule,
+    read by build_field and by the Klein counter, which builds no field
+    when 11 does not divide q - 1."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if k < 1:
+        raise ValueError("extension degree must be >= 1")
+    # p >= 2, so k past log2 of the limit refuses before p^k is formed
+    if k >= LOG_TABLE_MAX_Q.bit_length() or p ** k > LOG_TABLE_MAX_Q:
+        raise BudgetExceeded(f"q = {p}^{k} exceeds the log/exp limit {LOG_TABLE_MAX_Q}")
+    return p ** k
+
+
 def build_field(p: int, k: int = 1) -> FieldDescriptor:
-    """Deterministic field constructor.
+    """Deterministic field constructor; field_order refuses (p, k) first.
 
     The modulus is the first irreducible monic polynomial in ascending
     lexicographic order of the non-leading coefficient tuple
@@ -156,13 +173,7 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
     divisible by x, hence reducible, so skipping the first p^(k-1)
     candidates returns the same modulus without Rabin-testing them.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    # p >= 2, so k past log2 of the limit refuses before p^k is formed
-    if k >= LOG_TABLE_MAX_Q.bit_length() or p ** k > LOG_TABLE_MAX_Q:
-        raise BudgetExceeded(f"q = {p}^{k} exceeds the log/exp limit {LOG_TABLE_MAX_Q}")
+    field_order(p, k)
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
     for idx in range(p ** (k - 1), p ** k):  # c0 = idx // p^(k-1) >= 1

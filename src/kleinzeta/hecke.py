@@ -140,9 +140,11 @@ def character_twist_sum(p: int, k: int = 1) -> int:
 
 
 def predicted_power_sum(p: int, k: int) -> int:
-    """t_k on H^3 from the CM structure: p^k * s_k * sum_i chi^(ik)(p)."""
-    if p == BAD_PRIME:
-        raise ValueError("p = 11 is the bad prime")
+    """t_k on H^3 from the CM structure: p^k * s_k * sum_i chi^(ik)(p).
+
+    At p = 11, chi(11) = 0 makes t_k = 0, so predicted_count is
+    1 + q + q^2 + q^3: the count that counting.count_klein's slice lemma
+    gives whenever 11 does not divide q - 1."""
     return p ** k * satake_power_sum(p, k) * character_twist_sum(p, k)
 
 

@@ -1,6 +1,8 @@
 """Reference elimination for the tests: dense reduced row echelon form on
 Fractions, and on CyclotomicNumbers where an entry lies outside Q, one field
-division per pivot."""
+division per pivot.  A cyclotomic pivot is inverted by elimination on
+Fractions as well, so the reference uses only the ring operations of
+kleinzeta.cyclo."""
 
 from fractions import Fraction
 
@@ -9,6 +11,28 @@ from kleinzeta.cyclo import CyclotomicNumber
 
 def nonzero(x) -> bool:
     return not x.is_zero() if isinstance(x, CyclotomicNumber) else x != 0
+
+
+def inverse(x):
+    """1 / x.  For a CyclotomicNumber, y with y x = 1 solved through the
+    rational matrix of multiplication by x, and checked by one product."""
+    if not isinstance(x, CyclotomicNumber):
+        return 1 / x
+    n, d = x.n, x.n - 1
+    cols = [(x * CyclotomicNumber.zeta_pow(n, j)).coords for j in range(d)]
+    aug = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    y = CyclotomicNumber.of(n, tuple(row[d] for row in aug))
+    assert x * y == CyclotomicNumber.one(n)
+    return y
 
 
 class GaussJordan:
@@ -35,7 +59,7 @@ class GaussJordan:
         if not cols or not self.keep(cols):
             return
         pc = cols[0]
-        inv = 1 / v[pc]
+        inv = inverse(v[pc])
         v = [x * inv for x in v]
         for q, b in self.basis.items():
             c = b[pc]

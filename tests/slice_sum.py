@@ -1,6 +1,6 @@
-"""Reference Klein counter for the tests: the x1 = 1 slice count that
-`counting.count_klein_fast` replaced, one walk of all of F_q for every
-(p, k), with a separate slice sum for each characteristic.
+"""Reference Klein counter for the tests: the x1 = 1 slice count that the
+Jacobi-sum kernel of `counting.count_klein` replaced, one walk of all of
+F_q for every (p, k), with a separate slice sum for each characteristic.
 
 The projective count #X(P^4(F_q)) is computed from the affine count as
 (N_aff - 1)/(q - 1).  The form is homogeneous, so every fiber x1 = c != 0

@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kleinzeta import counting, gdcohom, hecke, lfunc, thetasupp
-from kleinzeta.counting import (CM_CURVE, BudgetExceeded, count_hypersurface_naive, count_klein,
-                                count_klein_fast)
+from kleinzeta.counting import CM_CURVE, BudgetExceeded, count_hypersurface_naive, count_klein
 from kleinzeta.ffield import build_field
 from kleinzeta.reference import reference_degree10_at_3
 
@@ -21,7 +20,7 @@ PURITY_PRIMES = (2, 3, 5, 7, 13, 23)
 
 
 class CountStore:
-    """Genuine counts for every field build_field accepts; None beyond them."""
+    """Genuine counts for every (p, k) ffield.field_order accepts; None beyond them."""
 
     def __init__(self):
         self.counts = {}
@@ -86,7 +85,7 @@ def test_criterion_3_oracle_equivalence():
     S = gdcohom.klein_form()
     for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]:
         F = build_field(p, k)
-        assert count_klein_fast(F) == count_hypersurface_naive(S, F), f"oracle split at q={F.q}"
+        assert count_klein(p, k).count == count_hypersurface_naive(S, F), f"oracle split at q={F.q}"
     _report(3, "fast counter == naive oracle on q in {2,3,4,5,7,8,9,11,13}",
             time.perf_counter() - t0)
 

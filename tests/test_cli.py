@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import cache as cachemod
-from kleinzeta import cli, counting, ffield
+from kleinzeta import cli, ffield
 from kleinzeta.cache import ConflictingRecords, CountCache, cached_count, record_count
 from kleinzeta.cli import main, parse_args
 from kleinzeta.counting import CountRecord
@@ -36,6 +36,19 @@ def test_count_subcommand_and_cache(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "cached" in second
     assert len(cache.read_text().splitlines()) == 1
+
+
+def test_count_at_the_bad_prime_checks_its_prediction(tmp_path, capsys):
+    # chi(11) = 0 makes the prediction at p = 11 the count 1 + q + q^2 + q^3,
+    # so the check compares two numbers there as at every other prime
+    for k in range(1, 6):
+        out = tmp_path / f"p11-k{k}.json"
+        assert run(["count", "--p", "11", "--k", str(k), "--json", str(out)]) == 0
+        q = 11 ** k
+        flat = str(1 + q + q * q + q ** 3)
+        [check] = json.loads(out.read_text())["checks"]
+        assert ((check["name"], check["status"], check["expected"], check["actual"])
+                == (f"count-p11-k{k}", "pass", flat, flat))
 
 
 def test_count_without_cache_writes_no_file(tmp_path, monkeypatch, capsys):
@@ -539,7 +552,7 @@ def test_verify_l3_times_every_check(tmp_path):
     assert all(c["elapsed_ms"] > 0 for c in checks)
 
 
-def _failing_counter(F):
+def _failing_counter(p, k):
     raise ArithmeticError("affine count is not 1 mod (q-1); counter is inconsistent")
 
 
@@ -559,7 +572,7 @@ def test_counter_failure_is_a_failing_check(monkeypatch, tmp_path, capsys, argv)
 
     code, clean = checks("clean.json")
     assert code == 0
-    monkeypatch.setattr(counting, "count_klein_fast", _failing_counter)
+    monkeypatch.setattr(cachemod, "count_klein", _failing_counter)
     code, broken = checks("broken.json")
     assert code == 1
     assert list(broken) == list(clean)
@@ -737,7 +750,9 @@ def test_swapped_projectors_fail_the_archimedean_check(monkeypatch, tmp_path, co
 
 @pytest.mark.parametrize("argv, patch, check", [
     (["hecke-table", "--out", "h.csv"], ("hecke", "ap_f", lambda p: 100), "hecke-table"),
-    (["count", "--p", "3"], ("counting", "count_klein_fast", lambda F: 10 ** 12), "count-p3-k1"),
+    (["count", "--p", "3"], ("cachemod", "count_klein",
+                             lambda p, k: CountRecord(p, k, 10 ** 12, "jacobi-weil", 0.0)),
+     "count-p3-k1"),
 ], ids=["hecke-table", "count"])
 def test_broken_record_bound_fails_its_check(monkeypatch, tmp_path, argv, patch, check):
     # a Hecke row past the Hasse bound, or a count past #P^4(F_q), is a

@@ -7,9 +7,8 @@ import pytest
 from kleinzeta import counting, ffield, hecke
 from kleinzeta.counting import (NAIVE_POINT_BUDGET, BadReduction, BudgetExceeded, CM_CURVE,
                                 H3_CLASS, CountRecord, WeierstrassCurve, _cover_exponents,
-                                count_hypersurface_naive, count_klein, count_klein_fast,
-                                count_weierstrass, fermat_cover_substitution,
-                                verify_fermat_cover)
+                                count_hypersurface_naive, count_klein, count_weierstrass,
+                                fermat_cover_substitution, verify_fermat_cover)
 from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.ffield import (LOG_TABLE_MAX_Q, build_field, digitwise_add, is_prime,
                               log_exp_tables)
@@ -29,28 +28,26 @@ def test_klein_form_shape():
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 1), (2, 2), (5, 1)])
 def test_fast_counter_known_values(p, k):
-    assert count_klein_fast(build_field(p, k)) == KNOWN_COUNTS[(p, k)]
+    assert count_klein(p, k).count == KNOWN_COUNTS[(p, k)]
 
 
 def test_fast_counter_f23_equals_naive_and_prediction():
-    F = build_field(23)
-    n = count_klein_fast(F)
+    n = count_klein(23, 1).count
     assert n == KNOWN_COUNTS[(23, 1)]
-    assert n == count_hypersurface_naive(klein_form(), F)
+    assert n == count_hypersurface_naive(klein_form(), build_field(23))
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1),
                                    (7, 7, 1), (8, 2, 3), (9, 3, 2), (11, 11, 1), (13, 13, 1),
                                    (16, 2, 4), (25, 5, 2), (27, 3, 3), (32, 2, 5)])
 def test_fast_equals_naive(q, p, k):
-    F = build_field(p, k)
-    assert count_klein_fast(F) == count_hypersurface_naive(klein_form(), F)
+    assert count_klein(p, k).count == count_hypersurface_naive(klein_form(), build_field(p, k))
 
 
 def test_counts_past_the_tower_match_prediction():
     # F_729, F_625 and F_6561 were out of reach of the earlier fiber counter
     for p, k in [(3, 6), (5, 4), (3, 8)]:
-        assert count_klein_fast(build_field(p, k)) == hecke.predicted_count(p, k)
+        assert count_klein(p, k).count == hecke.predicted_count(p, k)
 
 
 def test_prime_field_counts_against_tableless_loop():
@@ -69,7 +66,7 @@ def test_prime_field_counts_against_tableless_loop():
         return total
 
     for p in (2, 3, 5, 7):
-        assert count_klein_fast(build_field(p)) == plain_count(p)
+        assert count_klein(p, 1).count == plain_count(p)
 
 
 def test_hyperplane_counts_are_projective_spaces():
@@ -159,8 +156,7 @@ _JACOBI_AGAINST_SLICE = sorted({(p, 1) for p in range(2, 200) if is_prime(p)}
 
 def test_jacobi_kernel_equals_slice_reference():
     for p, k in _JACOBI_AGAINST_SLICE:
-        F = build_field(p, k)
-        assert count_klein_fast(F) == count_klein_slice(F), (p, k)
+        assert count_klein(p, k).count == count_klein_slice(build_field(p, k)), (p, k)
 
 
 def test_the_ten_h3_classes_are_the_multiples_of_one():
@@ -185,12 +181,13 @@ def test_the_ten_h3_classes_are_the_multiples_of_one():
 
 
 def test_no_table_off_the_degree_11_fibres(monkeypatch):
-    def refuse(F):
-        raise AssertionError(f"table read for {F!r}")
+    def refuse(*args):
+        raise AssertionError(f"field built or table read for {args!r}")
 
     ffield._log_exp_cached.cache_clear()
-    monkeypatch.setattr(ffield, "log_exp_tables", refuse)
-    monkeypatch.setattr(counting, "log_exp_tables", refuse)
+    for module in (ffield, counting):
+        monkeypatch.setattr(module, "build_field", refuse)
+        monkeypatch.setattr(module, "log_exp_tables", refuse)
     tried = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 29, 31) for k in range(1, 21)
              if p ** k <= LOG_TABLE_MAX_Q and (p ** k - 1) % 11]
     for p, k in tried:
@@ -200,10 +197,18 @@ def test_no_table_off_the_degree_11_fibres(monkeypatch):
     assert ffield._log_exp_cached.cache_info().currsize == 0
 
 
-def test_the_p3_tower_walks_only_f243():
+def test_the_p3_tower_walks_only_f243(monkeypatch):
+    built = []
+
+    def recording_build_field(p, k=1):
+        built.append((p, k))
+        return build_field(p, k)
+
+    monkeypatch.setattr(counting, "build_field", recording_build_field)
     ffield._log_exp_cached.cache_clear()
     for k in range(1, 6):
         assert count_klein(3, k).count == hecke.predicted_count(3, k)
+    assert built == [(3, 5)]
     info = ffield._log_exp_cached.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     ffield._log_exp_cached(3, 5, build_field(3, 5).modulus)  # the one entry is F_243
@@ -219,15 +224,23 @@ def test_jacobi_kernel_checks_purity(monkeypatch):
 
     monkeypatch.setattr(counting, "log_exp_tables", shifted)
     with pytest.raises(ArithmeticError, match="not pure of weight 3"):
-        count_klein_fast(build_field(23))
+        count_klein(23, 1)
 
 
-@pytest.mark.parametrize("p,k,message", [(8, 1, "p = 8 is not prime"),
-                                         (3, 0, "extension degree must be >= 1")])
+@pytest.mark.parametrize("p,k,message", [
+    (8, 1, "p = 8 is not prime"), (3, 0, "extension degree must be >= 1"),
+    (23, 5, f"q = 23^5 exceeds the log/exp limit {LOG_TABLE_MAX_Q}"),
+    (2, 21, f"q = 2^21 exceeds the log/exp limit {LOG_TABLE_MAX_Q}")])
 def test_count_klein_refuses_through_build_field(p, k, message):
-    # q > 2^20: test_default_budget_is_the_log_exp_cap
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        count_klein(p, k)
+    # count_klein builds no field for these (p, k), but refuses each by the
+    # size rule build_field reads, ffield.field_order: same type, same message
+    refusals = []
+    for fn in (count_klein, build_field):
+        with pytest.raises(ValueError) as exc:
+            fn(p, k)
+        refusals.append((type(exc.value), str(exc.value)))
+    expected = BudgetExceeded if "limit" in message else ValueError
+    assert refusals == [(expected, message)] * 2
 
 
 def test_naive_oracle_rejects_the_zero_form():
@@ -256,8 +269,8 @@ def test_budget_enforced():
 
 
 def test_default_budget_is_the_log_exp_cap(monkeypatch):
-    # one limit: build_field refuses a field past the log/exp cap before
-    # its modulus is searched
+    # one limit: field_order refuses a field past the log/exp cap, and no
+    # modulus is searched
     monkeypatch.setattr(ffield, "is_irreducible", lambda *a: pytest.fail("modulus searched"))
     with pytest.raises(BudgetExceeded, match=f"q = 23\\^5 exceeds the log/exp limit "
                                              f"{LOG_TABLE_MAX_Q}$"):

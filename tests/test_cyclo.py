@@ -32,19 +32,6 @@ def test_rationality_detection():
     assert CyclotomicNumber.zeta_pow(5, 1).as_rational() is None
 
 
-def test_inverse():
-    rng = random.Random(23)
-    for n in (5, 11):
-        for _ in range(20):
-            coords = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n - 1))
-            x = CyclotomicNumber.of(n, coords)
-            if x.is_zero():
-                continue
-            assert (x * x.inverse()) == CyclotomicNumber.one(n)
-    with pytest.raises(ZeroDivisionError):
-        CyclotomicNumber.zero(5).inverse()
-
-
 def test_ring_axioms_random():
     rng = random.Random(5)
 
@@ -74,45 +61,6 @@ def test_norm_of_one_minus_zeta_is_conductor():
         for j in range(1, n):
             prod = prod * (CyclotomicNumber.one(n) - CyclotomicNumber.zeta_pow(n, j))
         assert prod.as_rational() == n
-
-
-def _inverse_by_elimination(x: CyclotomicNumber) -> CyclotomicNumber:
-    """Reference inverse: solve y * x = 1 through the rational matrix of
-    multiplication by x, by Gauss-Jordan elimination."""
-    n = x.n
-    d = n - 1
-    cols = [(x * CyclotomicNumber.zeta_pow(n, j)).coords for j in range(d)]
-    aug = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return CyclotomicNumber.of(n, tuple(aug[i][d] for i in range(d)))
-
-
-@pytest.mark.parametrize("n", [3, 5, 7, 11])
-def test_inverse_matches_elimination(n):
-    rng = random.Random(1000 + n)
-    samples = []
-    for _ in range(30):
-        coords = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n - 1))
-        samples.append(CyclotomicNumber.of(n, coords))
-    samples += [CyclotomicNumber.rational(n, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
-                for _ in range(5)]
-    samples += [CyclotomicNumber.zeta_pow(n, j) for j in range(n)]
-    samples += [CyclotomicNumber.zeta_pow(n, j) * Fraction(-3, 2) for j in range(1, n)]
-    for x in samples:
-        if x.is_zero():
-            continue
-        inv = x.inverse()
-        assert inv == _inverse_by_elimination(x)
-        assert x * inv == CyclotomicNumber.one(n)
-        assert 1 / x == inv and Fraction(2, 3) / x == inv * Fraction(2, 3)
 
 
 # -- the Fraction-coordinate arithmetic the integer representation replaced,
@@ -172,7 +120,6 @@ def test_cyclotomic_arithmetic_matches_fraction_reference(n):
     rng = random.Random(4200 + n)
     refs = _reference_samples(n, rng, 75)
     xs = [CyclotomicNumber.of(n, r) for r in refs]
-    one = (Fraction(1),) + (Fraction(0),) * (n - 2)
     scalars = [3, -2, Fraction(5, 6), Fraction(-7, n), Fraction(1, n * n)]
     for k, (x, a) in enumerate(zip(xs, refs)):
         _assert_matches(x, n, a)
@@ -185,25 +132,15 @@ def test_cyclotomic_arithmetic_matches_fraction_reference(n):
         for f in scalars:
             _assert_matches(x * f, n, [u * f for u in a])
             _assert_matches(f * x, n, [u * f for u in a])
-            _assert_matches(x / f, n, [u / f for u in a])
             _assert_matches(x + f, n, [a[0] + f, *a[1:]])
             _assert_matches(f - x, n, [f - a[0], *(-u for u in a[1:])])
         assert x.is_zero() == (not any(a))
         assert x.as_rational() == (a[0] if not any(a[1:]) else None)
-        if x.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
-            continue
-        inv = x.inverse()
-        assert _ref_mul(n, a, inv.coords) == one
-        _assert_matches(inv, n, inv.coords)
-        _assert_matches(y / x, n, _ref_mul(n, b, inv.coords))
-        _assert_matches(Fraction(-5, 3) / x, n, [Fraction(-5, 3) * u for u in inv.coords])
         # one value built over other denominators, one of them negative
         for m in (2, -3, n):
             z = CyclotomicNumber(n, tuple(c * m for c in x.num), x.den * m)
             assert z == x and hash(z) == hash(x) and z.num == x.num and z.den == x.den
-        assert (x * 6) / 6 == x and (x + y) - y == x
+        assert (x * 6) * Fraction(1, 6) == x and (x + y) - y == x
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, Decimal("0.1"), "1"])
@@ -229,8 +166,6 @@ def test_constructor_rejects_fraction_numerators_and_wrong_lengths():
         CyclotomicNumber.of(5, (1, 2, 3))
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber(5, (1, 0, 0, 0), 0)
-    with pytest.raises(ZeroDivisionError):
-        CyclotomicNumber.zeta_pow(5, 1) / 0
 
 
 # -- Fraction constructions in the Q(zeta_n) callers: integer numerators keep
@@ -281,22 +216,6 @@ def test_theta_battery_builds_few_fractions(monkeypatch):
 
     assert _fractions_built(monkeypatch, scans) <= 145
     assert _fractions_built(monkeypatch, lambda: thetasupp.stabilizer_invariance_check(11)) <= 67
-
-
-def test_cohomology_run_inverts_no_cyclotomic(monkeypatch, tmp_path):
-    # the eigenspaces are read off the rotation's cycles, so no cyclotomic
-    # is inverted; the Q(zeta_5) echelon inverted 32, one per pivot
-    calls = [0]
-    inverse = CyclotomicNumber.inverse
-
-    def counting_inverse(self):
-        calls[0] += 1
-        return inverse(self)
-
-    monkeypatch.setattr(CyclotomicNumber, "inverse", counting_inverse)
-    gdcohom.degree_data.cache_clear()
-    assert cli.main(["cohomology", "--json", str(tmp_path / "c.json")]) == 0
-    assert calls[0] == 0
 
 
 def test_cohomology_echelon_builds_few_fractions(monkeypatch):

@@ -112,8 +112,17 @@ def test_trace_prediction_examples():
     assert trace_prediction(3) == 0
     assert trace_prediction(23) == -1035
     assert trace_prediction(43) == 0  # inert, a_p = 0
-    with pytest.raises(ValueError):
-        trace_prediction(11)
+    assert trace_prediction(11) == 0  # chi(11) = 0
+
+
+def test_the_bad_prime_keeps_its_refusals():
+    # no good-reduction local factor at p = 11, though its counts are
+    # predicted (lfunc.counts_to_power_sums refuses it too: test_lfunc)
+    with pytest.raises(ValueError, match="bad prime"):
+        h3_local_factor_product(11)
+    for i in range(5):
+        with pytest.raises(ValueError, match="bad prime"):
+            spinor_local_factor(11, i)
 
 
 def test_cm_dichotomy_and_hasse():
