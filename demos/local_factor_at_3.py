@@ -3,9 +3,11 @@
 
 Route one counts points of the Klein cubic over F_3, ..., F_243 and runs
 the Lefschetz / Newton / functional-equation pipeline.  Route two never
-counts anything: it expands the product of the five character twists of
-the CM quadratic.  Both must land on the same integer polynomial, which
-factors as (1 + 3x + 27x^2) times an irreducible degree-8 cofactor.
+counts anything: it takes the product of the five character twists of
+the CM quadratic, which is 1 - (alpha^5 + beta^5) x^5 + 3^15 x^10 in
+integers, because chi(3) != 1.  Both must land on the same integer
+polynomial, which factors as (1 + 3x + 27x^2) times an irreducible
+degree-8 cofactor.
 
 The full tower takes about a millisecond: k = 5 is one Jacobi-sum pass
 over F_243, and k = 1..4 need no field walk, since 11 divides 3^k - 1

@@ -116,10 +116,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def as_rational(self):
-        """The element as a Fraction if it lies in Q, else None."""
-        return None if any(self.num[1:]) else Fraction(self.num[0], self.den)
-
     @property
     def coords(self) -> tuple:
         """The coordinates over 1, z, ..., z^(n-2) as Fractions (a read-only view)."""

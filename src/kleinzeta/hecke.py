@@ -7,6 +7,16 @@ whose image in the residue field F_11 at sqrt(-11) is a nonzero square.
 The weight-4 coefficients come from the cube of the same Frobenius pair,
 and the order-5 character of conductor 11 (2 bar -> zeta_5) twists the five
 factors whose product is the degree-10 local factor on H^3.
+
+That product is read in integers.  Put t = a_p p, n = p^3 and
+d = dlog_2(p) mod 5, so chi(p) = zeta_5^d.  The twist by w = chi^i(p) is
+1 - t w x + w^2 n x^2 = (1 - alpha w x)(1 - beta w x), with alpha + beta = t
+and alpha beta = n.  If d = 0, all five twists are 1 - t x + n x^2, and the
+product is its fifth power.  Otherwise w runs over every fifth root of
+unity, prod_w (1 - alpha w x) = 1 - alpha^5 x^5, and the product is
+1 - (alpha^5 + beta^5) x^5 + n^5 x^10.  Likewise
+sum_i chi^(ik)(p) = sum_i zeta_5^(ikd) is 5 when 5 | k d and 0 otherwise.
+Q(zeta_5) arithmetic stays only in the spinor factors.
 """
 
 from __future__ import annotations
@@ -129,14 +139,10 @@ def satake_power_sum(p: int, k: int) -> int:
 
 
 def character_twist_sum(p: int, k: int = 1) -> int:
-    """sum_{i=0..4} chi^(ik)(p), evaluated exactly in Q(zeta_5)."""
-    total = CyclotomicNumber.zero(5)
-    for i in range(5):
-        total = total + chi(p, (i * k) % 5)
-    r = total.as_rational()
-    if r is None or r.denominator != 1:
-        raise ArithmeticError("character sum did not land in Z")
-    return int(r)
+    """sum_{i=0..4} chi^(ik)(p): 5 when chi^k(p) = 1, that is when
+    5 | k dlog_2(p), and 0 otherwise, also at 11 | p, where chi(p) = 0."""
+    d = chi_dlog(p)
+    return 0 if d is None or k * d % 5 else 5
 
 
 def predicted_power_sum(p: int, k: int) -> int:
@@ -168,21 +174,24 @@ def h3_local_factor_product(p: int) -> LocalFactor:
     """prod_i (1 - a_p chi^i(p) p x + chi^(2i)(p) p^3 x^2) as an integer factor.
 
     The chi^(2i) in the quadratic term is the nebentypus of the twist; it is
-    what makes the product rational.
+    what makes the product rational.  With t = a_p p and n = p^3, each twist
+    is (1 - alpha w x)(1 - beta w x), w = chi^i(p), alpha + beta = t and
+    alpha beta = n.  When chi(p) = 1 the product is (1 - t x + n x^2)^5.
+    Otherwise w runs over all fifth roots of unity, so
+    prod_w (1 - alpha w x) = 1 - alpha^5 x^5, and the product is
+    1 - s_5 x^5 + n^5 x^10.  Here alpha = p alpha_f and beta = p beta_f for
+    the Satake pair of f, so s_5 = alpha^5 + beta^5 = p^5 satake_power_sum(p, 5).
     """
     if p == BAD_PRIME:
         raise ValueError("p = 11 is the bad prime")
-    a = ap_f(p)
-    prod = [CyclotomicNumber.one(5)]
-    for i in range(5):
-        prod = mul(prod, _twisted_quadratic(p, i, a * p, 3))
-    coeffs = []
-    for c in prod:
-        r = c.as_rational()
-        if r is None or r.denominator != 1:
-            raise ArithmeticError(f"non-integral product coefficient {c!r}")
-        coeffs.append(int(r))
-    return LocalFactor(p, tuple(coeffs))
+    t, n = ap_f(p) * p, p ** 3
+    if chi_dlog(p) % 5 == 0:
+        coeffs = [1]
+        for _ in range(5):
+            coeffs = mul(coeffs, [1, -t, n])
+        return LocalFactor(p, tuple(coeffs))
+    s5 = p ** 5 * satake_power_sum(p, 5)
+    return LocalFactor(p, (1, 0, 0, 0, 0, -s5, 0, 0, 0, 0, n ** 5))
 
 
 def spinor_local_factor(p: int, i: int):

@@ -1,8 +1,9 @@
 """Dense univariate polynomials on little-endian coefficient lists.
 
-The package's one polynomial layer.  Products over int, Fraction or
-CyclotomicNumber coefficients serve the pinned reference factor, the twisted
-quadratics over Q(zeta_5) and cyclo's Z[z]/(z^n - 1); pseudo-division over Z
+The package's one polynomial layer.  Integer products serve the pinned
+reference factor, hecke's CM factor at chi(p) = 1 (a fifth power) and cyclo's
+Z[z]/(z^n - 1); products over Q(zeta_5) serve only the spinor factors, since
+hecke reads the CM factor in closed integer form.  Pseudo-division over Z
 serves the Sturm chain of the purity test and, reduced mod p by the caller,
 the field build in ffield.  A leaf: it imports nothing from the package, so
 ffield and cyclo can build on it.

@@ -8,6 +8,7 @@ import pytest
 
 from kleinzeta import cli, gdcohom, hecke, thetasupp
 from kleinzeta.cyclo import CyclotomicNumber
+from twist_product import rational_value, twist_product
 
 
 def test_power_basis_relation():
@@ -28,8 +29,8 @@ def test_zeta_order():
 
 
 def test_rationality_detection():
-    assert CyclotomicNumber.rational(5, Fraction(3, 2)).as_rational() == Fraction(3, 2)
-    assert CyclotomicNumber.zeta_pow(5, 1).as_rational() is None
+    assert rational_value(CyclotomicNumber.rational(5, Fraction(3, 2))) == Fraction(3, 2)
+    assert rational_value(CyclotomicNumber.zeta_pow(5, 1)) is None
 
 
 def test_ring_axioms_random():
@@ -60,7 +61,7 @@ def test_norm_of_one_minus_zeta_is_conductor():
         prod = CyclotomicNumber.one(n)
         for j in range(1, n):
             prod = prod * (CyclotomicNumber.one(n) - CyclotomicNumber.zeta_pow(n, j))
-        assert prod.as_rational() == n
+        assert rational_value(prod) == n
 
 
 # -- the Fraction-coordinate arithmetic the integer representation replaced,
@@ -135,7 +136,7 @@ def test_cyclotomic_arithmetic_matches_fraction_reference(n):
             _assert_matches(x + f, n, [a[0] + f, *a[1:]])
             _assert_matches(f - x, n, [f - a[0], *(-u for u in a[1:])])
         assert x.is_zero() == (not any(a))
-        assert x.as_rational() == (a[0] if not any(a[1:]) else None)
+        assert rational_value(x) == (a[0] if not any(a[1:]) else None)
         # one value built over other denominators, one of them negative
         for m in (2, -3, n):
             z = CyclotomicNumber(n, tuple(c * m for c in x.num), x.den * m)
@@ -199,11 +200,37 @@ def test_cyclotomic_callers_build_few_fractions(monkeypatch):
     # its integer scale to pole orders 3 and 2, where one coordinate of the
     # pullback is not integral; dividing at every step built 83
     assert _fractions_built(monkeypatch, gdcohom.alpha_pullback) == 1
-    assert _fractions_built(monkeypatch, lambda: hecke.h3_local_factor_product(3)) <= 12
+    assert _fractions_built(monkeypatch, lambda: hecke.h3_local_factor_product(3)) == 0
     assert _fractions_built(monkeypatch, lambda: gdcohom.eigenspace_split(M)) == 0
     assert _fractions_built(monkeypatch, lambda: gdcohom.fil2_eigenvector_map(M)) == 0
     assert _fractions_built(monkeypatch, lambda: [thetasupp.char_sum(11, v)
                                                   for v in range(1, 5)]) == 0
+
+
+def _cyclotomics_built(monkeypatch, fn):
+    built = [0]
+    post_init = CyclotomicNumber.__post_init__
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(CyclotomicNumber, "__post_init__", counting_post_init)
+        fn()
+    return built[0]
+
+
+def test_the_cm_side_builds_no_cyclotomic(monkeypatch):
+    # the product and the predictions are read in integers; the Q(zeta_5)
+    # reference product builds 211 at p = 3, so the counter does count
+    assert _cyclotomics_built(monkeypatch, lambda: twist_product(3)) == 211
+    # chi(p) != 1 at 2, 3 and 1999 (split at 3); chi(p) = 1 at 23 (split) and 43
+    for p in (2, 3, 23, 43, 1999):
+        assert _cyclotomics_built(monkeypatch, lambda: hecke.h3_local_factor_product(p)) == 0
+    for p in (2, 3, 11, 23, 43):
+        for k in range(1, 13):
+            assert _cyclotomics_built(monkeypatch, lambda: hecke.predicted_count(p, k)) == 0
 
 
 def test_theta_battery_builds_few_fractions(monkeypatch):

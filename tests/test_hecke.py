@@ -7,11 +7,12 @@ from kleinzeta.counting import CM_CURVE, count_weierstrass
 from kleinzeta.ffield import build_field, is_prime
 from kleinzeta.hecke import (HeckeRecord, ap_f, ap_g, character_twist_sum, chi, chi_dlog,
                              h3_local_factor_product, hecke_record, hecke_table,
-                             predicted_count, primes_up_to, solve_norm_form,
-                             spinor_local_factor, split_type, trace_prediction,
-                             write_hecke_csv)
+                             predicted_count, primes_up_to, satake_power_sum,
+                             solve_norm_form, spinor_local_factor, split_type,
+                             trace_prediction, write_hecke_csv)
 from kleinzeta.lfunc import local_factor_power_sums
 from kleinzeta.reference import AP_SAMPLES, reference_degree10_at_3
+from twist_product import rational_value, twist_product, twist_sum
 
 
 def test_split_type_examples():
@@ -163,9 +164,9 @@ def test_h3_product_at_23_is_fifth_power():
     assert h3_local_factor_product(23).coeffs == tuple(prod)
 
 
-def test_h3_product_satisfies_invariants_up_to_100():
+def test_h3_product_satisfies_invariants_up_to_2000():
     from kleinzeta.lfunc import weil_bound_check
-    for p in primes_up_to(100):
+    for p in primes_up_to(2000):
         if p == 11:
             continue
         L = h3_local_factor_product(p)
@@ -174,6 +175,27 @@ def test_h3_product_satisfies_invariants_up_to_100():
         assert -L.coeffs[1] == trace_prediction(p)
         assert local_factor_power_sums(L, 1)[0] == trace_prediction(p)
         assert weil_bound_check(L)
+
+
+def test_h3_product_matches_the_cyclotomic_product():
+    # the closed form against the five twisted quadratics multiplied out in
+    # Q(zeta_5), at every good p <= 2000: chi(p) = 1, chi(p) != 1, split, inert
+    for p in primes_up_to(2000):
+        if p != 11:
+            assert h3_local_factor_product(p) == twist_product(p), p
+
+
+def test_twist_sum_and_prediction_match_the_cyclotomic_sum():
+    # p = 11 included: chi(11) = 0, so both sums are 0
+    for p in primes_up_to(3000):
+        for k in range(1, 13):
+            s = twist_sum(p, k)
+            assert character_twist_sum(p, k) == s, (p, k)
+            q = p ** k
+            expected = 1 + q + q * q + q ** 3
+            if s:
+                expected -= q * satake_power_sum(p, k) * s
+            assert predicted_count(p, k) == expected, (p, k)
 
 
 def test_predicted_count_matches_lefschetz_shape():
@@ -187,7 +209,7 @@ def test_spinor_factor_examples():
     # (1 + T + 3T^2)(1 - 8T + 27T^2) at p = 3, i = 0
     f = spinor_local_factor(3, 0)
     expected = [1, -7, 22, 3, 81]
-    assert [c.as_rational() for c in f] == [Fraction(v) for v in expected]
+    assert [rational_value(c) for c in f] == [Fraction(v) for v in expected]
 
     inert = spinor_local_factor(2, 1)
     assert inert[1].is_zero() and inert[3].is_zero()
@@ -209,7 +231,7 @@ def test_spinor_product_over_twists_is_integral():
                     new[a + b] = new[a + b] + x * y
             prod = new
         for c in prod:
-            r = c.as_rational()
+            r = rational_value(c)
             assert r is not None and r.denominator == 1
 
 
