@@ -28,10 +28,10 @@ for ty in ("I", "II", "III", "IV"):
     for c in survivors[:12]:
         print(f"    survivor (m,n,r,s,t) = ({c.m},{c.n},{c.r},{c.s},{c.t})")
 
-print("\nadditive character sums over p^-v Z / Z (exact, conductor-p cyclotomic):")
+print("\nadditive character sums over p^-v Z / Z (exact, read at zeta_p in Z[z]/(z^p - 1)):")
 for v in range(0, 5):
     val = char_sum(P, v)
-    print(f"  v = {v}:", "1" if v == 0 else ("0" if val.is_zero() else str(val)))
+    print(f"  v = {v}:", "1" if v == 0 else ("0" if not any(val) else str(val)))
 
 print("\nsupport stability under sampled Gamma_0(p^2)^2 pairs:",
       stabilizer_invariance_check(P))

@@ -37,7 +37,7 @@ def _parse_record(line: str) -> tuple:
         # k < 40 keeps q = p^k cheap to form from outside input (build_field stops at 2^20)
         if not all(type(v) is int for v in (p, k, n)) or p < 2 or not 1 <= k < 40:
             raise ValueError("p, k and count must be integers with p >= 2, 1 <= k < 40")
-        CountRecord(p, k, n, "", 0.0)  # checks the #P^4(F_q) bound
+        CountRecord(p, k, n, "")  # checks the #P^4(F_q) bound
     except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         raise BadRecord(f"bad record {line!r} ({type(exc).__name__}: {exc})") from exc
     return (p, k), n

@@ -23,16 +23,15 @@ reads no discrete log.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import _cyclic_mul
 from .ffield import (BudgetExceeded, FieldDescriptor, build_field, digitwise_add, field_order,
                      log_exp_mul, log_exp_tables)
 from .gdcohom import CycPoly, klein_form
+from .poly import at_zeta, cyclic_mul
 
 NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
 H3_CLASS = (1, 5, 3, 4, 9)           # the class a of H^3; the other nine are t a
@@ -57,9 +56,9 @@ def _jacobi_eigenvalue(F: FieldDescriptor) -> list:
     lam, s = [-1] + [0] * 10, 0
     for a, b in zip(H3_CLASS, H3_CLASS[1:4]):
         s += a
-        lam = _cyclic_mul(lam, np.bincount((s * e + b * ly) % 11, minlength=11).tolist())
-    norm = _cyclic_mul(lam, lam[:1] + lam[:0:-1])  # lambda sigma_(-1)(lambda)
-    if norm[1:] != [norm[1]] * 10 or norm[0] - norm[1] != F.p ** (3 * F.k):
+        lam = cyclic_mul(lam, np.bincount((s * e + b * ly) % 11, minlength=11).tolist())
+    norm = cyclic_mul(lam, lam[:1] + lam[:0:-1])  # lambda sigma_(-1)(lambda)
+    if at_zeta(norm) != [F.p ** (3 * F.k)] + [0] * 9:
         raise ArithmeticError("Jacobi eigenvalue is not pure of weight 3; counter is inconsistent")
     return lam
 
@@ -70,7 +69,6 @@ class CountRecord:
     k: int
     count: int
     algorithm: str
-    elapsed_s: float
 
     def __post_init__(self):
         q = self.p ** self.k
@@ -81,7 +79,7 @@ class CountRecord:
 
 def count_klein(p: int, k: int) -> CountRecord:
     """#X(P^4(F_q)), q = p^k, for the Klein cubic from one Frobenius
-    eigenvalue on H^3, with timing.  ffield.field_order refuses (p, k) as
+    eigenvalue on H^3.  ffield.field_order refuses (p, k) as
     build_field does; the only field built is F_(p^f), and only when 11
     divides q - 1.
 
@@ -125,16 +123,15 @@ def count_klein(p: int, k: int) -> CountRecord:
     the sum is chi_2(-1) sum_(u != 0, -1) chi_2(u) = -chi_2(-1)^2 = -1.
     """
     q = field_order(p, k)
-    t0 = time.perf_counter()
     n = 1 + q + q * q + q ** 3
     if (q - 1) % 11 == 0:
         f = next(f for f in (1, 2, 5, 10) if (p ** f - 1) % 11 == 0)
         lam = _jacobi_eigenvalue(build_field(p, f))
         power = lam
         for _ in range(k // f - 1):
-            power = _cyclic_mul(power, lam)
+            power = cyclic_mul(power, lam)
         n -= 11 * power[0] - sum(power)  # Tr z^0 = 10, Tr z^j = -1
-    return CountRecord(p, k, n, "jacobi-weil", time.perf_counter() - t0)
+    return CountRecord(p, k, n, "jacobi-weil")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ M sends the class of weight w to a multiple of the one class of weight 9w:
 M is monomial.  Its eigenspaces are then read off its cycles
 (`eigenspace_split`), with integer products and no Fraction.  Their
 dimensions sum to 10 exactly when M^5 = 1, so that sum is the order check
-and M^5 is never formed.
+and M^5 is never formed.  The Fourier eigenvectors of the Hodge block are
+checked in Z[z]/(z^5 - 1) over one integer denominator (`poly.at_zeta`).
 """
 
 from __future__ import annotations
@@ -46,16 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CyclotomicNumber
-from .linalg import Echelon, exact_quotient, rank
+from .linalg import Echelon, common_denominator, exact_quotient, rank
+from .poly import at_zeta
 
 NVARS = 5
-
-
-def _is_zero(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
 
 
 def monomials_of_degree(d: int) -> list:
@@ -78,13 +73,13 @@ def monomials_of_degree(d: int) -> list:
 
 @dataclass(frozen=True)
 class CycPoly:
-    """Homogeneous polynomial in x_0..x_4, coefficients in Q or Q(zeta_5)."""
+    """Homogeneous polynomial in x_0..x_4 with rational coefficients."""
     degree: int
     terms: tuple  # sorted ((exps, coeff), ...) with no zero coefficients
 
     @staticmethod
     def make(terms: dict, degree: int | None = None) -> "CycPoly":
-        clean = {e: c for e, c in terms.items() if not _is_zero(c)}
+        clean = {e: c for e, c in terms.items() if c}
         if clean:
             degrees = {sum(e) for e in clean}
             if len(degrees) != 1:
@@ -122,7 +117,7 @@ class CycPoly:
         return self + (-other)
 
     def scale(self, f) -> "CycPoly":
-        if _is_zero(f):
+        if not f:
             return CycPoly.make({}, self.degree)
         return CycPoly(self.degree, tuple((e, c * f) for e, c in self.terms))
 
@@ -305,9 +300,6 @@ def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
     denominator, the product of the splits' scales and the factors m - 1,
     so a Fraction is built only for a coordinate read at pole order 3 or 2
     that the denominator does not divide.
-    Coefficients may lie in Q(zeta_5) at pole order 2 only: above it the
-    numerator goes through the rational echelon (`linalg`), which raises
-    TypeError on a cyclotomic coefficient.
 
     first_lift, when given, must be an exact lift of the numerator's ideal
     part (five polynomials with sum_i B_i dS/dx_i = A - harmonic part, which
@@ -420,32 +412,40 @@ def eigenspace_split(M) -> EigenSplit:
 
 def fil2_eigenvector_map(M) -> dict:
     """For each j, check v_j = (zeta^(j(i+1)))_i in the Hodge block is an
-    eigenvector of M; returns {j: eigenvalue power}."""
-    n = len(M)
-    zeta = [CyclotomicNumber.zeta_pow(5, k) for k in range(5)]
+    eigenvector of M; returns {j: eigenvalue power}.
+
+    The first five columns of M go over their integer common denominator
+    den, so den (M v_j)_i is a list of Z[z]/(z^5 - 1) and no Fraction is
+    built; two such lists are compared at zeta_5 by their at_zeta
+    coordinates.
+    """
+    nums, den = common_denominator([c for row in M for c in row[:5]])
+    rows = [nums[5 * i:5 * i + 5] for i in range(len(M))]
+    roots = [at_zeta([den * (m == k) for m in range(5)]) for k in range(5)]  # den zeta^k
     out = {}
     for j in range(5):
-        # v_j has support in the first five coordinates; dividing by its
-        # entry zeta^(j(i+1)) is multiplying by zeta^(-j(i+1))
         lam = None
-        for i in range(n):
-            image = CyclotomicNumber.zero(5)
-            for k in range(5):
-                if not _is_zero(M[i][k]):
-                    image = image + zeta[j * (k + 1) % 5] * M[i][k]
+        for i, row in enumerate(rows):
+            image = [0] * 5
+            for k, c in enumerate(row):
+                image[j * (k + 1) % 5] += c
             if i >= 5:
-                if not image.is_zero():
+                if any(at_zeta(image)):
                     raise ArithmeticError("v_j is not an eigenvector")
                 continue
-            cand = image * zeta[-j * (i + 1) % 5]
+            # dividing by the entry zeta^(j(i+1)) of v_j rotates the list back by s
+            s = j * (i + 1) % 5
+            cand = at_zeta(image[s:] + image[:s])
             if lam is None:
                 lam = cand
             elif lam != cand:
                 raise ArithmeticError("v_j is not an eigenvector")
-        power = next((k for k in range(5) if lam == zeta[k]), None)
-        if power is None:
-            raise ArithmeticError(f"eigenvalue {lam} of v_{j} is not a fifth root of unity")
-        out[j] = power
+        if lam not in roots:
+            terms = [f"{Fraction(c, den)}" + ("*z5" if e == 1 else f"*z5^{e}" if e else "")
+                     for e, c in enumerate(lam) if c]
+            raise ArithmeticError(f"eigenvalue {' + '.join(terms) or 0} of v_{j} is not a "
+                                  "fifth root of unity")
+        out[j] = roots.index(lam)
     return out
 
 

@@ -16,7 +16,9 @@ product is its fifth power.  Otherwise w runs over every fifth root of
 unity, prod_w (1 - alpha w x) = 1 - alpha^5 x^5, and the product is
 1 - (alpha^5 + beta^5) x^5 + n^5 x^10.  Likewise
 sum_i chi^(ik)(p) = sum_i zeta_5^(ikd) is 5 when 5 | k d and 0 otherwise.
-Q(zeta_5) arithmetic stays only in the spinor factors.
+The spinor factors are read the same way: each is one integer quartic at
+T -> chi^i(p) T, so its coefficients are integers times powers of zeta_5,
+kept as lists in Z[z]/(z^5 - 1) (see poly).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .cyclo import CyclotomicNumber
 from .ffield import is_prime
 from .lfunc import BAD_PRIME, LocalFactor
 from .poly import mul
@@ -119,14 +120,6 @@ def chi_dlog(n: int) -> int | None:
     return DLOG2_MOD_11[r]
 
 
-def chi(n: int, i: int = 1) -> CyclotomicNumber:
-    """chi^i(n) for the order-5 character of conductor 11 with chi(2) = zeta_5."""
-    d = chi_dlog(n)
-    if d is None:
-        return CyclotomicNumber.zero(5)
-    return CyclotomicNumber.zeta_pow(5, i * d)
-
-
 def satake_power_sum(p: int, k: int) -> int:
     """s_k = alpha^k + beta^k for alpha+beta = a_p, alpha*beta = p."""
     a = ap_f(p)
@@ -165,11 +158,6 @@ def predicted_count(p: int, k: int) -> int:
     return 1 + pk + pk * pk + pk ** 3 - predicted_power_sum(p, k)
 
 
-def _twisted_quadratic(p: int, i: int, trace_coeff: int, weight_power: int):
-    """1 - trace_coeff * chi^i(p) * T + chi^(2i)(p) * p^weight_power * T^2."""
-    return [CyclotomicNumber.one(5), chi(p, i) * -trace_coeff, chi(p, 2 * i) * p ** weight_power]
-
-
 def h3_local_factor_product(p: int) -> LocalFactor:
     """prod_i (1 - a_p chi^i(p) p x + chi^(2i)(p) p^3 x^2) as an integer factor.
 
@@ -194,19 +182,23 @@ def h3_local_factor_product(p: int) -> LocalFactor:
     return LocalFactor(p, (1, 0, 0, 0, 0, -s5, 0, 0, 0, 0, n ** 5))
 
 
-def spinor_local_factor(p: int, i: int):
+def spinor_local_factor(p: int, i: int) -> list:
     """Degree-4 spinor factor (motivic normalization) over Q(zeta_5):
 
     (1 - a_p(f) chi^i(p) T + chi^(2i)(p) p T^2)
-    (1 - a_p(g) chi^i(p) T + chi^(2i)(p) p^3 T^2)
+    (1 - a_p(g) chi^i(p) T + chi^(2i)(p) p^3 T^2),
+
+    as five coefficients, each a length-5 list of Z[z]/(z^5 - 1).  It is the
+    integer quartic sum_k c_k T^k = (1 - a_p(f) T + p T^2)(1 - a_p(g) T + p^3 T^2)
+    at T -> chi^i(p) T, so coefficient k is c_k z^(i d k mod 5), d = dlog_2(p).
     """
     if p == BAD_PRIME:
         raise ValueError("p = 11 is the bad prime")
     if not 0 <= i <= 4:
         raise ValueError("twist index must lie in 0..4")
-    f_part = _twisted_quadratic(p, i, ap_f(p), 1)
-    g_part = _twisted_quadratic(p, i, ap_g(p), 3)
-    return mul(f_part, g_part)
+    coeffs = mul([1, -ap_f(p), p], [1, -ap_g(p), p ** 3])
+    d = chi_dlog(p)
+    return [[c if m == i * d * k % 5 else 0 for m in range(5)] for k, c in enumerate(coeffs)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Rows are dicts {column index: coefficient}.  A coefficient must be an int or
 a Fraction, mixed within one row as needed; any other type raises TypeError,
-so a float or a Q(zeta_n) element never enters an echelon.  Everything is
-deterministic: rows are processed in input order and pivots prefer the
-smallest column index.
+so a float never enters an echelon.  Everything is deterministic: rows are
+processed in input order and pivots prefer the smallest column index.
+`common_denominator` applies the same rule to a sequence of values, and
+puts them over one positive integer denominator for exact callers outside
+the echelon (the theta matrices, the Fourier eigenvectors of gdcohom).
 
 Elimination keeps integers integral (Bareiss 1968, Math. Comp. 22).  A
 reduction first clears its row's denominators; from then on every entry is an
@@ -26,6 +28,16 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+
+EXACT_SCALARS = (int, Fraction)
+
+
+def common_denominator(values) -> tuple:
+    """(numerators, den > 0) over the least common denominator of ints or Fractions."""
+    if not all(isinstance(v, EXACT_SCALARS) for v in values):
+        raise TypeError(f"exact values must be int or Fraction, got {values!r}")
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def _integral(row: dict) -> tuple:

@@ -1,12 +1,17 @@
 """Dense univariate polynomials on little-endian coefficient lists.
 
-The package's one polynomial layer.  Integer products serve the pinned
-reference factor, hecke's CM factor at chi(p) = 1 (a fifth power) and cyclo's
-Z[z]/(z^n - 1); products over Q(zeta_5) serve only the spinor factors, since
-hecke reads the CM factor in closed integer form.  Pseudo-division over Z
-serves the Sturm chain of the purity test and, reduced mod p by the caller,
-the field build in ffield.  A leaf: it imports nothing from the package, so
-ffield and cyclo can build on it.
+The package's one polynomial layer, and its one cyclotomic arithmetic.
+Integer products serve the pinned reference factor, hecke's CM factor at
+chi(p) = 1 (a fifth power) and its spinor quartics.  Coefficient lists in
+Z[z]/(z^n - 1) carry every cyclotomic value: the Jacobi sums in Z[zeta_11]
+(multiplied by `cyclic_mul`), the spinor factors in Z[zeta_5], the Fourier
+eigenvectors of the rotation and the additive character sums.
+Z[z]/(z^n - 1) maps onto Z[zeta_n] for prime n with kernel spanned by
+1 + z + ... + z^(n-1), so two lists are equal at zeta_n exactly when their
+`at_zeta` coordinates are.  Pseudo-division over Z serves the Sturm chain of
+the purity test and, reduced mod p by the caller, the field build in
+ffield.  A leaf: it imports nothing from the package, so ffield and the
+rest can build on it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ def trim(a):
 
 
 def mul(a, b) -> list:
-    """The product of two coefficient lists over int, Fraction or
-    CyclotomicNumber coefficients.  A zero int or Fraction in a is skipped;
-    an output coefficient no term reaches stays the int 0."""
+    """The product of two coefficient lists over a commutative ring (int or
+    Fraction in the package).  A zero coefficient in a is skipped; an output
+    coefficient no term reaches stays the int 0."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
@@ -32,6 +37,19 @@ def mul(a, b) -> list:
                 out[j] += x * y
                 j += 1
     return out
+
+
+def cyclic_mul(a, b) -> list:
+    """Product in Z[z]/(z^n - 1) of two length-n coefficient sequences:
+    the product in Z[z], with z^(n+i) folded onto z^i."""
+    full = mul(a, b)
+    return [x + y for x, y in zip(full, full[len(a):] + [0])]
+
+
+def at_zeta(a) -> list:
+    """The n - 1 coordinates over 1, z, ..., z^(n-2) of a length-n list of
+    Z[z]/(z^n - 1) read at zeta_n, n prime: z^(n-1) = -(1 + ... + z^(n-2))."""
+    return [c - a[-1] for c in a[:-1]]
 
 
 def pdivmod(a, b) -> tuple:

@@ -55,8 +55,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import EXACT_SCALARS, CyclotomicNumber, common_denominator
 from .ffield import is_prime
+from .linalg import EXACT_SCALARS, common_denominator
+from .poly import at_zeta
 
 # ---------------------------------------------------------------------------
 # exact 2x2 matrices
@@ -263,21 +264,22 @@ def coset_rep(p: int, params: CosetParams):
 # additive character sums
 
 
-def char_sum(p: int, v: int) -> CyclotomicNumber:
-    """Sum of the standard additive character over p^-v Z / Z, in Q(zeta_p).
+def char_sum(p: int, v: int) -> list:
+    """Sum of the standard additive character over p^-v Z / Z, in Q(zeta_p),
+    as its p - 1 coordinates over 1, zeta_p, ..., zeta_p^(p-2) (poly.at_zeta).
 
     For v >= 1 the sum factors through cosets of p^-1 Z / Z, so it is a
-    multiple of sum_a zeta_p^a, which the exact cyclotomic reduction
-    evaluates to zero; the v = 0 sum is the single term 1.
+    multiple of sum_a zeta_p^a, the list of p ones in Z[z]/(z^p - 1), whose
+    coordinates at zeta_p are zero; the v = 0 sum is the single term 1.
     """
     if not is_prime(p):
         raise ValueError("conductor must be prime")
     if v < 0:
         raise ValueError("v must be nonnegative")
     if v == 0:
-        return CyclotomicNumber.one(p)
-    z = sum((CyclotomicNumber.zeta_pow(p, a) for a in range(p)), CyclotomicNumber.zero(p))
-    if v > 1 and not z.is_zero():
+        return at_zeta([1] + [0] * (p - 1))
+    z = at_zeta([1] * p)
+    if v > 1 and any(z):
         raise ArithmeticError("coset folding needs the conductor-p sum to vanish")
     return z
 

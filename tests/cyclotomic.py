@@ -1,29 +1,21 @@
-"""Exact arithmetic in Q(zeta_n) for prime n.
+"""Reference Q(zeta_n) number type for the tests: exact arithmetic in
+Q(zeta_n) for prime n, the separate number type kleinzeta used before its
+cyclotomic values became coefficient lists in Z[z]/(z^n - 1) (poly.cyclic_mul
+and poly.at_zeta).  The lists are checked against it, so it keeps its own fold
+of z^(n+i) onto z^i.
 
 Elements are stored over the power basis 1, z, ..., z^(n-2), reduced by
 1 + z + ... + z^(n-1) = 0, as integer numerators over one denominator > 0 in
-lowest terms.  Conductor 5 carries the order-5 Dirichlet character values and
-the eigenvalue computations; larger prime conductors carry additive-character sums.
+lowest terms.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ffield import is_prime
-from .poly import mul
-
-EXACT_SCALARS = (int, Fraction)
-
-
-def common_denominator(values) -> tuple:
-    """(numerators, den > 0) over the least common denominator of ints or Fractions."""
-    if not all(isinstance(v, EXACT_SCALARS) for v in values):
-        raise TypeError(f"exact values must be int or Fraction, got {values!r}")
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+from kleinzeta.ffield import is_prime
+from kleinzeta.linalg import EXACT_SCALARS, common_denominator
+from kleinzeta.poly import mul
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Reference elimination for the tests: dense reduced row echelon form on
 Fractions, and on CyclotomicNumbers where an entry lies outside Q, one field
 division per pivot.  A cyclotomic pivot is inverted by elimination on
-Fractions as well, so the reference uses only the ring operations of
-kleinzeta.cyclo."""
+Fractions as well, so the reference uses only the ring operations of the
+reference number type in cyclotomic.py."""
 
 from fractions import Fraction
 
-from kleinzeta.cyclo import CyclotomicNumber
+from cyclotomic import CyclotomicNumber
 
 
 def nonzero(x) -> bool:

@@ -10,6 +10,7 @@ Importing a name is not a use of it.  Tests do not count as callers.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,3 +104,22 @@ def test_package_version_matches_pyproject():
 
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["version"] == kleinzeta.__version__
+
+
+def _listed_modules(text, header, pattern):
+    """The module names that pattern finds on the lines after header, up to
+    the first blank line or closing fence."""
+    block = text.split(header, 1)[1].lstrip("`\n").split("\n\n", 1)[0].split("```", 1)[0]
+    return [m.group(1) for m in map(re.compile(pattern).match, block.splitlines()) if m]
+
+
+def test_module_lists_name_exactly_the_package_files():
+    # the Modules: list of the package docstring and README's Layout block
+    import kleinzeta
+
+    files = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    docstring = _listed_modules(kleinzeta.__doc__, "Modules:\n", r"  (\w+)\s")
+    layout = _listed_modules((ROOT / "README.md").read_text(), "## Layout\n",
+                             r"  (\w+)\.py\s")
+    assert sorted(docstring) == files
+    assert sorted(layout) == files

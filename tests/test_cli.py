@@ -408,7 +408,7 @@ def test_cached_count_parses_once_and_sees_appends(tmp_path, monkeypatch):
     for _ in range(3):
         assert cached_count(cache, 3, 1) == 40 and cached_count(cache, 3, 3) is None
     assert len(parsed) == 2
-    record_count(cache, CountRecord(3, 3, 20440, "slice-chi", 0.0))
+    record_count(cache, CountRecord(3, 3, 20440, "slice-chi"))
     assert cached_count(cache, 3, 3) == 20440
     assert len(parsed) == 2
     with open(path, "a") as fh:
@@ -751,7 +751,7 @@ def test_swapped_projectors_fail_the_archimedean_check(monkeypatch, tmp_path, co
 @pytest.mark.parametrize("argv, patch, check", [
     (["hecke-table", "--out", "h.csv"], ("hecke", "ap_f", lambda p: 100), "hecke-table"),
     (["count", "--p", "3"], ("cachemod", "count_klein",
-                             lambda p, k: CountRecord(p, k, 10 ** 12, "jacobi-weil", 0.0)),
+                             lambda p, k: CountRecord(p, k, 10 ** 12, "jacobi-weil")),
      "count-p3-k1"),
 ], ids=["hecke-table", "count"])
 def test_broken_record_bound_fails_its_check(monkeypatch, tmp_path, argv, patch, check):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.gdcohom import (CycPoly, RationalDifferential, alpha_pullback, degree_data,
                                eigenspace_split, fil2_eigenvector_map, gorenstein_pairing_matrix,
                                gorenstein_pairing_nondegenerate, griffiths_reduce, h3_basis,
@@ -14,6 +13,7 @@ from kleinzeta.gdcohom import (CycPoly, RationalDifferential, alpha_pullback, de
 from kleinzeta.linalg import rank
 
 import gauss_jordan
+from cyclotomic import CyclotomicNumber
 
 
 def rand_poly(rng, d, density=0.5, bound=4):
@@ -294,6 +294,89 @@ def test_fourier_vectors_are_eigenvectors():
     assert eigmap == {j: (-j) % 5 for j in range(5)}
 
 
+def _fil2_map_reference(M):
+    """fil2_eigenvector_map as it was computed with the reference Q(zeta_5)
+    number type: M v_j entry by entry, divided by the entries of v_j."""
+    zeta = [CyclotomicNumber.zeta_pow(5, k) for k in range(5)]
+    out = {}
+    for j in range(5):
+        lam = None
+        for i in range(len(M)):
+            image = CyclotomicNumber.zero(5)
+            for k in range(5):
+                if M[i][k] != 0:
+                    image = image + zeta[j * (k + 1) % 5] * M[i][k]
+            if i >= 5:
+                if not image.is_zero():
+                    raise ArithmeticError("v_j is not an eigenvector")
+                continue
+            cand = image * zeta[-j * (i + 1) % 5]
+            if lam is None:
+                lam = cand
+            elif lam != cand:
+                raise ArithmeticError("v_j is not an eigenvector")
+        power = next((k for k in range(5) if lam == zeta[k]), None)
+        if power is None:
+            raise ArithmeticError(f"eigenvalue {lam} of v_{j} is not a fifth root of unity")
+        out[j] = power
+    return out
+
+
+def _outcome(fn, M):
+    try:
+        return fn(M)
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+def _block_matrix(rng):
+    """A seeded 10x10 matrix, diagonal past the Hodge block.  The block is c
+    times a shift k -> k + s or a reflection k -> s - k of the first five
+    coordinates, or a circulant sum_s a_s P^s (P the shift by 1), which has
+    every v_j as an eigenvector, often with a_0 set so that v_0's is 1."""
+    M = [[Fraction(0)] * 10 for _ in range(10)]
+    kind, s, c = rng.randrange(3), rng.randrange(5), Fraction(rng.choice([1, 1, -1, 2]))
+    if kind < 2:
+        for k in range(5):
+            M[(s - k if kind else k + s) % 5][k] = c
+    else:
+        a = [Fraction(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 2)) for _ in range(5)]
+        if rng.random() < 0.7:
+            a[0] += 1 - sum(a)
+        for s, c in enumerate(a):
+            for k in range(5):
+                M[(k + s) % 5][k] += c
+    for k in range(5, 10):
+        M[k][k] = Fraction(rng.choice([1, -2, 3]), rng.randint(1, 3))
+    return M
+
+
+def test_fourier_vectors_match_the_cyclotomic_reference():
+    # the lists of Z[z]/(z^5 - 1) over one denominator against Q(zeta_5)
+    # arithmetic: same eigenvalue powers, same ArithmeticError and message
+    rng = random.Random(35)
+    M0 = alpha_pullback()
+    mats = [M0]
+    for _ in range(200):
+        mats.append(_block_matrix(rng))
+    for _ in range(100):
+        mats.append(_monomial_matrix(rng, [1, -1, 2, Fraction(1, 4)])[0])
+    for _ in range(100):
+        M = [row[:] for row in M0]
+        i, k = rng.randrange(10), rng.randrange(10)
+        M[i][k] += Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 4))
+        mats.append(M)
+    outcomes = []
+    for M in mats:
+        got = _outcome(fil2_eigenvector_map, M)
+        assert got == _outcome(_fil2_map_reference, M)
+        outcomes.append(got if isinstance(got, str) else "map")
+    # every branch is reached: a map, a vector that is not an eigenvector and
+    # an eigenvalue that is not a fifth root of unity
+    assert {"map", repr(ArithmeticError("v_j is not an eigenvector"))} <= set(outcomes)
+    assert any("fifth root" in o and "v_0" not in o and "z5" in o for o in outcomes)
+
+
 def test_gorenstein_pairing():
     mat = gorenstein_pairing_matrix()
     assert mat == [[Fraction(-1, 2), 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, 0, 1],
@@ -302,23 +385,9 @@ def test_gorenstein_pairing():
     assert gorenstein_pairing_nondegenerate()
 
 
-def test_reduce_handles_cyclotomic_coefficients():
-    # the Fourier combination of the Hodge-block classes, with zeta coefficients
-    basis = h3_basis()
-    z = CyclotomicNumber.zeta_pow
-    terms = {m: z(5, (i + 1)) for i, m in enumerate(basis.pole2_monomials)}
-    vj = CycPoly.make(terms, 1)
-    coords = griffiths_reduce(RationalDifferential(vj, 2))
-    assert coords[:5] == [z(5, (i + 1)) for i in range(5)]
-    image = vj.rotate_vars()
-    icoords = griffiths_reduce(RationalDifferential(image, 2))
-    lam = z(5, -1)
-    assert icoords[:5] == [lam * c for c in coords[:5]]
-
-
 def test_reduce_refuses_cyclotomic_coefficients_above_pole_order_two():
     # a numerator at pole order 3 goes through the rational echelon, which
-    # takes ints and Fractions only
+    # takes ints and Fractions only; the reference Q(zeta_5) type is refused
     z = CyclotomicNumber.zeta_pow(5, 1)
     A = CycPoly.make({m: z for m in h3_basis().pole3_monomials}, 4)
     with pytest.raises(TypeError):

@@ -48,3 +48,14 @@ def test_one_clock_and_one_failure_rule():
     assert sorted(handlers) == [("VerificationReport.run", ("ArithmeticError",)),
                                 ("main", ("ValueError", "OSError"))]
     assert "_timed" not in {scope.rsplit(".", 1)[-1] for _, scope in nodes}
+
+
+def test_no_other_module_reads_a_clock():
+    # every time in a report comes from run's clock: no other module of the
+    # package imports time (count_klein used to time itself into its record)
+    for path in sorted(CLI.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert ("time" in imported) == (path == CLI), path.name

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from kleinzeta.cyclo import CyclotomicNumber
 from kleinzeta.linalg import Echelon, exact_quotient, rank
 
+from cyclotomic import CyclotomicNumber
 from gauss_jordan import GaussJordan
 
 

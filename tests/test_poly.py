@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import poly
-from kleinzeta.cyclo import CyclotomicNumber
-from kleinzeta.poly import mul, pdivmod, trim
+from kleinzeta.poly import at_zeta, cyclic_mul, mul, pdivmod, trim
+
+from cyclotomic import CyclotomicNumber
 
 
 def _evaluate(a, t):
@@ -112,8 +113,27 @@ def test_mul_over_cyclotomic_coefficients():
         assert ab == direct
 
 
+@pytest.mark.parametrize("n", [5, 11])
+def test_cyclic_mul_at_zeta_matches_the_cyclotomic_product(n):
+    # lists of Z[z]/(z^n - 1), multiplied and read at zeta_n, against the
+    # reference Q(zeta_n) number type; equal values have equal coordinates
+    rng = random.Random(3500 + n)
+    for _ in range(200):
+        a = [rng.randint(-9, 9) for _ in range(n)]
+        b = [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n)]
+        ab = at_zeta(cyclic_mul(a, b))
+        assert CyclotomicNumber.of(n, ab) == (CyclotomicNumber.of(n, at_zeta(a))
+                                              * CyclotomicNumber.of(n, at_zeta(b)))
+        shifted = [c + 7 for c in a]  # a + 7 (1 + z + ... + z^(n-1)): the same value
+        assert at_zeta(cyclic_mul(shifted, b)) == ab
+    # z^j at zeta_n: z^(n-1) = -(1 + z + ... + z^(n-2))
+    for j in range(n):
+        e = [int(i == j) for i in range(n)]
+        assert CyclotomicNumber.of(n, at_zeta(e)) == CyclotomicNumber.zeta_pow(n, j)
+
+
 def test_poly_is_a_leaf_module():
-    # ffield and cyclo import poly, so poly may import neither the package
+    # the rest of the package imports poly, so poly may import neither the package
     # (a cycle) nor numpy
     tree = ast.parse(Path(poly.__file__).read_text())
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
