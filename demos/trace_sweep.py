@@ -8,7 +8,7 @@ makes the dichotomy visible: only 23, 67, 89 (below 100) move.
 """
 
 from kleinzeta.counting import count_klein
-from kleinzeta.hecke import ap_f, primes_up_to, split_type, trace_prediction
+from kleinzeta.hecke import ap_f, predicted_power_sum, primes_up_to, split_type
 
 BOUND = 100
 
@@ -19,7 +19,7 @@ for p in primes_up_to(BOUND):
         continue
     n = count_klein(p, 1).count
     even = 1 + p + p * p + p ** 3
-    t1 = trace_prediction(p)
+    t1 = predicted_power_sum(p, 1)
     assert n == even - t1
     note = "moved by 5*p*a_p" if t1 else ""
     print(f"{p:>4} {split_type(p):>9} {ap_f(p):>5} {t1:>9} {n:>10} {even:>10}  {note}")

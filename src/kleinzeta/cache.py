@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 from .counting import CountRecord, count_klein
+from .ffield import field_order
 from .lfunc import InconsistentCounts
 
 VERSION = "0.1.0"
@@ -82,7 +83,10 @@ def record_count(cache: CountCache, rec: CountRecord) -> None:
 
 
 def count_with_cache(cache: CountCache, p: int, k: int) -> tuple:
-    """(count, hit) -- consult the run's cache first, then count and record."""
+    """(count, hit) -- consult the run's cache first, then count and record.
+    field_order refuses (p, k) before the lookup, so a cached count is never
+    read past the size rule that refuses it uncached."""
+    field_order(p, k)
     if cache.path is not None:
         hit = cached_count(cache, p, k)
         if hit is not None:

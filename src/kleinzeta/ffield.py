@@ -166,8 +166,9 @@ def build_field(p: int, k: int = 1) -> FieldDescriptor:
 
     The modulus is the first irreducible monic polynomial in ascending
     lexicographic order of the non-leading coefficient tuple
-    (c_0, ..., c_{k-1}), c_0 most significant.  Counts are modulus
-    independent, but a pinned modulus keeps caches reproducible.
+    (c_0, ..., c_{k-1}), c_0 most significant.  Counts do not depend on
+    the modulus; pinning it keeps element indices, and so the log/exp
+    tables, the same from run to run.
 
     For k >= 2 the search starts at c_0 = 1: a candidate with c_0 = 0 is
     divisible by x, hence reducible, so skipping the first p^(k-1)
@@ -202,7 +203,7 @@ def _mul_matrix(F: FieldDescriptor, h: list) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
     # coefficient rows of g^0 .. g^(n - 1) times the matrix of g^n give
     # g^n .. g^(2n - 1); squaring the matrix doubles n
@@ -228,7 +229,8 @@ def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
 def log_exp_tables(F: FieldDescriptor) -> tuple:
     """(log, exp) for one generator g: exp[e] is the index of g^e, e < q - 1,
     and log inverts it on nonzero indices (log[0] is 0 and means nothing).
-    O(q) memory; the package's only field-arithmetic table."""
+    O(q) memory; the package's only field-arithmetic table.  Only the last
+    field's tables are kept: every caller reads one field at a time."""
     if F.q > LOG_TABLE_MAX_Q:
         raise ValueError(f"q = {F.q} too large for log/exp tables")
     return _log_exp_cached(F.p, F.k, F.modulus)

@@ -1,9 +1,10 @@
 """Arithmetic of Q(sqrt(-11)) and the attached modular data.
 
 For split p the coefficient a_p of the weight-2 CM newform of level 121 is
-the trace of the distinguished generator of a prime above p: among the two
-generators +-(a + b*sqrt(-11))/2 of norm p, the character picks the one
-whose image in the residue field F_11 at sqrt(-11) is a nonzero square.
+read off the positive solution of a^2 + 11 b^2 = 4p.  The two generators of
+norm p of a prime above p are +-(a + b*sqrt(-11))/2, of traces +-a, and the
+character picks the one whose residue a/2 in F_11 = O_K/(sqrt(-11)) is a
+nonzero square; exactly one sign qualifies, because -1 is not a square mod 11.
 The weight-4 coefficients come from the cube of the same Frobenius pair,
 and the order-5 character of conductor 11 (2 bar -> zeta_5) twists the five
 factors whose product is the degree-10 local factor on H^3.
@@ -59,51 +60,13 @@ def solve_norm_form(p: int) -> tuple:
     raise ValueError(f"4*{p} is not represented by a^2 + 11 b^2; p is not split")
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """(a + b*sqrt(-11)) / 2 with a = b mod 2."""
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if (self.a - self.b) % 2 != 0:
-            raise ValueError("a and b must have equal parity")
-
-    @property
-    def norm(self) -> int:
-        n4 = self.a * self.a + 11 * self.b * self.b
-        assert n4 % 4 == 0
-        return n4 // 4
-
-    @property
-    def trace(self) -> int:
-        return self.a
-
-    def residue_at_ramified_prime(self) -> int:
-        """Image in F_11 = O_K / (sqrt(-11)), i.e. a/2 mod 11."""
-        return (self.a * INV2_MOD_11) % 11
-
-
-def distinguished_generator(p: int) -> QuadInt:
-    """The norm-p generator whose residue at sqrt(-11) is a nonzero square.
-
-    Exactly one of the two generators +-(a + b sqrt(-11))/2 qualifies,
-    because -1 is not a square mod 11.
-    """
-    a, b = solve_norm_form(p)
-    g = QuadInt(a, b)
-    if g.residue_at_ramified_prime() not in SPLIT_RESIDUES:
-        g = QuadInt(-a, -b)
-    if g.norm != p:
-        raise ArithmeticError(f"norm-form solution does not have norm {p}")
-    return g
-
-
 def ap_f(p: int) -> int:
-    """Weight-2 coefficient: trace of the distinguished norm-p generator."""
+    """Weight-2 coefficient: +-a for a^2 + 11 b^2 = 4p, the sign that makes
+    a/2 a nonzero square mod 11; 0 at inert p and at 11."""
     if split_type(p) != "split":
         return 0
-    return distinguished_generator(p).trace
+    a, _ = solve_norm_form(p)
+    return a if a * INV2_MOD_11 % 11 in SPLIT_RESIDUES else -a
 
 
 def ap_g(p: int) -> int:
@@ -145,11 +108,6 @@ def predicted_power_sum(p: int, k: int) -> int:
     1 + q + q^2 + q^3: the count that counting.count_klein's slice lemma
     gives whenever 11 does not divide q - 1."""
     return p ** k * satake_power_sum(p, k) * character_twist_sum(p, k)
-
-
-def trace_prediction(p: int) -> int:
-    """Predicted t_1; equals 5*p*a_p when p = 1 mod 11 and 0 otherwise."""
-    return predicted_power_sum(p, 1)
 
 
 def predicted_count(p: int, k: int) -> int:

@@ -4,17 +4,19 @@ Rows are dicts {column index: coefficient}.  A coefficient must be an int or
 a Fraction, mixed within one row as needed; any other type raises TypeError,
 so a float never enters an echelon.  Everything is deterministic: rows are
 processed in input order and pivots prefer the smallest column index.
-`common_denominator` applies the same rule to a sequence of values, and
-puts them over one positive integer denominator for exact callers outside
-the echelon (the theta matrices, the Fourier eigenvectors of gdcohom).
+`common_denominator` is that rule: it checks a sequence of values and puts
+them over one positive integer denominator, for an echelon row as for the
+exact callers outside the echelon (the theta matrices, the Fourier
+eigenvectors of gdcohom).
 
 Elimination keeps integers integral (Bareiss 1968, Math. Comp. 22).  A
-reduction first clears its row's denominators; from then on every entry is an
-int.  A pivot is cleared by r <- a r - c P, where a is the pivot entry of the
-stored row P and c the entry of r, both first divided by their gcd.  So a
-reduction builds no Fraction: it returns its remainder together with the
-positive integer scale that multiplies it, and a caller divides once for each
-coordinate it reads (`exact_quotient`).
+reduction first clears its row's denominators with `common_denominator` and
+drops its zeros; from then on every entry is an int.  A pivot is cleared by
+r <- a r - c P, where a is the pivot entry of the stored row P and c the
+entry of r, both first divided by their gcd.  So a reduction builds no
+Fraction: it returns its remainder together with the positive integer scale
+that multiplies it, and a caller divides once for each coordinate it reads
+(`exact_quotient`).
 
 Elimination keeps row echelon form, not reduced row echelon form: a stored
 row is never revisited once later rows arrive.  That is all that reduction
@@ -33,30 +35,18 @@ EXACT_SCALARS = (int, Fraction)
 
 
 def common_denominator(values) -> tuple:
-    """(numerators, den > 0) over the least common denominator of ints or Fractions."""
+    """(numerators, den > 0) over the least common denominator of ints or
+    Fractions; any other value raises TypeError."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            break
+    else:  # ints alone, as in most echelon rows: their own numerators over 1
+        return values, 1
     if not all(isinstance(v, EXACT_SCALARS) for v in values):
         raise TypeError(f"exact values must be int or Fraction, got {values!r}")
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-def _integral(row: dict) -> tuple:
-    """(row times den without its zero entries, den): den is the least positive
-    integer that makes every entry an int."""
-    den = 1
-    for v in row.values():
-        if isinstance(v, int):
-            continue
-        if not isinstance(v, Fraction):
-            raise TypeError(f"exact entries must be int or Fraction, got {v!r}")
-        d = v.denominator
-        if d != 1:
-            den = den // math.gcd(den, d) * d
-    out = {}
-    for col, v in row.items():
-        if v:
-            out[col] = v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
-    return out, den
 
 
 def exact_quotient(v: int, scale: int):
@@ -93,7 +83,8 @@ class Echelon:
 
         Only the rows whose pivot columns the remainder holds are visited,
         in row order."""
-        out, scale = _integral(row)
+        nums, scale = common_denominator(row.values())
+        out = {col: v for col, v in zip(row, nums) if v}
         row_of = self._row_of
         pending = sorted(row_of[c] for c in out if c in row_of)
         while pending:

@@ -70,7 +70,7 @@ def test_criterion_2_trace_identity_sweep(store):
             continue
         n = store.real(p, 1)
         even = 1 + p + p * p + p ** 3
-        assert n == even - hecke.trace_prediction(p), f"trace identity failed at {p}"
+        assert n == even - hecke.predicted_power_sum(p, 1), f"trace identity failed at {p}"
         if p in exceptional:
             assert n == even - 5 * p * hecke.ap_f(p)
             assert n != even

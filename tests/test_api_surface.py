@@ -10,6 +10,7 @@ Importing a name is not a use of it.  Tests do not count as callers.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -123,3 +124,34 @@ def test_module_lists_name_exactly_the_package_files():
                              r"  (\w+)\.py\s")
     assert sorted(docstring) == files
     assert sorted(layout) == files
+
+
+def test_benchmark_child_imports_resolve():
+    # perfbench/child.py imports kleinzeta in a fresh interpreter; every
+    # module and name it imports, and every attribute it reads off them,
+    # must exist, so that a rename in the package fails here first
+    path = ROOT / "perfbench" / "child.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}      # name bound in the child -> the kleinzeta object
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "kleinzeta":
+                    module = importlib.import_module(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = module
+                    else:
+                        bound["kleinzeta"] = importlib.import_module("kleinzeta")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kleinzeta":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+    assert {"kleinzeta", "hecke", "reference_degree10_at_3", "cli"} <= set(bound)
+    read = [(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound]
+    assert {("hecke", "predicted_count"), ("cli", "main")} <= set(read)
+    missing = [f"{name}.{attr}" for name, attr in read if not hasattr(bound[name], attr)]
+    assert not missing, f"perfbench/child.py reads names kleinzeta lacks: {missing}"

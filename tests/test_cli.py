@@ -187,6 +187,20 @@ def test_count_past_the_budget_is_a_usage_error(tmp_path, capsys):
     assert not cache.exists()
 
 
+def test_a_cached_count_past_the_budget_is_refused_too(tmp_path, capsys):
+    # the size rule runs before the cache lookup, so a record for a refused
+    # (p, k) changes no verdict: with the cache as without it, exit 2
+    p = 1048583     # the first prime past LOG_TABLE_MAX_Q
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"p": p, "k": 1, "count": predicted_count(p, 1),
+                                 "algorithm": "jacobi-weil",
+                                 "version": cachemod.VERSION}) + "\n")
+    assert cached_count(CountCache(cache), p, 1) == predicted_count(p, 1)
+    for extra in (["--cache", str(cache)], []):
+        assert run(["count", "--p", str(p)] + extra) == 2
+        assert f"q = {p}^1 exceeds the log/exp limit {LOG_TABLE_MAX_Q}" in capsys.readouterr().err
+
+
 def test_count_with_a_huge_degree_names_the_field_limit(capsys):
     # the degree is refused before p^k is formed: 3^100000 has 47713 digits,
     # past what Python converts to a string, and 3^30000000 takes seconds

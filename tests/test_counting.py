@@ -215,6 +215,18 @@ def test_the_p3_tower_walks_only_f243(monkeypatch):
     assert ffield._log_exp_cached.cache_info().hits == info.hits + 1
 
 
+def test_the_field_table_cache_keeps_one_field():
+    # every caller reads one field at a time, so reading a second field
+    # drops the first one's tables (~20 MB each near the size limit)
+    ffield._log_exp_cached.cache_clear()
+    primes = (1048433, 1048367)     # the two largest primes p = 1 mod 11 below 2^20
+    for p in primes:
+        assert is_prime(p) and p % 11 == 1 and p < LOG_TABLE_MAX_Q
+        assert count_klein(p, 1).count == hecke.predicted_count(p, 1)
+    info = ffield._log_exp_cached.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+
+
 def test_jacobi_kernel_checks_purity(monkeypatch):
     # a log vector off by one on every nonzero element breaks chi's
     # multiplicativity, and the Jacobi product is no longer pure

@@ -6,9 +6,9 @@ from kleinzeta.counting import CM_CURVE, count_weierstrass
 from kleinzeta.ffield import build_field, is_prime
 from kleinzeta.hecke import (HeckeRecord, ap_f, ap_g, character_twist_sum, chi_dlog,
                              h3_local_factor_product, hecke_record, hecke_table,
-                             predicted_count, primes_up_to, satake_power_sum,
-                             solve_norm_form, spinor_local_factor, split_type,
-                             trace_prediction, write_hecke_csv)
+                             predicted_count, predicted_power_sum, primes_up_to,
+                             satake_power_sum, solve_norm_form, spinor_local_factor,
+                             split_type, write_hecke_csv)
 from kleinzeta.lfunc import local_factor_power_sums
 from kleinzeta.poly import at_zeta
 from kleinzeta.reference import AP_SAMPLES, reference_degree10_at_3
@@ -64,14 +64,18 @@ def test_solve_norm_form_is_a_solution():
         assert (a - b) % 2 == 0
 
 
-def test_distinguished_generator():
-    from kleinzeta.hecke import QuadInt, distinguished_generator
-    g = distinguished_generator(3)
-    assert g == QuadInt(-1, -1)
-    assert g.norm == 3 and g.trace == -1
-    assert g.residue_at_ramified_prime() in {1, 3, 4, 5, 9}
-    with pytest.raises(ValueError):
-        QuadInt(1, 2)  # parity broken
+def test_ap_f_sign_rule_to_1000():
+    # the generators of norm p are +-(a + b sqrt(-11))/2; exactly one has a
+    # nonzero square residue a/2 mod 11, and its trace is a_p(f)
+    squares = {x * x % 11 for x in range(1, 11)}
+    half = pow(2, -1, 11)
+    split = [p for p in primes_up_to(1000) if split_type(p) == "split"]
+    assert len(split) == 83
+    for p in split:
+        a, _ = solve_norm_form(p)
+        passing = [t for t in (a, -a) if t * half % 11 in squares]
+        assert len(passing) == 1, p
+        assert ap_f(p) == passing[0], p
 
 
 def test_ap_f_examples():
@@ -113,10 +117,10 @@ def test_character_twist_sum():
 
 
 def test_trace_prediction_examples():
-    assert trace_prediction(3) == 0
-    assert trace_prediction(23) == -1035
-    assert trace_prediction(43) == 0  # inert, a_p = 0
-    assert trace_prediction(11) == 0  # chi(11) = 0
+    assert predicted_power_sum(3, 1) == 0
+    assert predicted_power_sum(23, 1) == -1035
+    assert predicted_power_sum(43, 1) == 0  # inert, a_p = 0
+    assert predicted_power_sum(11, 1) == 0  # chi(11) = 0
 
 
 def test_the_bad_prime_keeps_its_refusals():
@@ -175,8 +179,8 @@ def test_h3_product_satisfies_invariants_up_to_2000():
         L = h3_local_factor_product(p)
         # trace consistency: -c_1 equals the predicted first power sum;
         # the constructor has already enforced the functional equation
-        assert -L.coeffs[1] == trace_prediction(p)
-        assert local_factor_power_sums(L, 1)[0] == trace_prediction(p)
+        assert -L.coeffs[1] == predicted_power_sum(p, 1)
+        assert local_factor_power_sums(L, 1)[0] == predicted_power_sum(p, 1)
         assert weil_bound_check(L)
 
 
