@@ -3,7 +3,7 @@
 Modules:
   poly       dense univariate polynomials over Z, Q and F_p, and Z[z]/(z^n - 1)
   ffield     F_{p^k} construction and its O(q) log/exp index vectors
-  counting   point counts (Jacobi-sum Klein counter, naive oracle, curves)
+  counting   point counts (Jacobi-sum Klein counter, curves over F_p)
   cache      opt-in append-only JSONL cache of point counts, read once per run
   lfunc      degree-10 local Frobenius polynomials on the middle cohomology
   hecke      Q(sqrt(-11)) splitting, coefficients, character twists

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import __version__, counting, gdcohom, hecke, lfunc, thetasupp
 from . import cache as cachemod
-from .ffield import LOG_TABLE_MAX_Q, build_field, is_prime
+from .ffield import LOG_TABLE_MAX_Q, is_prime
 from .reference import reference_degree10_at_3
 
 
@@ -172,8 +172,7 @@ def _cm_structure(max_p: int) -> bool:
         a = hecke.ap_f(p)
         ok = ok and (a == 0) == (hecke.split_type(p) != "split") and a * a <= 4 * p
         if p != lfunc.BAD_PRIME:
-            ok = ok and a == p + 1 - counting.count_weierstrass(
-                counting.CM_CURVE, build_field(p))
+            ok = ok and a == p + 1 - counting.count_weierstrass(counting.CM_CURVE, p)
     return ok
 
 

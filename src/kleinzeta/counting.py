@@ -13,27 +13,23 @@ count at every power q = p^k (`count_klein`).  When 11 does not
 divide q - 1 there is no order-11 character on F_q^*, H^3 is invisible and
 #X(F_q) = 1 + q + q^2 + q^3 with no field built.
 
-The naive projective oracle evaluates an integer-coefficient `gdcohom.CycPoly`
-on all of P^(n-1)(F_q).  It shares no equation with the Jacobi kernel, and
-over a prime field no table either (its products are residue products); at
-p = 2 it also counts the Weierstrass curves.  For odd p a curve's count is
-#E(F_q) = 1 + sum_x r(f(x)), r(c) the number of square roots of c, which
-reads no discrete log.
+A Weierstrass curve is counted over a prime field F_p in plain integers:
+#E(F_p) = 1 + sum_x r(f(x)) for odd p, r(c) the number of square roots of
+c, and its four affine candidates directly at p = 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+import fractions  # noqa: F401  unused: it keeps fractions loading before numpy,
+                  # as perfbench's setup_s reads the import order (ROADMAP 1b)
 
 import numpy as np
 
-from .ffield import (BudgetExceeded, FieldDescriptor, build_field, digitwise_add, field_order,
-                     log_exp_mul, log_exp_tables)
+from .ffield import FieldDescriptor, build_field, field_order, log_exp_tables
 from .gdcohom import CycPoly, klein_form
 from .poly import at_zeta, cyclic_mul
 
-NAIVE_POINT_BUDGET = 3_000_000       # max projective points for the oracle
 H3_CLASS = (1, 5, 3, 4, 9)           # the class a of H^3; the other nine are t a
 
 
@@ -49,14 +45,22 @@ def _jacobi_eigenvalue(F: FieldDescriptor) -> list:
     """lambda = -J(1, 5) J(6, 3) J(9, 4) over F = F_(p^f), as 11 coefficients
     in Z[z]/(z^11 - 1), which maps onto Z[zeta_11]; see count_klein."""
     log, exp = log_exp_tables(F)
-    m = F.q - 1
-    e = np.arange(1, m)  # x = g^e runs over F^* but 1, and chi(x) = zeta^e
-    # 1 - x = (-x) + 1 with -x = g^(e + log(-1)); -1 has index p - 1
-    ly = log[digitwise_add(F, exp[(e + int(log[F.p - 1])) % m], 1)] % 11
+    p, m = F.p, F.q - 1
+    # x = g^e runs over F^* but 1 (e = 1 .. m - 1), and chi(x) = zeta^e.
+    # y is the index of -x = g^(e + log(-1)) (-1 has index p - 1); adding 1
+    # changes digit 0 only (at p = 2 it is y ^ 1), which gives 1 - x
+    y = exp[(np.arange(1, m) + int(log[p - 1])) % m]
+    ly = log[(y + 1) % p - y % p + y]
+    del y
+    # every J reads (e, log(1 - x)) mod 11 alone: count the 121 pairs once
+    pairs = np.bincount(np.arange(1, m) % 11 * 11 + ly % 11, minlength=121).tolist()
     lam, s = [-1] + [0] * 10, 0
     for a, b in zip(H3_CLASS, H3_CLASS[1:4]):
         s += a
-        lam = cyclic_mul(lam, np.bincount((s * e + b * ly) % 11, minlength=11).tolist())
+        j = [0] * 11
+        for i, n in enumerate(pairs):
+            j[(s * (i // 11) + b * (i % 11)) % 11] += n
+        lam = cyclic_mul(lam, j)
     norm = cyclic_mul(lam, lam[:1] + lam[:0:-1])  # lambda sigma_(-1)(lambda)
     if at_zeta(norm) != [F.p ** (3 * F.k)] + [0] * 9:
         raise ArithmeticError("Jacobi eigenvalue is not pure of weight 3; counter is inconsistent")
@@ -96,9 +100,9 @@ def count_klein(p: int, k: int) -> CountRecord:
 
         #X(F_q) = 1 + q + q^2 + q^3 - Tr_(Q(zeta_11)/Q)(lambda^(k/f)).
 
-    Each J is one bincount of (a log x + b log(1 - x)) mod 11.  Self-check:
-    lambda sigma_(-1)(lambda) = |lambda|^2 must equal p^(3f) exactly, or
-    ArithmeticError.
+    The three J read one bincount of the 121 residue pairs
+    (log x, log(1 - x)) mod 11.  Self-check: lambda sigma_(-1)(lambda) =
+    |lambda|^2 must equal p^(3f) exactly, or ArithmeticError.
 
     When 11 does not divide q - 1 (so whenever f does not divide k, and at
     p = 11) the count is 1 + q + q^2 + q^3 and no field is built.  Proof,
@@ -135,58 +139,6 @@ def count_klein(p: int, k: int) -> CountRecord:
 
 
 # ---------------------------------------------------------------------------
-# naive projective oracle
-
-
-def _projective_blocks(q: int, nvars: int):
-    """Index grids for the standard representatives: first nonzero coord = 1."""
-    for lead in range(nvars):
-        free = nvars - lead - 1
-        grids = np.meshgrid(*([np.arange(q, dtype=np.int32)] * free), indexing="ij") if free else []
-        block = np.zeros((nvars, q ** free if free else 1), dtype=np.int32)
-        block[lead, :] = 1  # index of the field element 1
-        for j, g in enumerate(grids):
-            block[lead + 1 + j, :] = g.ravel()
-        yield block
-
-
-def count_hypersurface_naive(form: CycPoly, F: FieldDescriptor) -> int:
-    """Exhaustive evaluation over projective representatives.  Exact oracle.
-
-    The form is a CycPoly with integer coefficients (ints, or Fractions of
-    denominator 1), reduced mod p; its exponent tuples give the number of
-    variables."""
-    if form.is_zero():
-        raise ValueError("zero form has no degree")
-    nvars = {len(e) for e, _ in form.terms}
-    if len(nvars) != 1:
-        raise ValueError("exponent tuples of mixed length")
-    for _, c in form.terms:
-        if not isinstance(c, (int, Fraction)) or Fraction(c).denominator != 1:
-            raise ValueError(f"coefficient {c!r} is not an integer")
-    q, (n,) = F.q, nvars
-    npoints = sum(q ** (n - 1 - i) for i in range(n))
-    if npoints > NAIVE_POINT_BUDGET:
-        raise BudgetExceeded(f"{npoints} projective points exceed the budget {NAIVE_POINT_BUDGET}")
-    # POW[e][x] = x^e as index; constants are prime-field elements, index n mod p
-    xs = np.arange(q, dtype=np.int64)
-    POW = [np.ones(q, dtype=np.int64), xs]
-    for _ in range(2, form.degree + 1):
-        POW.append(log_exp_mul(F, POW[-1], xs))
-    count = 0
-    for block in _projective_blocks(q, n):
-        acc = np.zeros(block.shape[1], dtype=np.int64)
-        for exps, coeff in form.terms:
-            mono = np.full(block.shape[1], int(coeff) % F.p, dtype=np.int64)
-            for v, e in enumerate(exps):
-                if e:
-                    mono = log_exp_mul(F, mono, POW[e][block[v]])
-            acc = digitwise_add(F, acc, mono)
-        count += int((acc == 0).sum())
-    return count
-
-
-# ---------------------------------------------------------------------------
 # Weierstrass curves
 
 
@@ -212,36 +164,29 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def projective_form(self) -> CycPoly:
-        """Y^2 Z + a1 XYZ + a3 YZ^2 - X^3 - a2 X^2 Z - a4 XZ^2 - a6 Z^3 in (X, Y, Z)."""
-        return CycPoly.make({(0, 2, 1): 1, (1, 1, 1): self.a1, (0, 1, 2): self.a3,
-                             (3, 0, 0): -1, (2, 0, 1): -self.a2, (1, 0, 2): -self.a4,
-                             (0, 0, 3): -self.a6})
-
 
 # conductor-121 CM curve housing a_p(f); pinned against the grossencharacter
 # rule and the degree-10 factor at p = 3 (hard test failures on disagreement)
 CM_CURVE = WeierstrassCurve(0, -1, 1, -7, 10)
 
 
-def count_weierstrass(E: WeierstrassCurve, F: FieldDescriptor) -> int:
-    """#E(F_q) including the point at infinity."""
-    if E.discriminant % F.p == 0:
-        raise BadReduction(f"curve has bad reduction at {F.p}")
-    if F.p == 2:
-        return count_hypersurface_naive(E.projective_form(), F)
-    q = F.q
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
-    # evaluated by Horner steps on index vectors (constants lie in F_p);
+def count_weierstrass(E: WeierstrassCurve, p: int) -> int:
+    """#E(F_p) for a prime p, including the point at infinity; ffield.field_order
+    refuses p as it does for the Klein counter."""
+    field_order(p, 1)
+    if E.discriminant % p == 0:
+        raise BadReduction(f"curve has bad reduction at {p}")
+    if p == 2:  # completing the square needs 2 invertible: test the points of F_2^2
+        return 1 + sum((y * y + E.a1 * x * y + E.a3 * y - x ** 3 - E.a2 * x * x - E.a4 * x
+                        - E.a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
+    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6;
     # y -> 2y + a1 x + a3 is a bijection for odd p, so each x contributes
-    # the number of square roots of f(x), counted once over all squares
+    # the number of square roots of the right-hand side
     b2, b4, b6, _ = E.b_invariants
-    xs = np.arange(q, dtype=np.int64)
-    f = np.full(q, 4 % F.p, dtype=np.int64)
-    for c in (b2, 2 * b4, b6):
-        f = digitwise_add(F, log_exp_mul(F, f, xs), c % F.p)
-    square_roots = np.bincount(log_exp_mul(F, xs, xs), minlength=q)
-    return 1 + int(square_roots[f].sum())
+    square_roots = [0] * p
+    for y in range(p):
+        square_roots[y * y % p] += 1
+    return 1 + sum(square_roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
 
 
 # ---------------------------------------------------------------------------

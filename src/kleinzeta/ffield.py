@@ -2,17 +2,13 @@
 
 Elements of F_{p^k} are residue polynomials modulo a fixed monic irreducible
 modulus, stored little-endian in the root, and are encoded as the integer
-index sum of c_i * p^i.  The counting kernels work on numpy arrays of
-indices: sums add base-p digits, and in a prime field, where an index is
-its residue, products are residue products.  The one field table is a pair
-of O(q) vectors, the discrete log and exp of one generator, built only
-where a discrete log is read: by the Klein counter's Jacobi sums, on
-F_(p^f) with f = ord_11(p) and only when 11 divides q - 1, and for products
-in an extension field, where they add logs.  Residues mod p of poly's coefficient
-lists are used only to build the field: the modulus search, the generator
-and the matrix of the log/exp walk's step.  One size rule, field_order,
-refuses a (p, k) past the tables' limit, for build_field and the Klein
-counter alike.
+index sum of c_i * p^i.  The one field table is a pair of O(q) numpy
+vectors, the discrete log and exp of one generator, and its one reader is
+the Klein counter's Jacobi walk, on F_(p^f) with f = ord_11(p) and only
+when 11 divides q - 1.  Residues mod p of poly's coefficient lists are used
+only to build the field: the modulus search, the generator and the matrix
+of the log/exp walk's step.  One size rule, field_order, refuses a (p, k)
+past the tables' limit, for build_field and the Klein counter alike.
 """
 
 from __future__ import annotations
@@ -234,37 +230,6 @@ def log_exp_tables(F: FieldDescriptor) -> tuple:
     if F.q > LOG_TABLE_MAX_Q:
         raise ValueError(f"q = {F.q} too large for log/exp tables")
     return _log_exp_cached(F.p, F.k, F.modulus)
-
-
-def digitwise_add(F: FieldDescriptor, a, b) -> np.ndarray:
-    """Index of a + b, elementwise over broadcast index arrays: the base-p
-    digits of the index encoding add mod p (for p = 2, bitwise xor).  A
-    scalar b in [0, p) is a prime-field constant and changes digit 0 only."""
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    if F.p == 2:
-        return a ^ b
-    if b.ndim == 0 and 0 <= b < F.p:
-        low = a % F.p
-        return a - low + (low + b) % F.p
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-    weight = 1
-    for _ in range(F.k):
-        out += (a // weight + b // weight) % F.p * weight
-        weight *= F.p
-    return out
-
-
-def log_exp_mul(F: FieldDescriptor, a, b) -> np.ndarray:
-    """Index of a b, elementwise over broadcast index arrays.  In a prime
-    field the indices are residues, so it is a b mod p and reads no table;
-    in an extension the discrete logs add mod q - 1, and a zero factor
-    gives zero."""
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    if F.k == 1:
-        return a * b % F.p
-    log, exp = log_exp_tables(F)
-    out = exp[(log[a] + log[b]) % (F.q - 1)]
-    return np.where((a == 0) | (b == 0), 0, out)
 
 
 def _find_generator(F: FieldDescriptor) -> list:

@@ -1,18 +1,20 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kleinzeta import counting, ffield, hecke
-from kleinzeta.counting import (NAIVE_POINT_BUDGET, BadReduction, BudgetExceeded, CM_CURVE,
-                                H3_CLASS, CountRecord, WeierstrassCurve, _cover_exponents,
-                                count_hypersurface_naive, count_klein, count_weierstrass,
+from kleinzeta.counting import (BadReduction, CM_CURVE, H3_CLASS, CountRecord, WeierstrassCurve,
+                                _cover_exponents, count_klein, count_weierstrass,
                                 fermat_cover_substitution, verify_fermat_cover)
-from kleinzeta.ffield import (LOG_TABLE_MAX_Q, build_field, digitwise_add, is_prime,
+from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, build_field, is_prime,
                               log_exp_tables)
 from kleinzeta.gdcohom import CycPoly, klein_form
 from cyclotomic import CyclotomicNumber
+from naive_oracle import (NAIVE_POINT_BUDGET, count_hypersurface_naive, digitwise_add,
+                          projective_form)
 from slice_sum import count_klein_slice, odd_slice_sum
 
 # independently frozen oracle values (naive enumeration, plus the trace rule
@@ -227,6 +229,25 @@ def test_the_field_table_cache_keeps_one_field():
     assert (info.misses, info.currsize) == (2, 1)
 
 
+def test_the_jacobi_walk_peaks_near_its_tables():
+    # the walk reads log x and log(1 - x) mod 11 only, so it counts their
+    # 121 residue pairs in one bincount and drops the gathered indices once
+    # it has the logs: with the tables built, near 2^16 its peak stays
+    # within 2.25 times their bytes (3 times before)
+    p = 65407
+    assert is_prime(p) and p % 11 == 1
+    F = build_field(p)
+    log, exp = log_exp_tables(F)
+    tracemalloc.start()
+    try:
+        lam = counting._jacobi_eigenvalue(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * (log.nbytes + exp.nbytes)
+    assert 1 + p + p * p + p ** 3 - (11 * lam[0] - sum(lam)) == hecke.predicted_count(p, 1)
+
+
 def test_jacobi_kernel_checks_purity(monkeypatch):
     # a log vector off by one on every nonzero element breaks chi's
     # multiplicativity, and the Jacobi product is no longer pure
@@ -295,50 +316,59 @@ def test_count_record_bound():
 
 
 def test_weierstrass_counts():
-    assert count_weierstrass(CM_CURVE, build_field(3)) == 5
-    assert count_weierstrass(CM_CURVE, build_field(5)) == 9
-    assert count_weierstrass(CM_CURVE, build_field(2)) == 3
+    assert count_weierstrass(CM_CURVE, 3) == 5
+    assert count_weierstrass(CM_CURVE, 5) == 9
+    assert count_weierstrass(CM_CURVE, 2) == 3
 
 
 def test_weierstrass_hasse_bound():
     for p in (3, 5, 7, 13, 23, 97, 199):
-        F = build_field(p)
-        n = count_weierstrass(CM_CURVE, F)
+        n = count_weierstrass(CM_CURVE, p)
         assert (p + 1 - n) ** 2 <= 4 * p
 
 
 def test_weierstrass_bad_reduction():
     assert CM_CURVE.discriminant == -11 ** 3
     with pytest.raises(BadReduction):
-        count_weierstrass(CM_CURVE, build_field(11))
+        count_weierstrass(CM_CURVE, 11)
 
 
-def _direct_weierstrass_count(E, F):
-    # the naive oracle on the projective cubic; (0 : 1 : 0) is among its points
-    return count_hypersurface_naive(E.projective_form(), F)
+@pytest.mark.parametrize("p,error,message", [
+    (9, ValueError, "p = 9 is not prime"), (1, ValueError, "p = 1 is not prime"),
+    (1048583, BudgetExceeded, "q = 1048583\\^1 exceeds the log/exp limit")])
+def test_weierstrass_refuses_what_field_order_refuses(p, error, message):
+    # a curve count takes a prime, under the one size rule of the Klein counter
+    with pytest.raises(error, match=message):
+        count_weierstrass(CM_CURVE, p)
 
 
 def test_weierstrass_generic_curve_matches_direct_enumeration():
     E = WeierstrassCurve(1, 0, 1, -1, 2)   # discriminant -2262 = -2*3*13*29
     for p in (5, 7, 17):
-        F = build_field(p)
-        assert count_weierstrass(E, F) == _direct_weierstrass_count(E, F)
+        # the naive oracle on the projective cubic; (0 : 1 : 0) is among its points
+        assert count_weierstrass(E, p) == count_hypersurface_naive(projective_form(E),
+                                                                   build_field(p))
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
-def test_weierstrass_extension_fields_match_direct_enumeration(p, k):
-    F = build_field(p, k)
-    # CM_CURVE has discriminant -11^3, the second curve -6242 = -2*3121
-    for E in (CM_CURVE, WeierstrassCurve(1, 1, 1, 2, -3)):
-        assert count_weierstrass(E, F) == _direct_weierstrass_count(E, F)
+# CM_CURVE has discriminant -11^3; the second curve, with every a_i nonzero,
+# has the prime discriminant -1873, so both are good at every p <= 199 but 11
+_CURVES = {"cm": CM_CURVE, "generic": WeierstrassCurve(1, -1, 1, -1, 2)}
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name in _CURVES for p in range(2, 200)
+                                    if is_prime(p) and p != 11])
+def test_weierstrass_matches_the_naive_oracle(name, p):
+    E = _CURVES[name]
+    assert E.discriminant % p != 0
+    assert count_weierstrass(E, p) == count_hypersurface_naive(projective_form(E), build_field(p))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_weierstrass_char2_matches_cm_route(k):
-    # at p = 2 count_weierstrass runs the naive oracle, so the independent
-    # check is the CM route: #E(F_2^k) = 2^k + 1 - (alpha^k + beta^k)
+    # the CM route over F_2^k: #E(F_2^k) = 2^k + 1 - (alpha^k + beta^k),
+    # against the naive oracle on the projective cubic over that field
     expected = 2 ** k + 1 - hecke.satake_power_sum(2, k)
-    assert count_weierstrass(CM_CURVE, build_field(2, k)) == expected
+    assert count_hypersurface_naive(projective_form(CM_CURVE), build_field(2, k)) == expected
 
 
 def test_fermat_cover_identity():

@@ -218,3 +218,24 @@ def test_lfunc_imports_no_numpy():
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not any(m and m.split(".")[0] == "numpy" for m in modules)
     assert not hasattr(lfunc, "PURITY_TOLERANCE")
+
+
+def test_numpy_serves_the_jacobi_walk_alone():
+    # numpy is imported as np, and the name np is read only by the log/exp
+    # tables' build and the Jacobi walk that reads them: one kernel to port
+    importers, readers = set(), set()
+    for path in sorted(Path(lfunc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                importers |= {(path.stem, a.name, a.asname) for a in node.names
+                              if a.name.split(".")[0] == "numpy"}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                importers.add((path.stem, node.module, None))
+        for top in tree.body:
+            readers |= {f"{path.stem}.{getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                        if isinstance(node, ast.Name) and node.id == "np"
+                        and isinstance(node.ctx, ast.Load)}
+    assert importers == {("counting", "numpy", "np"), ("ffield", "numpy", "np")}
+    assert readers <= {"ffield._mul_matrix", "ffield._log_exp_cached",
+                       "counting._jacobi_eigenvalue"}
