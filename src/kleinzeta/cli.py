@@ -375,9 +375,10 @@ def main(argv=None) -> int:
         report = VerificationReport("kleinzeta", __version__, {"command": command, **args})
         if args.get("max", 2) < 2:     # a sweep with no primes checks nothing
             raise ValueError(f"--max {args['max']} leaves no primes to check; use --max >= 2")
-        if command in ("trace-sweep", "report"):
+        if "max" in args:
             # field_order refuses every q past LOG_TABLE_MAX_Q, so a sweep that
-            # reaches a prime past it would count every smaller prime and then fail
+            # reaches a prime past it would count every smaller prime and then fail;
+            # hecke-table counts nothing but keeps the same bound on its sieve
             past = LOG_TABLE_MAX_Q + 1
             while not is_prime(past):
                 past += 1

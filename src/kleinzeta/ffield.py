@@ -138,9 +138,6 @@ class FieldDescriptor:
     def q(self) -> int:
         return self.p ** self.k
 
-    def __repr__(self):
-        return f"F_{self.p}^{self.k}"
-
 
 def field_order(p: int, k: int) -> int:
     """q = p^k, or the refusal of (p, k): ValueError for a non-prime p or

@@ -110,25 +110,6 @@ class CycPoly:
             out[e] = out.get(e, 0) + c
         return CycPoly.make(out, self.degree)
 
-    def __neg__(self) -> "CycPoly":
-        return CycPoly(self.degree, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
-        return self + (-other)
-
-    def scale(self, f) -> "CycPoly":
-        if not f:
-            return CycPoly.make({}, self.degree)
-        return CycPoly(self.degree, tuple((e, c * f) for e, c in self.terms))
-
-    def __mul__(self, other: "CycPoly") -> "CycPoly":
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return CycPoly.make(out, self.degree + other.degree)
-
     def diff(self, var: int) -> "CycPoly":
         out = {}
         for e, c in self.terms:
@@ -236,10 +217,6 @@ class DegreeData:
             coords[j] = v
         return coords, [CycPoly.make(t, max(d - 2, 0)) for t in parts], scale
 
-    def harmonic(self, coords) -> CycPoly:
-        """The polynomial with the given coordinates over the complement."""
-        return CycPoly.make(dict(zip(self.complement, coords)), self.degree)
-
 
 @lru_cache(maxsize=32)
 def degree_data(d: int) -> DegreeData:
@@ -288,7 +265,7 @@ def h3_basis() -> CohomologyBasis:
     return CohomologyBasis(tuple(mons1), tuple(mons4))
 
 
-def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
+def griffiths_reduce(omega: RationalDifferential) -> list:
     """Coordinates of the class of omega in the basis of h3_basis().
 
     Each step splits the numerator A at pole order m into its harmonic part
@@ -300,30 +277,16 @@ def griffiths_reduce(omega: RationalDifferential, first_lift=None) -> list:
     denominator, the product of the splits' scales and the factors m - 1,
     so a Fraction is built only for a coordinate read at pole order 3 or 2
     that the denominator does not divide.
-
-    first_lift, when given, must be an exact lift of the numerator's ideal
-    part (five polynomials with sum_i B_i dS/dx_i = A - harmonic part, which
-    is A itself above pole order 3); it is applied at the
-    first reduction step in place of the one from DegreeData.split, which
-    lets callers check that the reduction does not depend on the lift.
     """
     A, m, den = omega.form, omega.pole_order, 1     # the numerator is A / den
     pole3 = [0] * degree_data(4).quotient_dim
     while m > 2 and not A.is_zero():
-        data = degree_data(A.degree)
-        coords, B, scale = data.split(A)
+        coords, B, scale = degree_data(A.degree).split(A)
         if m == 3:
             pole3 = [exact_quotient(c, den * scale) for c in coords]
         elif any(coords):
             # (R/J)_d vanishes for d = 3m-5 > 5, so A is entirely ideal
             raise ArithmeticError("nonzero harmonic part above the socle degree")
-        if first_lift is not None:
-            recomposed = data.harmonic(coords)
-            for Bi, g in zip(first_lift, jacobian_generators()):
-                recomposed = recomposed + (Bi * g).scale(scale)
-            if not (recomposed - A.scale(scale)).is_zero():
-                raise ValueError("provided lift does not recompose the numerator")
-            B, scale, first_lift = first_lift, 1, None
         m -= 1
         den *= scale * m
         A = CycPoly.make({}, 3 * m - 5)

@@ -17,9 +17,6 @@ product is its fifth power.  Otherwise w runs over every fifth root of
 unity, prod_w (1 - alpha w x) = 1 - alpha^5 x^5, and the product is
 1 - (alpha^5 + beta^5) x^5 + n^5 x^10.  Likewise
 sum_i chi^(ik)(p) = sum_i zeta_5^(ikd) is 5 when 5 | k d and 0 otherwise.
-The spinor factors are read the same way: each is one integer quartic at
-T -> chi^i(p) T, so its coefficients are integers times powers of zeta_5,
-kept as lists in Z[z]/(z^5 - 1) (see poly).
 """
 
 from __future__ import annotations
@@ -138,25 +135,6 @@ def h3_local_factor_product(p: int) -> LocalFactor:
         return LocalFactor(p, tuple(coeffs))
     s5 = p ** 5 * satake_power_sum(p, 5)
     return LocalFactor(p, (1, 0, 0, 0, 0, -s5, 0, 0, 0, 0, n ** 5))
-
-
-def spinor_local_factor(p: int, i: int) -> list:
-    """Degree-4 spinor factor (motivic normalization) over Q(zeta_5):
-
-    (1 - a_p(f) chi^i(p) T + chi^(2i)(p) p T^2)
-    (1 - a_p(g) chi^i(p) T + chi^(2i)(p) p^3 T^2),
-
-    as five coefficients, each a length-5 list of Z[z]/(z^5 - 1).  It is the
-    integer quartic sum_k c_k T^k = (1 - a_p(f) T + p T^2)(1 - a_p(g) T + p^3 T^2)
-    at T -> chi^i(p) T, so coefficient k is c_k z^(i d k mod 5), d = dlog_2(p).
-    """
-    if p == BAD_PRIME:
-        raise ValueError("p = 11 is the bad prime")
-    if not 0 <= i <= 4:
-        raise ValueError("twist index must lie in 0..4")
-    coeffs = mul([1, -ap_f(p), p], [1, -ap_g(p), p ** 3])
-    d = chi_dlog(p)
-    return [[c if m == i * d * k % 5 else 0 for m in range(5)] for k, c in enumerate(coeffs)]
 
 
 # ---------------------------------------------------------------------------

@@ -91,19 +91,6 @@ def power_sums_to_local_factor(ps: PowerSums) -> LocalFactor:
     return LocalFactor(p, tuple(full))
 
 
-def local_factor_power_sums(L: LocalFactor, m: int = 5) -> list:
-    """Forward Newton recurrence: power sums of the inverse roots of L."""
-    e = [(-1) ** k * L.coeffs[k] for k in range(H3_DEGREE + 1)]
-    t = []
-    for k in range(1, m + 1):
-        acc = (-1) ** (k - 1) * k * e[k] if k <= H3_DEGREE else 0
-        for j in range(1, k):
-            if k - j <= H3_DEGREE:
-                acc += (-1) ** (k - j - 1) * e[k - j] * t[j - 1]
-        t.append(acc)
-    return t
-
-
 def _trace_polynomial(L: LocalFactor) -> list:
     """R(y), low degree first, with x^5 R(x + q/x) = x^10 L(1/x), q = p^3.
 

@@ -1,11 +1,11 @@
 """Dense univariate polynomials on little-endian coefficient lists.
 
 The package's one polynomial layer, and its one cyclotomic arithmetic.
-Integer products serve the pinned reference factor, hecke's CM factor at
-chi(p) = 1 (a fifth power) and its spinor quartics.  Coefficient lists in
-Z[z]/(z^n - 1) carry every cyclotomic value: the Jacobi sums in Z[zeta_11]
-(multiplied by `cyclic_mul`), the spinor factors in Z[zeta_5], the Fourier
-eigenvectors of the rotation and the additive character sums.
+Integer products serve the pinned reference factor and hecke's CM factor at
+chi(p) = 1 (a fifth power).  Coefficient lists in Z[z]/(z^n - 1) carry
+every cyclotomic value: the Jacobi sums in Z[zeta_11] (multiplied by
+`cyclic_mul`), the Fourier eigenvectors of the rotation and the additive
+character sums.
 Z[z]/(z^n - 1) maps onto Z[zeta_n] for prime n with kernel spanned by
 1 + z + ... + z^(n-1), so two lists are equal at zeta_n exactly when their
 `at_zeta` coordinates are.  Pseudo-division over Z serves the Sturm chain of

@@ -14,8 +14,3 @@ FACTOR3_DEGREE8 = (1, -3, -18, 135, 81, 3645, -13122, -59049, 531441)
 def reference_degree10_at_3() -> LocalFactor:
     """Exact expansion of the two pinned factors at p = 3."""
     return LocalFactor(3, tuple(mul(FACTOR3_QUADRATIC, FACTOR3_DEGREE8)))
-
-
-# coefficient samples frozen from the agreement of two independent routes:
-# the norm-form/sign rule and point counts on the pinned conductor-121 curve
-AP_SAMPLES = {2: 0, 3: -1, 5: -3, 7: 0, 23: -9, 31: -5, 37: 7, 59: -15, 67: 13, 89: -9, 97: 17}

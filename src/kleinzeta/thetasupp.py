@@ -44,9 +44,11 @@ in _Scan.shift_rules).  So a family meets its c rules once, its a rules
 once per class of s, and its b rules once per class of t for each s whose
 partial meet is not already empty.  Entry d gets no rule: a, b and c of
 both images imply both d constraints (also proved there).
-PadicMat2 (integer numerators over one denominator), coset_rep and rho_act
-stay as the brute-force route the tests hold the scanner to; in_lattice
-reads each entry's valuation off the numerators, as the scanner does.
+PadicMat2 (integer numerators over one denominator) and rho_act serve the
+stabilizer check and the brute-force route the tests hold the scanner to,
+whose coset_rep, the exact pair (h1, h2) of a parameter tuple, lives in
+tests/; in_lattice reads each entry's valuation off the numerators, as the
+scanner does.
 """
 
 from __future__ import annotations
@@ -232,10 +234,6 @@ def _weyl(p: int) -> PadicMat2:
     return PadicMat2(0, -1, p * p, 0)
 
 
-def _fractional_shift_ok(p: int, s: Fraction) -> bool:
-    return 0 <= s < 1 and (s == 0 or s.denominator == p)
-
-
 def _h1_core(p: int, ty: str, m: int, s) -> PadicMat2:
     """h1 without its left factor U(x) and its scalar p^r."""
     h = _diag_pm(p, m)
@@ -249,15 +247,6 @@ def _h2(p: int, ty: str, n: int, t) -> PadicMat2:
     if _WEYL[ty][1]:
         h = h * _weyl(p) * _upper(t)
     return h
-
-
-def coset_rep(p: int, params: CosetParams):
-    """The exact pair (h1, h2) for the given coset parameters."""
-    if not _fractional_shift_ok(p, params.s) or not _fractional_shift_ok(p, params.t):
-        raise ValueError("s and t must lie in {0, 1/p, ..., (p-1)/p}")
-    ty = params.type
-    h1 = _upper(params.x) * _h1_core(p, ty, params.m, params.s)
-    return h1.scale(Fraction(p) ** params.r), _h2(p, ty, params.n, params.t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from kleinzeta.counting import CM_CURVE, count_klein
 from kleinzeta.ffield import BudgetExceeded, build_field
 from kleinzeta.poly import cyclic_mul
 from kleinzeta.reference import reference_degree10_at_3
+from ideal_ops import reduce_via, times
 from naive_oracle import count_hypersurface_naive
 
 PURITY_PRIMES = (2, 3, 5, 7, 13, 23)
@@ -161,12 +162,11 @@ def test_criterion_6_cohomology_suite():
         B = [rand_poly(2, 0.5) for _ in range(5)]
         A = gdcohom.CycPoly.make({}, 4)
         for Bi, g in zip(B, gens):
-            A = A + Bi * g
+            A = A + times(Bi, g)
         if A.is_zero():
             continue
         omega = gdcohom.RationalDifferential(A, 3)
-        assert (gdcohom.griffiths_reduce(omega)
-                == gdcohom.griffiths_reduce(omega, first_lift=B))
+        assert gdcohom.griffiths_reduce(omega) == reduce_via(B, 3)
 
     _report(6, "cohomology dims/eigenspaces/pairing + 100 random reductions, exact over Q(zeta5)",
             time.perf_counter() - t0)

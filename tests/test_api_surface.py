@@ -1,4 +1,4 @@
-"""Every public name in kleinzeta is used by the program, or says why not.
+"""Every public name in kleinzeta is used by the program.
 
 The test parses `src/kleinzeta/*.py` and collects each public top-level
 function, class and constant and each public method.  A name passes when
@@ -17,14 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kleinzeta"
 CALLER_DIRS = ("src", "demos", "perfbench")
-
-# Public names that only tests call, each kept for a reason.
-ALLOWED = {
-    "coset_rep": "the brute-force rho route the closed-form theta scans are checked against",
-    "local_factor_power_sums": "the Newton round-trip reference for power_sums_to_local_factor",
-    "AP_SAMPLES": "frozen reference coefficients the Hecke computation is checked against",
-    "spinor_local_factor": "the paper's spinor factors, waiting to be wired into the report",
-}
 
 
 def _public(name):
@@ -81,11 +73,8 @@ def test_every_public_name_has_a_caller():
     names, attributes = _loaded_names()
     loaded = names | attributes
     unused = [f"{module}.{qualname}" for module, qualname, name, method in defined
-              if name not in (attributes if method else loaded) and name not in ALLOWED]
+              if name not in (attributes if method else loaded)]
     assert not unused, f"public names nothing in {CALLER_DIRS} loads: {unused}"
-    # the allowlist names live definitions that still have no caller
-    assert set(ALLOWED) <= {name for _, _, name, _ in defined}
-    assert not [name for name in ALLOWED if name in loaded]
 
 
 def test_a_bare_name_does_not_count_as_a_method_call():

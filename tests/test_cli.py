@@ -626,17 +626,18 @@ def test_empty_sweep_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["trace-sweep", "report"])
+@pytest.mark.parametrize("command", ["trace-sweep", "report", "hecke-table"])
 def test_sweep_past_the_field_limit_is_a_usage_error(monkeypatch, tmp_path, capsys, command):
     # 1048583 is the first prime past LOG_TABLE_MAX_Q = 2^20, whose field
     # build_field refuses: a sweep that reaches it is refused before any
-    # count, exit 2 with no report or cache written; one bound lower the
-    # sweep starts as before
+    # count or sieve, exit 2 with no report, cache or table written; one
+    # bound lower the sweep starts as before
     import kleinzeta.cli as climod
 
     assert LOG_TABLE_MAX_Q == 1 << 20
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--json", "r.json", "--cache", "c.jsonl", "--max"]
+    output = ["--out", "t.csv"] if command == "hecke-table" else ["--cache", "c.jsonl"]
+    argv = [command, "--json", "r.json"] + output + ["--max"]
     t0 = time.perf_counter()
     assert run(argv + ["1048583"]) == 2
     assert time.perf_counter() - t0 < 1.0

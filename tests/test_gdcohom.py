@@ -14,6 +14,7 @@ from kleinzeta.linalg import rank
 
 import gauss_jordan
 from cyclotomic import CyclotomicNumber
+from ideal_ops import harmonic, reduce_via, scale, times
 
 
 def rand_poly(rng, d, density=0.5, bound=4):
@@ -29,10 +30,10 @@ def rand_poly(rng, d, density=0.5, bound=4):
 def _lift(A):
     """The five B_i with A = sum_i B_i dS/dx_i, read off DegreeData.split;
     None when a complement coordinate survives (A is off the ideal)."""
-    coords, lift, scale = degree_data(A.degree).split(A)
+    coords, lift, den = degree_data(A.degree).split(A)
     if any(c != 0 for c in coords):
         return None
-    return [B.scale(Fraction(1, scale)) for B in lift]
+    return [scale(B, Fraction(1, den)) for B in lift]
 
 
 def test_jacobian_generators():
@@ -56,12 +57,12 @@ def test_degree_one_complement_is_all_variables():
 
 def test_lift_examples():
     gens = jacobian_generators()
-    A = monomial((2, 0, 0, 0, 0)) * gens[0]
+    A = times(monomial((2, 0, 0, 0, 0)), gens[0])
     B = _lift(A)
     assert B is not None
     recomposed = CycPoly.make({}, 4)
     for Bi, g in zip(B, gens):
-        recomposed = recomposed + Bi * g
+        recomposed = recomposed + times(Bi, g)
     assert recomposed == A
 
     assert _lift(monomial((1, 0, 0, 0, 0))) is None  # J_1 = 0
@@ -86,12 +87,9 @@ def test_griffiths_reduce_examples():
 
     # two lifts of dS_0 * dS_1 give the same class
     gens = jacobian_generators()
-    prod = gens[0] * gens[1]
-    via0 = griffiths_reduce(RationalDifferential(prod, 3),
-                            first_lift=[gens[1]] + [CycPoly.make({}, 2)] * 4)
-    via1 = griffiths_reduce(RationalDifferential(prod, 3),
-                            first_lift=[CycPoly.make({}, 2), gens[0]]
-                            + [CycPoly.make({}, 2)] * 3)
+    prod = times(gens[0], gens[1])
+    via0 = reduce_via([gens[1]] + [CycPoly.make({}, 2)] * 4, 3)
+    via1 = reduce_via([CycPoly.make({}, 2), gens[0]] + [CycPoly.make({}, 2)] * 3, 3)
     assert via0 == via1 == griffiths_reduce(RationalDifferential(prod, 3))
 
 
@@ -107,7 +105,7 @@ def test_reduce_linearity():
     for _ in range(10):
         w1, w2 = rand_poly(rng, 4), rand_poly(rng, 4)
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        combo = w1.scale(a) + w2.scale(b)
+        combo = scale(w1, a) + scale(w2, b)
         r1 = griffiths_reduce(RationalDifferential(w1, 3))
         r2 = griffiths_reduce(RationalDifferential(w2, 3))
         rc = griffiths_reduce(RationalDifferential(combo, 3))
@@ -130,11 +128,11 @@ def test_pole_four_reduction_is_lift_independent():
         B = [rand_poly(rng, 5, 0.25) for _ in range(5)]
         A = CycPoly.make({}, 7)
         for Bi, g in zip(B, gens):
-            A = A + Bi * g
+            A = A + times(Bi, g)
         if A.is_zero():
             continue
         omega = RationalDifferential(A, 4)
-        assert griffiths_reduce(omega) == griffiths_reduce(omega, first_lift=B)
+        assert griffiths_reduce(omega) == reduce_via(B, 4)
 
 
 def test_exact_forms_reduce_to_zero_shift():
@@ -145,7 +143,7 @@ def test_exact_forms_reduce_to_zero_shift():
         B = [rand_poly(rng, 2, 0.5) for _ in range(5)]
         A = CycPoly.make({}, 4)
         for Bi, g in zip(B, gens):
-            A = A + Bi * g
+            A = A + times(Bi, g)
         coords = griffiths_reduce(RationalDifferential(A, 3))
         assert all(c == 0 for c in coords[5:])
 
@@ -407,14 +405,14 @@ def _ideal_element(rng, d, density=0.4):
     B = [rand_poly(rng, d - 2, density) for _ in range(5)]
     A = CycPoly.make({}, d)
     for Bi, g in zip(B, jacobian_generators()):
-        A = A + Bi * g
+        A = A + times(Bi, g)
     return A, B
 
 
 def _recompose(B, d):
     out = CycPoly.make({}, d)
     for Bi, g in zip(B, jacobian_generators()):
-        out = out + Bi * g
+        out = out + times(Bi, g)
     return out
 
 
@@ -438,7 +436,7 @@ def test_elements_off_the_ideal_do_not_lift(d):
         coords = [Fraction(rng.randint(1, 4)) if k == 0 else Fraction(rng.randint(-3, 3))
                   for k in range(data.quotient_dim)]
         rng.shuffle(coords)
-        assert _lift(A + data.harmonic(coords)) is None
+        assert _lift(A + harmonic(data, coords)) is None
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -448,14 +446,14 @@ def test_split_ignores_ideal_summands(d):
     for _ in range(4):
         A = rand_poly(rng, d)
         I, _ = _ideal_element(rng, d)
-        coords, B, scale = data.split(A)
-        coords_shifted, B_shifted, scale_shifted = data.split(A + I)
-        assert ([Fraction(c, scale_shifted) for c in coords_shifted]
-                == [Fraction(c, scale) for c in coords])
+        coords, B, den = data.split(A)
+        coords_shifted, B_shifted, den_shifted = data.split(A + I)
+        assert ([Fraction(c, den_shifted) for c in coords_shifted]
+                == [Fraction(c, den) for c in coords])
         # each split recomposes its input, times its integer scale
-        assert _recompose(B, d) + data.harmonic(coords) == A.scale(scale)
-        assert (_recompose(B_shifted, d) + data.harmonic(coords_shifted)
-                == (A + I).scale(scale_shifted))
+        assert _recompose(B, d) + harmonic(data, coords) == scale(A, den)
+        assert (_recompose(B_shifted, d) + harmonic(data, coords_shifted)
+                == scale(A + I, den_shifted))
 
 
 def _dense_product(A, B):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from kleinzeta.counting import CM_CURVE, count_weierstrass
@@ -7,15 +5,17 @@ from kleinzeta.ffield import is_prime
 from kleinzeta.hecke import (HeckeRecord, ap_f, ap_g, character_twist_sum, chi_dlog,
                              h3_local_factor_product, hecke_record, hecke_table,
                              predicted_count, predicted_power_sum, primes_up_to,
-                             satake_power_sum, solve_norm_form, spinor_local_factor,
-                             split_type, write_hecke_csv)
-from kleinzeta.lfunc import local_factor_power_sums
-from kleinzeta.poly import at_zeta
-from kleinzeta.reference import AP_SAMPLES, reference_degree10_at_3
+                             satake_power_sum, solve_norm_form, split_type,
+                             write_hecke_csv)
+from kleinzeta.reference import reference_degree10_at_3
 
 from cyclotomic import CyclotomicNumber
-from twist_product import (as_number, chi, rational_value, spinor_product, twist_product,
-                           twist_sum)
+from forward_newton import local_factor_power_sums
+from twist_product import chi, twist_product, twist_sum
+
+# coefficient samples frozen from the agreement of two independent routes:
+# the norm-form/sign rule and point counts on the pinned conductor-121 curve
+AP_SAMPLES = {2: 0, 3: -1, 5: -3, 7: 0, 23: -9, 31: -5, 37: 7, 59: -15, 67: 13, 89: -9, 97: 17}
 
 
 def test_split_type_examples():
@@ -128,9 +128,6 @@ def test_the_bad_prime_keeps_its_refusals():
     # predicted (lfunc.counts_to_power_sums refuses it too: test_lfunc)
     with pytest.raises(ValueError, match="bad prime"):
         h3_local_factor_product(11)
-    for i in range(5):
-        with pytest.raises(ValueError, match="bad prime"):
-            spinor_local_factor(11, i)
 
 
 def test_cm_dichotomy_and_hasse():
@@ -209,50 +206,6 @@ def test_predicted_count_matches_lefschetz_shape():
     assert predicted_count(2, 1) == 15
     assert predicted_count(2, 3) == 1 + 8 + 64 + 512
     assert predicted_count(3, 1) == 40
-
-
-def test_spinor_factor_examples():
-    # (1 + T + 3T^2)(1 - 8T + 27T^2) at p = 3, i = 0
-    # (1 + T + 3T^2)(1 - 8T + 27T^2) at p = 3, i = 0: every coefficient at z^0
-    f = spinor_local_factor(3, 0)
-    expected = [1, -7, 22, 3, 81]
-    assert f == [[c, 0, 0, 0, 0] for c in expected]
-    assert [rational_value(as_number(c)) for c in f] == [Fraction(v) for v in expected]
-    # at p = 3, d = dlog_2(3) = 8 and i = 1: coefficient k sits at z^(8k mod 5)
-    assert [c.index(next(filter(None, c))) for c in spinor_local_factor(3, 1)] == [0, 3, 1, 4, 2]
-
-    inert = spinor_local_factor(2, 1)
-    assert not any(at_zeta(inert[1])) and not any(at_zeta(inert[3]))
-
-    with pytest.raises(ValueError):
-        spinor_local_factor(11, 0)
-    with pytest.raises(ValueError):
-        spinor_local_factor(3, 5)
-
-
-def test_spinor_product_over_twists_is_integral():
-    for p in (3, 7, 23):
-        prod = [CyclotomicNumber.one(5)]
-        for i in range(5):
-            fac = [as_number(c) for c in spinor_local_factor(p, i)]
-            new = [CyclotomicNumber.zero(5) for _ in range(len(prod) + 4)]
-            for a, x in enumerate(prod):
-                for b, y in enumerate(fac):
-                    new[a + b] = new[a + b] + x * y
-            prod = new
-        for c in prod:
-            r = rational_value(c)
-            assert r is not None and r.denominator == 1
-
-
-def test_spinor_factor_matches_the_cyclotomic_product():
-    # the integer quartic at T -> chi^i(p) T against its two twisted
-    # quadratics multiplied out in Q(zeta_5), at every good p <= 2000
-    for p in primes_up_to(2000):
-        if p != 11:
-            for i in range(5):
-                got = [as_number(c) for c in spinor_local_factor(p, i)]
-                assert got == spinor_product(p, i), (p, i)
 
 
 def test_hecke_records_and_csv(tmp_path):

@@ -11,10 +11,11 @@ import pytest
 from kleinzeta import lfunc
 from kleinzeta.hecke import h3_local_factor_product, primes_up_to
 from kleinzeta.lfunc import (InconsistentCounts, LocalFactor, PowerSums, counts_to_power_sums,
-                             local_factor_power_sums, power_sums_to_local_factor,
-                             weil_bound_check)
+                             power_sums_to_local_factor, weil_bound_check)
 from kleinzeta.poly import mul
 from kleinzeta.reference import reference_degree10_at_3
+
+from forward_newton import local_factor_power_sums
 
 TARGET3 = reference_degree10_at_3()
 

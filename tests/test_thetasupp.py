@@ -9,12 +9,12 @@ import pytest
 
 from kleinzeta import thetasupp
 from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, alpha_matrix,
-                                 archimedean_equivariance, char_sum, coset_rep,
-                                 default_invariance_probes, e1_matrix, in_lattice,
-                                 in_support_pair, lev_support, rho_act, scan_type,
-                                 stabilizer_invariance_check)
+                                 archimedean_equivariance, char_sum, default_invariance_probes,
+                                 e1_matrix, in_lattice, in_support_pair, lev_support, rho_act,
+                                 scan_type, stabilizer_invariance_check)
 
 import shift_loop
+from brute_rho import coset_rep
 
 
 def entries(M):

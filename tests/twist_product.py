@@ -1,15 +1,14 @@
 """Reference CM side for the tests: the order-5 character, the twisted
 quadratics, their degree-10 product and the character twist sum, formed
 literally in Q(zeta_5), the way `hecke` computed them before it read them in
-integers (the product and the sum in closed form, the spinor factors as
-lists in Z[z]/(z^5 - 1))."""
+integers (the product and the sum in closed form)."""
 
 from fractions import Fraction
 
 from cyclotomic import CyclotomicNumber
-from kleinzeta.hecke import ap_f, ap_g, chi_dlog
+from kleinzeta.hecke import ap_f, chi_dlog
 from kleinzeta.lfunc import BAD_PRIME, LocalFactor
-from kleinzeta.poly import at_zeta, mul
+from kleinzeta.poly import mul
 
 
 def rational_value(c: CyclotomicNumber):
@@ -25,11 +24,6 @@ def integer_value(c: CyclotomicNumber) -> int:
     return int(r)
 
 
-def as_number(a) -> CyclotomicNumber:
-    """A length-n list of Z[z]/(z^n - 1) read at zeta_n, as a reference number."""
-    return CyclotomicNumber.of(len(a), at_zeta(a))
-
-
 def chi(n: int, i: int = 1) -> CyclotomicNumber:
     """chi^i(n) for the order-5 character of conductor 11 with chi(2) = zeta_5."""
     d = chi_dlog(n)
@@ -38,15 +32,9 @@ def chi(n: int, i: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.zeta_pow(5, i * d)
 
 
-def _twisted_quadratic(p: int, i: int, trace_coeff: int, weight_power: int):
-    """1 - trace_coeff * chi^i(p) * T + chi^(2i)(p) * p^weight_power * T^2."""
-    return [CyclotomicNumber.one(5), chi(p, i) * -trace_coeff, chi(p, 2 * i) * p ** weight_power]
-
-
-def spinor_product(p: int, i: int) -> list:
-    """The spinor factor as the product of its two twisted quadratics,
-    multiplied out in Q(zeta_5)."""
-    return mul(_twisted_quadratic(p, i, ap_f(p), 1), _twisted_quadratic(p, i, ap_g(p), 3))
+def _twisted_quadratic(p: int, i: int, trace_coeff: int):
+    """1 - trace_coeff * chi^i(p) * T + chi^(2i)(p) * p^3 * T^2."""
+    return [CyclotomicNumber.one(5), chi(p, i) * -trace_coeff, chi(p, 2 * i) * p ** 3]
 
 
 def twist_sum(p: int, k: int = 1) -> int:
@@ -65,5 +53,5 @@ def twist_product(p: int) -> LocalFactor:
     a = ap_f(p)
     prod = [CyclotomicNumber.one(5)]
     for i in range(5):
-        prod = mul(prod, _twisted_quadratic(p, i, a * p, 3))
+        prod = mul(prod, _twisted_quadratic(p, i, a * p))
     return LocalFactor(p, tuple(integer_value(c) for c in prod))
