@@ -46,13 +46,13 @@ def _jacobi_eigenvalue(F: FieldDescriptor) -> list:
     in Z[z]/(z^11 - 1), which maps onto Z[zeta_11]; see count_klein."""
     log, exp = log_exp_tables(F)
     p, m = F.p, F.q - 1
-    # x = g^e runs over F^* but 1 (e = 1 .. m - 1), and chi(x) = zeta^e.
-    # y is the index of -x = g^(e + log(-1)) (-1 has index p - 1); adding 1
-    # changes digit 0 only (at p = 2 it is y ^ 1), which gives 1 - x
+    # u = x^e runs over F^* but 1 (e = 1 .. m - 1), and chi(u) = zeta^e.
+    # y is the index of -u = x^(e + log(-1)) (-1 has index p - 1); adding 1
+    # changes digit 0 only (at p = 2 it is y ^ 1), which gives 1 - u
     y = exp[(np.arange(1, m) + int(log[p - 1])) % m]
     ly = log[(y + 1) % p - y % p + y]
     del y
-    # every J reads (e, log(1 - x)) mod 11 alone: count the 121 pairs once
+    # every J reads (e, log(1 - u)) mod 11 alone: count the 121 pairs once
     pairs = np.bincount(np.arange(1, m) % 11 * 11 + ly % 11, minlength=121).tolist()
     lam, s = [-1] + [0] * 10, 0
     for a, b in zip(H3_CLASS, H3_CLASS[1:4]):
@@ -87,21 +87,25 @@ def count_klein(p: int, k: int) -> CountRecord:
     build_field does; the only field built is F_(p^f), and only when 11
     divides q - 1.
 
-    Conventions.  Let f = ord_11(p), g the generator of F_(p^f)^* of
-    `ffield.log_exp_tables`, chi(g^e) = zeta_11^e, and
-    J(a, b) = sum_(x != 0, 1) chi^a(x) chi^b(1 - x).  With a = (1, 5, 3, 4, 9)
+    Conventions.  Let f = ord_11(p), x the root of `ffield.build_field`'s
+    primitive modulus, which generates F_(p^f)^*, chi(x^e) = zeta_11^e, and
+    J(a, b) = sum_(u != 0, 1) chi^a(u) chi^b(1 - u).  With a = (1, 5, 3, 4, 9)
     and its partial sums 1, 6, 9, Frob_(p^f) acts on the class a by
 
         lambda = -J(1, 5) J(6, 3) J(9, 4)
 
     and on t a by sigma_t(lambda), sigma_t: zeta_11 -> zeta_11^t (Weil).
+    Another primitive modulus, whose root is x^s (s prime to p^f - 1),
+    gives chi^s' in place of chi, s s' = 1 mod 11, and so sigma_s'(lambda)
+    in place of lambda: lambda depends on the modulus only up to sigma_t,
+    and the count, a trace, not at all.
     By Hasse-Davenport the eigenvalue over F_(p^(f r)) is lambda^r, so for
     q = p^k with f | k
 
         #X(F_q) = 1 + q + q^2 + q^3 - Tr_(Q(zeta_11)/Q)(lambda^(k/f)).
 
     The three J read one bincount of the 121 residue pairs
-    (log x, log(1 - x)) mod 11.  Self-check: lambda sigma_(-1)(lambda) =
+    (log u, log(1 - u)) mod 11.  Self-check: lambda sigma_(-1)(lambda) =
     |lambda|^2 must equal p^(3f) exactly, or ArithmeticError.
 
     When 11 does not divide q - 1 (so whenever f does not divide k, and at

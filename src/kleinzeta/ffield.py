@@ -1,20 +1,23 @@
 """Exact arithmetic in F_p and F_{p^k}.
 
-Elements of F_{p^k} are residue polynomials modulo a fixed monic irreducible
+Elements of F_{p^k} are residue polynomials modulo a fixed monic primitive
 modulus, stored little-endian in the root, and are encoded as the integer
-index sum of c_i * p^i.  The one field table is a pair of O(q) numpy
-vectors, the discrete log and exp of one generator, and its one reader is
-the Klein counter's Jacobi walk, on F_(p^f) with f = ord_11(p) and only
-when 11 divides q - 1.  Residues mod p of poly's coefficient lists are used
-only to build the field: the modulus search, the generator and the matrix
-of the log/exp walk's step.  One size rule, field_order, refuses a (p, k)
-past the tables' limit, for build_field and the Klein counter alike.
+index sum of c_i * p^i.  Primitive means that the root x generates
+F_q^*, so one test (is_primitive) certifies both the field and its
+generator.  The one field table is a pair of O(q) numpy vectors, the
+discrete log and exp of x, and its one reader is the Klein counter's
+Jacobi walk, on F_(p^f) with f = ord_11(p) and only when 11 divides
+q - 1.  Residues mod p of poly's coefficient lists are used only to search
+the modulus; the log/exp walk steps by the modulus's companion matrix.
+One size rule, field_order, refuses a (p, k) past the tables' limit, for
+build_field, log_exp_tables and the Klein counter alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -28,12 +31,15 @@ class BudgetExceeded(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n < 3.3e24; below 41^2 the
+    trial division by the primes up to 37 settles n alone."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -68,17 +74,14 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p on coefficient lists, used only at build
-# time; the hot loops use log/exp vectors
+# polynomial arithmetic over F_p on coefficient lists, used only to test a
+# modulus; the hot loops use log/exp vectors
 
 def _poly_mulmod(a, b, modulus, p):
     return trim([c % p for c in pdivmod(mul(a, b), modulus)[1]])
 
 
 def _poly_powmod(base, e, modulus, p):
-    if len(base) <= 1:  # a constant's powers stay in F_p: one integer power
-        c = pow(base[0] if base else 0, e, p)
-        return [c] if c else []
     result = [1]
     cur = list(base)
     while e > 0:
@@ -89,39 +92,34 @@ def _poly_powmod(base, e, modulus, p):
     return result
 
 
-def _poly_gcd(a, b, p):
-    a, b = trim(a), trim(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        b = [c * inv_lead % p for c in b]  # monic, so pdivmod needs no scale
-        a, b = b, trim([c % p for c in pdivmod(a, b)[1]])
-    return a
+def _generates(a: int, p: int) -> bool:
+    """a generates F_p^*: a != 0 and a^((p-1)/l) != 1 for each prime l | p - 1."""
+    return a % p != 0 and all(pow(a, (p - 1) // ell, p) != 1 for ell in prime_factors(p - 1))
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return trim([(x - y) % p for x, y in zip(a, b)])
+def is_primitive(modulus, p: int) -> bool:
+    """True exactly when x has multiplicative order q - 1 = p^k - 1 modulo
+    the monic modulus (c_0, ..., c_(k-1), 1).
 
+    Such a modulus is irreducible and x generates F_q^*: x^0 .. x^(q-2) are
+    q - 1 distinct units of F_p[x]/(modulus), a ring of q elements, so every
+    nonzero residue is a unit and the ring is a field.
 
-def is_irreducible(modulus, p: int) -> bool:
-    """Rabin test: x^(p^k) == x mod f and gcd(x^(p^(k/l)) - x, f) = 1."""
+    The test reads the norm first, in integers.  In that field the norm of
+    x, (-1)^k c_0, is x^((q-1)/(p-1)), of order p - 1, so it must generate
+    F_p^*: one integer power per prime factor of p - 1.  This rejects
+    c_0 = 0, and at k = 1, where x = -c_0, it is the whole test.  Otherwise
+    x^q = x, that is x^(q-1) = 1 since c_0 != 0 makes x a unit, and
+    x^((q-1)/l) != 1 for each prime l dividing q - 1."""
     k = len(modulus) - 1
-    if k < 1 or modulus[-1] != 1:
+    q = p ** k
+    if not _generates((-1) ** k * modulus[0], p):
         return False
     if k == 1:
         return True
     x = [0, 1]
-    xq = _poly_powmod(x, p ** k, modulus, p)
-    if _poly_sub(xq, x, p):
-        return False
-    for ell in prime_factors(k):
-        xe = _poly_powmod(x, p ** (k // ell), modulus, p)
-        g = _poly_gcd(_poly_sub(xe, x, p), modulus, p)
-        if len(g) != 1:
-            return False
-    return True
+    return _poly_powmod(x, q, modulus, p) == x and all(
+        _poly_powmod(x, (q - 1) // ell, modulus, p) != [1] for ell in prime_factors(q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def is_irreducible(modulus, p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Immutable description of F_{p^k} with a verified irreducible modulus."""
+    """Immutable description of F_{p^k} by a primitive modulus (build_field's)."""
     p: int
     k: int
     modulus: tuple  # monic, little-endian, length k+1
@@ -157,54 +155,40 @@ def field_order(p: int, k: int) -> int:
 def build_field(p: int, k: int = 1) -> FieldDescriptor:
     """Deterministic field constructor; field_order refuses (p, k) first.
 
-    The modulus is the first irreducible monic polynomial in ascending
-    lexicographic order of the non-leading coefficient tuple
-    (c_0, ..., c_{k-1}), c_0 most significant.  Counts do not depend on
+    The modulus is the first primitive monic polynomial (see is_primitive)
+    in ascending lexicographic order of the non-leading coefficient tuple
+    (c_0, ..., c_(k-1)), c_0 most significant, so its root x generates
+    F_q^* and is the generator of log_exp_tables.  Counts do not depend on
     the modulus; pinning it keeps element indices, and so the log/exp
-    tables, the same from run to run.
-
-    For k >= 2 the search starts at c_0 = 1: a candidate with c_0 = 0 is
-    divisible by x, hence reducible, so skipping the first p^(k-1)
-    candidates returns the same modulus without Rabin-testing them.
+    tables, the same from run to run.  A block of candidates whose c_0
+    fails is_primitive's norm test is skipped whole.
     """
     field_order(p, k)
-    if k == 1:
-        return FieldDescriptor(p, 1, (0, 1))
-    for idx in range(p ** (k - 1), p ** k):  # c0 = idx // p^(k-1) >= 1
-        digits = []
-        rest = idx
-        for _ in range(k):
-            digits.append(rest % p)
-            rest //= p
-        coeffs = tuple(reversed(digits))  # c0 most significant in the search order
-        modulus = coeffs + (1,)
-        if is_irreducible(modulus, p):
-            return FieldDescriptor(p, k, modulus)
-    raise RuntimeError("no irreducible modulus found")  # unreachable
+    for c0 in range(1, p):
+        if not _generates((-1) ** k * c0, p):  # the norm of x: see is_primitive
+            continue
+        for tail in product(range(p), repeat=k - 1):  # c_1 most significant after c_0
+            modulus = (c0, *tail, 1)
+            if is_primitive(modulus, p):
+                return FieldDescriptor(p, k, modulus)
+    raise RuntimeError("no primitive modulus found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
 # log/exp vectors, keyed by element index
 
 
-def _mul_matrix(F: FieldDescriptor, h: list) -> np.ndarray:
-    """k x k matrix of a -> a h on coefficient row vectors: row i holds x^i h."""
-    rows, cur = [], h
-    for _ in range(F.k):
-        rows.append(cur + [0] * (F.k - len(cur)))
-        cur = _poly_mulmod(cur, [0, 1], F.modulus, F.p)
-    return np.array(rows, dtype=np.int64)
-
-
 @lru_cache(maxsize=1)
 def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
-    # coefficient rows of g^0 .. g^(n - 1) times the matrix of g^n give
-    # g^n .. g^(2n - 1); squaring the matrix doubles n
-    F = FieldDescriptor(p, k, modulus)
-    q = F.q
+    # coefficient rows of x^0 .. x^(n - 1) times the matrix of x^n give
+    # x^n .. x^(2n - 1); squaring the matrix doubles n.  The matrix of x is
+    # the companion matrix: row i holds x^(i + 1), and x^k = -(c_0 + ... +
+    # c_(k-1) x^(k-1))
+    q = p ** k
     powers = np.zeros((q - 1, k), dtype=np.int64)
     powers[0, 0] = 1
-    step = _mul_matrix(F, _find_generator(F))
+    step = np.eye(k, k, 1, dtype=np.int64)
+    step[-1] = [-c % p for c in modulus[:-1]]
     n = 1
     while n < q - 1:
         m = min(n, q - 1 - n)
@@ -220,27 +204,11 @@ def _log_exp_cached(p: int, k: int, modulus: tuple) -> tuple:
 
 
 def log_exp_tables(F: FieldDescriptor) -> tuple:
-    """(log, exp) for one generator g: exp[e] is the index of g^e, e < q - 1,
-    and log inverts it on nonzero indices (log[0] is 0 and means nothing).
-    O(q) memory; the package's only field-arithmetic table.  Only the last
-    field's tables are kept: every caller reads one field at a time."""
-    if F.q > LOG_TABLE_MAX_Q:
-        raise ValueError(f"q = {F.q} too large for log/exp tables")
+    """(log, exp) for the generator x, the root of F's modulus: exp[e] is
+    the index of x^e, e < q - 1, and log inverts it on nonzero indices
+    (log[0] is 0 and means nothing).  O(q) memory; the package's only
+    field-arithmetic table.  field_order refuses a q past the tables' limit,
+    as it does for build_field.  Only the last field's tables are kept:
+    every caller reads one field at a time."""
+    field_order(F.p, F.k)
     return _log_exp_cached(F.p, F.k, F.modulus)
-
-
-def _find_generator(F: FieldDescriptor) -> list:
-    """Coefficients of the nonzero element of least index whose order is q - 1.
-
-    The first p - 1 candidates are constants, each tested by one integer
-    power per prime factor of q - 1 (see _poly_powmod)."""
-    q, p = F.q, F.p
-    fac = prime_factors(q - 1)
-    for idx in range(1, q):
-        g, rest = [], idx
-        while rest:
-            rest, c = divmod(rest, p)
-            g.append(c)
-        if all(_poly_powmod(g, (q - 1) // ell, F.modulus, p) != [1] for ell in fac):
-            return g
-    raise RuntimeError("no generator found")  # unreachable for a true field

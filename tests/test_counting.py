@@ -9,9 +9,10 @@ from kleinzeta import counting, ffield, hecke
 from kleinzeta.counting import (BadReduction, CM_CURVE, H3_CLASS, CountRecord, WeierstrassCurve,
                                 _cover_exponents, count_klein, count_weierstrass,
                                 fermat_cover_substitution, verify_fermat_cover)
-from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, build_field, is_prime,
-                              log_exp_tables)
+from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, FieldDescriptor, build_field,
+                              is_prime, log_exp_tables)
 from kleinzeta.gdcohom import CycPoly, klein_form
+from kleinzeta.poly import at_zeta, cyclic_mul
 from cyclotomic import CyclotomicNumber
 from naive_oracle import (NAIVE_POINT_BUDGET, count_hypersurface_naive, digitwise_add,
                           projective_form)
@@ -248,6 +249,31 @@ def test_the_jacobi_walk_peaks_near_its_tables():
     assert 1 + p + p * p + p ** 3 - (11 * lam[0] - sum(lam)) == hecke.predicted_count(p, 1)
 
 
+def test_the_eigenvalue_depends_on_the_modulus_only_up_to_sigma_t():
+    # x + 2 and x + 3 are both primitive over F_23 (x = 21 and x = 20); the
+    # two generators give characters chi' = chi^s, so the two eigenvalues are
+    # Galois conjugates and every trace Tr(lambda^r), hence every count, agrees
+    assert build_field(23).modulus == (2, 1)
+    lams = [counting._jacobi_eigenvalue(FieldDescriptor(23, 1, m)) for m in ((2, 1), (3, 1))]
+    assert lams[0] != lams[1]
+
+    def sigma(t, a):
+        out = [0] * 11
+        for i, c in enumerate(a):
+            out[t * i % 11] += c
+        return out
+
+    assert [t for t in range(1, 11) if at_zeta(sigma(t, lams[0])) == at_zeta(lams[1])]
+    traces = []
+    for lam in lams:
+        power, tr = lam, []
+        for _ in range(5):
+            tr.append(11 * power[0] - sum(power))  # Tr z^0 = 10, Tr z^j = -1
+            power = cyclic_mul(power, lam)
+        traces.append(tr)
+    assert traces[0] == traces[1]
+
+
 def test_jacobi_kernel_checks_purity(monkeypatch):
     # a log vector off by one on every nonzero element breaks chi's
     # multiplicativity, and the Jacobi product is no longer pure
@@ -304,7 +330,7 @@ def test_budget_enforced():
 def test_default_budget_is_the_log_exp_cap(monkeypatch):
     # one limit: field_order refuses a field past the log/exp cap, and no
     # modulus is searched
-    monkeypatch.setattr(ffield, "is_irreducible", lambda *a: pytest.fail("modulus searched"))
+    monkeypatch.setattr(ffield, "is_primitive", lambda *a: pytest.fail("modulus searched"))
     with pytest.raises(BudgetExceeded, match=f"q = 23\\^5 exceeds the log/exp limit "
                                              f"{LOG_TABLE_MAX_Q}$"):
         count_klein(23, 5)

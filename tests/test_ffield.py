@@ -1,11 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, _find_generator, _poly_mulmod,
-                              _poly_powmod, build_field, is_irreducible, is_prime,
-                              log_exp_tables)
+from kleinzeta.ffield import (LOG_TABLE_MAX_Q, BudgetExceeded, FieldDescriptor, _poly_mulmod,
+                              _poly_powmod, build_field, is_primitive, is_prime, log_exp_tables)
 from naive_oracle import digitwise_add, log_exp_mul
 
 
@@ -40,29 +40,23 @@ def _add(F, a, b):
     return _index(F, [x + y for x, y in zip(_coeffs(F, a), _coeffs(F, b))])
 
 
-def _square_and_multiply(base, e, modulus, p):
-    result, cur = [1], list(base)
-    while e > 0:
-        if e & 1:
-            result = _poly_mulmod(result, cur, modulus, p)
-        cur = _poly_mulmod(cur, cur, modulus, p)
-        e >>= 1
-    return result
-
-
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (3, 3), (7, 2), (13, 1)])
 def test_constant_powmod_matches_square_and_multiply(p, k):
-    # a constant base takes one integer power; 0, the empty list and e = 0
-    # included, it must equal the list-polynomial route
+    # a constant's powers stay in F_p: the list-polynomial square-and-multiply
+    # must equal the integer one, 0, the empty list and e = 0 included
     modulus = build_field(p, k).modulus
     for base in [[]] + [[c] for c in range(p)]:
         for e in (0, 1, 2, 3, p - 1, p, p ** k - 1, 5 * p + 3):
-            assert _poly_powmod(base, e, modulus, p) == _square_and_multiply(base, e, modulus, p)
+            c = pow(base[0] if base else 0, e, p)
+            assert _poly_powmod(base, e, modulus, p) == ([c] if c else [])
 
 
 def test_build_field_prime_field():
+    # x + 1: x = -1 = 2 generates F_3^*; over F_23, x + 1 fails (x = -1 has
+    # order 2) and x + 2 holds (x = 21 has order 22)
     F = build_field(3, 1)
-    assert F.q == 3 and F.modulus == (0, 1)
+    assert F.q == 3 and F.modulus == (1, 1)
+    assert build_field(23).modulus == (2, 1)
 
 
 def test_build_field_f4_modulus():
@@ -71,9 +65,24 @@ def test_build_field_f4_modulus():
 
 
 def test_build_field_f243_modulus_is_irreducible():
+    # x^5 + 2 x^4 + 1, the lex-first irreducible modulus and primitive too,
+    # so the p = 3 tower's field is the same under either search
     F = build_field(3, 5)
-    assert F.k == 5 and F.modulus[-1] == 1
-    assert is_irreducible(F.modulus, 3)
+    assert F.modulus == (1, 0, 0, 0, 2, 1)
+    assert is_primitive(F.modulus, 3)
+
+
+@pytest.mark.parametrize("modulus, p", [
+    ((1, 0, 1), 3),        # x^2 + 1, irreducible over F_3: x has order 4, not 8
+    ((1, 2, 1), 3),        # (x + 1)^2
+    ((0, 1, 1), 3),        # x^2 + x: c_0 = 0, x is no unit
+    ((2, 0, 1), 3),        # x^2 - 1 = (x - 1)(x + 1): the norm test holds, x has order 2
+    ((1, 0, 0, 1), 2),     # x^3 + 1 = (x + 1)(x^2 + x + 1): x^7 = x, not 1
+    ((2, 0, 1), 5),        # x^2 + 2, irreducible over F_5: x^2 = 3, so x has order 8, not 24
+    ((1, 1), 23),          # x = -1 has order 2 in F_23^*
+])
+def test_is_primitive_rejects(modulus, p):
+    assert not is_primitive(modulus, p)
 
 
 def test_build_field_rejects_bad_input():
@@ -93,22 +102,42 @@ def test_build_field_refuses_fields_past_the_log_exp_limit(p, k):
 
 def test_build_field_accepts_the_log_exp_limit():
     F = build_field(2, 20)
-    assert F.q == LOG_TABLE_MAX_Q and is_irreducible(F.modulus, 2)
+    assert F.q == LOG_TABLE_MAX_Q and is_primitive(F.modulus, 2)
+
+
+def test_log_exp_tables_refuse_by_the_one_size_rule():
+    # a hand-built descriptor past the limit gets field_order's refusal
+    F = FieldDescriptor(2, 21, (1,) + (0,) * 19 + (1, 1))
+    with pytest.raises(BudgetExceeded, match=f"q = 2\\^21 exceeds the log/exp limit "
+                                             f"{LOG_TABLE_MAX_Q}$"):
+        log_exp_tables(F)
 
 
 def _lexicographic_modulus(p, k):
-    """The full search, c0 = 0 candidates included: the reference for the
-    modulus build_field returns."""
-    for idx in range(p ** k):
-        digits = []
-        rest = idx
-        for _ in range(k):
-            digits.append(rest % p)
-            rest //= p
-        modulus = tuple(reversed(digits)) + (1,)
-        if is_irreducible(modulus, p):
-            return modulus
-    raise AssertionError("no irreducible modulus")
+    """The reference for the modulus build_field returns: the first monic
+    modulus in ascending lexicographic order of (c_0, ..., c_(k-1)), c_0
+    most significant, whose x, multiplied by x one step at a time, first
+    returns to 1 after exactly q - 1 steps.
+
+    One step is the shift of the coefficients plus the top one times
+    x^k = -(c_0 + ... + c_(k-1) x^(k-1)); every candidate walks at once,
+    and one that returns to 1 early leaves the walk.  A unit's order is at
+    most q - 1, so the candidates left at step q - 1 are exactly those whose
+    x has order q - 1.  Candidates with c_0 = 0 are divisible by x, which is
+    then no unit and never returns to 1: they start outside the walk."""
+    q = p ** k
+    coeffs = np.arange(p ** (k - 1), q)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+    power = np.zeros_like(coeffs)
+    power[:, 0] = 1
+    weight = p ** np.arange(k)
+    for n in range(1, q):
+        top = power[:, -1:]
+        power = (np.hstack([np.zeros_like(top), power[:, :-1]]) - top * coeffs) % p
+        one = power @ weight == 1
+        if n < q - 1:
+            power, coeffs = power[~one], coeffs[~one]
+    assert one.all() and len(coeffs)
+    return tuple(coeffs[0].tolist()) + (1,)
 
 
 @pytest.mark.parametrize("p,k", [(2, k) for k in range(2, 11)] + [(3, k) for k in range(2, 9)]
@@ -131,22 +160,23 @@ def test_fermat_little_exhaustive(p, k):
 
 
 def test_extension_arithmetic_against_modulus():
-    # in F_9 = F_3[x]/(x^2 + 1) the root squares to -1
+    # in F_9 = F_3[x]/(x^2 + x + 2) the root squares to -x - 2 = 2x + 1
+    # (x^2 + 1, the lex-first irreducible modulus, fails: its x has order 4)
     F = build_field(3, 2)
-    assert F.modulus == (1, 0, 1)
+    assert F.modulus == (2, 1, 1)
     x = _index(F, [0, 1])
-    assert _mul(F, x, x) == _index(F, [-1])
+    assert _mul(F, x, x) == _index(F, [1, 2])
 
 
 def _scalar_walk(F):
-    """The generator walk one polynomial product at a time: the reference
-    for the vectorized log/exp build."""
-    g = _index(F, _find_generator(F))
+    """The walk of x, the root of the modulus, one polynomial product at a
+    time: the reference for the vectorized log/exp build."""
+    x = _index(F, _poly_mulmod([0, 1], [1], F.modulus, F.p))  # reduced: x = -c_0 at k = 1
     exp = []
     cur = 1
     for _ in range(F.q - 1):
         exp.append(cur)
-        cur = _mul(F, cur, g)
+        cur = _mul(F, cur, x)
     assert cur == 1
     log = [0] * F.q
     for e, idx in enumerate(exp):
@@ -163,6 +193,16 @@ def test_log_exp_tables_match_scalar_walk(p, k):
     ref_log, ref_exp = _scalar_walk(F)
     assert exp.tolist() == ref_exp
     assert log.tolist() == ref_log
+
+
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 5), (5, 5)]
+                         + [(p, 2) for p in range(43, 1025, 11) if is_prime(p)]  # p = 10 mod 11
+                         + [(p, 1) for p in range(23, 2000, 11) if is_prime(p)])  # p = 1 mod 11
+def test_exp_is_a_permutation_on_the_fields_the_counter_builds(p, k):
+    # x generates F_q^*: its powers x^0 .. x^(q-2) are the q - 1 nonzero
+    # indices, each once
+    log, exp = log_exp_tables(build_field(p, k))
+    assert np.array_equal(np.sort(exp), np.arange(1, p ** k))
 
 
 def test_tables_match_scalar_ops():
@@ -222,3 +262,7 @@ def test_digitwise_add_of_a_prime_field_constant(p, k):
 def test_prime_predicate():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+    # trial division settles n < 41^2 alone; 41^2 = 1681 is the first composite
+    # that needs Miller-Rabin
+    assert [n for n in range(2, 2000) if is_prime(n)] == [
+        n for n in range(2, 2000) if all(n % d for d in range(2, math.isqrt(n) + 1))]

@@ -238,5 +238,4 @@ def test_numpy_serves_the_jacobi_walk_alone():
                         if isinstance(node, ast.Name) and node.id == "np"
                         and isinstance(node.ctx, ast.Load)}
     assert importers == {("counting", "numpy", "np"), ("ffield", "numpy", "np")}
-    assert readers <= {"ffield._mul_matrix", "ffield._log_exp_cached",
-                       "counting._jacobi_eigenvalue"}
+    assert readers <= {"ffield._log_exp_cached", "counting._jacobi_eigenvalue"}
