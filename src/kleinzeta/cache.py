@@ -5,7 +5,9 @@ Records look like {"p": 3, "k": 4, "count": 538084, "algorithm": "jacobi-weil",
 without one, every count is computed and no file is written.  Each run holds
 one CountCache: it parses the file at most once, on its first lookup, and
 adds every count the run records to what it parsed, so a change another
-writer makes to the file mid-run is seen by the next run.  A malformed
+writer makes to the file mid-run is seen by the next run.  It makes the
+file's directory once, on its first record, and appends and closes the file
+once per record, so each count is on disk as soon as it is recorded.  A malformed
 line, or a count above #P^4(F_q), is an error, and so are two records that
 give different counts for the same (p, k): never a silent choice.
 """
@@ -50,6 +52,7 @@ class CountCache:
     def __init__(self, path):
         self.path = None if path is None else Path(path)
         self._table = None      # {(p, k): set of counts}, once parsed
+        self._dir_made = False  # its directory, made on the first record
 
     def _counts(self) -> dict:
         if self._table is None:
@@ -74,7 +77,9 @@ def cached_count(cache: CountCache, p: int, k: int) -> int | None:
 
 
 def record_count(cache: CountCache, rec: CountRecord) -> None:
-    cache.path.parent.mkdir(parents=True, exist_ok=True)
+    if not cache._dir_made:
+        cache.path.parent.mkdir(parents=True, exist_ok=True)
+        cache._dir_made = True
     with open(cache.path, "a") as fh:
         fh.write(json.dumps({"p": rec.p, "k": rec.k, "count": rec.count,
                              "algorithm": rec.algorithm, "version": VERSION}) + "\n")

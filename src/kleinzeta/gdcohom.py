@@ -155,11 +155,11 @@ def _times_monomial(m, e):
     return tuple(map(operator.add, m, e))
 
 
-def _ideal_rows(d: int, index: dict):
+def _ideal_rows(mons: list, index: dict):
     """The products m * dS/dx_i spanning the degree-d part of the Jacobian
-    ideal, i outer and m inner, as integer rows over the monomial columns
-    index; a monomial times a term only adds exponent tuples."""
-    mons = monomials_of_degree(d - 2)
+    ideal, i outer and m inner over mons, the monomials of degree d - 2, as
+    integer rows over the monomial columns index; a monomial times a term
+    only adds exponent tuples."""
     for g in jacobian_generators():
         for m in mons:
             yield {index[_times_monomial(m, e)]: c for e, c in g.terms}
@@ -180,10 +180,11 @@ class DegreeData:
         self.monomials = monomials_of_degree(d)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         # tag column len(monomials) + t belongs to generator product t
-        self.generators = [(i, m) for i in range(NVARS) for m in monomials_of_degree(d - 2)]
+        lower = monomials_of_degree(d - 2)
+        self.generators = [(i, m) for i in range(NVARS) for m in lower]
         ech = Echelon()
         tag0 = len(self.monomials)
-        for t, row in enumerate(_ideal_rows(d, self.index)):
+        for t, row in enumerate(_ideal_rows(lower, self.index)):
             row[tag0 + t] = 1
             red, _ = ech.reduce(row)
             if min(red) < tag0:  # a row left with tags only is a syzygy: lifts need none
@@ -421,7 +422,7 @@ def gorenstein_pairing_matrix():
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(5))}
     ech = Echelon()
-    for row in _ideal_rows(5, index):
+    for row in _ideal_rows(monomials_of_degree(3), index):
         ech.append(ech.reduce(row)[0])
     socle = sorted(set(index.values()) - set(ech.pivot_cols))
     if len(socle) != 1:

@@ -28,14 +28,16 @@ cancellation of each orbit x + j/p and the Z_p pattern then follow from
 the rows in closed form.
 
 The scanner never multiplies matrices per tuple.  For each family
-(type, m, n, r) it forms, once and in integers over one power of p, the
-kernels K_y and K'_y with rho-image(y) = U(-s) (K_y + K'_y x) U(t) for y
-in {e1, alpha}; the unipotent factors give every entry in closed form as a
-bilinear integer polynomial in the numerators of s and t.  Each entry is
-then decided by the valuations of its two terms alone (one rule per pair
-and constraint), except in the one row where the two valuations tie and
-membership depends on the unit u: _entry_rule marks that
-row, no marked row survives the meet (the proof is in _Scan.shift_rules),
+(type, m, n, r) it forms, once and in integers, the kernels K_y and K'_y
+with rho-image(y) = U(-s) (K_y + K'_y x) U(t) for y in {e1, alpha}; the
+unipotent factors give every entry in closed form as a bilinear integer
+polynomial in the numerators of s and t.  The kernels stay over the power
+of p their factors give: a common power of p in every term and in the
+shift moves no valuation the rules read, so it is never cancelled.  Each
+entry is then decided by the valuations of its two terms alone (one rule
+per pair and constraint), except in the one row where the two valuations
+tie and membership depends on the unit u: _entry_rule marks that row, no
+marked row survives the meet (the proof is in _Scan.shift_rules),
 and scan_type raises ArithmeticError if one does, so the check fails
 rather than guess.  The entries separate by the shift they read: c depends
 on neither, a on s alone and b on both, and a term's valuation depends
@@ -43,7 +45,10 @@ only on the residue class of the shift numerator it reads (the lemma is
 in _Scan.shift_rules).  So a family meets its c rules once, its a rules
 once per class of s, and its b rules once per class of t for each s whose
 partial meet is not already empty.  Entry d gets no rule: a, b and c of
-both images imply both d constraints (also proved there).
+both images imply both d constraints (also proved there).  A scan counts
+and cancels each distinct row set once, spells s and t from their
+numerators, and forms CosetParams only for the contributing tuples its
+claims read.
 PadicMat2 (integer numerators over one denominator) and rho_act serve the
 stabilizer check and the brute-force route the tests hold the scanner to,
 whose coset_rep, the exact pair (h1, h2) of a parameter tuple, lives in
@@ -339,7 +344,9 @@ class _Scan:
     K_y = p^-r H^-1 (y h2) and K'_y = p^-r (-H^-1 e12) (y h2): the left
     factors depend on m alone and the right ones on n alone, and each is
     formed once.  Every (s, t) then costs a few integer operations on
-    p^shift times the entries.
+    p^shift times the entries.  A common power of p in those integers is
+    harmless: it raises each term's valuation and the shift alike
+    (kernels), so it is never cancelled.
     """
 
     def __init__(self, p: int, ty: str, box: ScanBox):
@@ -355,11 +362,13 @@ class _Scan:
 
     def kernels(self, m: int, n: int, r: int):
         """The numerators of K_e1, K'_e1, K_alpha, K'_alpha and the shift:
-        the kernels are the numerators over p^(shift - 2), shift - 2 >= 0 least.
+        the kernels are the numerators over p^(shift - 2).
 
         The factors are kept as integer numerators over a power of p, one
-        exponent per pair, so the products and p^-r stay in integers and the
-        common power of p is cancelled once, over all 16 numerators."""
+        exponent per pair, so the products and p^-r stay in integers.  The
+        common power of p is left in: scaling every term and the shift by one
+        p^c changes no valuation v_p(f0 + f1 u) - shift and no special residue
+        -u0 u1^-1 mod p (shift_rules), so no rule, meet or verdict reads it."""
         p = self.p
         if m not in self.left:      # H^-1 and -H^-1 e12 = [[0, -a], [0, -c]]
             h = _h1_core(p, self.type, m, 0).inv()
@@ -369,12 +378,8 @@ class _Scan:
             self.right[n] = ((h.c, h.d, 0, 0), (h.a, h.b, -h.c, -h.d)), _val_int(p, h.den) + 1
         (lefts, dl), (rights, dr) = self.left[m], self.right[n]
         f, e = p ** max(-r, 0), dl + dr + max(r, 0)     # p^-r = f / p^max(r, 0)
-        nums = [(f * (a * w + b * y), f * (a * x + b * z), f * (c * w + d * y), f * (c * x + d * z))
-                for w, x, y, z in rights for a, b, c, d in lefts]
-        cancel = min(e, _val_int(p, math.gcd(*(v for kernel in nums for v in kernel))))
-        if cancel:
-            nums = [tuple(v // p ** cancel for v in kernel) for kernel in nums]
-        return nums, e - cancel + 2
+        return [(f * (a * w + b * y), f * (a * x + b * z), f * (c * w + d * y), f * (c * x + d * z))
+                for w, x, y, z in rights for a, b, c, d in lefts], e + 2
 
     def _meet(self, rule, e: int, vals):
         """rule met with the rules of entry e of both images; None once the
@@ -528,14 +533,6 @@ class _Scan:
         return {"zero": zero and not has(-1), "by_val": by_val}
 
 
-def _beta_possible(params: CosetParams) -> bool:
-    """Torus support of the Whittaker newform: diag(a, 1) values vanish off
-    units.  Components carrying the Weyl factor are unconstrained here; a
-    component without it is (scalar) U(x) diag(p^m, 1) or diag(p^n, 1)."""
-    weyl1, weyl2 = _WEYL[params.type]
-    return (weyl1 or params.m == 0) and (weyl2 or params.n == 0)
-
-
 @dataclass
 class ComboResult:
     m: int
@@ -591,23 +588,32 @@ def scan_type(p: int, ty: str, box: ScanBox = ScanBox()) -> ScanReport:
         raise ValueError(f"unknown coset type {ty!r}")
     scan = _Scan(p, ty, box)
     ivals, jvals = _shifts(ty, p)
+    weyl1, weyl2 = _WEYL[ty]
+    nothing = scan.count(False, 0)
+    row_sets = {}       # (zero, bits) -> (count, uncanceled, translation stable)
     scanned, nonempty, contrib_combos = 0, [], []
     for m, n, r in _families(ty, box):
         scanned += len(ivals) * len(jvals)
+        # torus support of the Whittaker newform: diag(a, 1) values vanish off
+        # units, so a component without the Weyl factor, (scalar) U(x)
+        # diag(p^m, 1) or diag(p^n, 1), needs exponent 0
+        beta = (weyl1 or m == 0) and (weyl2 or n == 0)
         for i, j, (zero, bits, marked) in scan.shift_rules(scan.kernels(m, n, r), ivals, jvals):
-            params = CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
-            if bits & marked:
-                rows = [v for k, v in enumerate(scan.vals) if (bits & marked) >> k & 1]
-                raise ArithmeticError(f"{params}: the valuations leave the rows v(x) = {rows} "
-                                      "undecided")
-            survivors = scan.uncanceled(zero, bits)
-            stable = not survivors["zero"] and not any(survivors["by_val"].values())
-            beta = _beta_possible(params)
-            contributing = survivors if beta else scan.count(False, 0)
-            nonempty.append(ComboResult(m, n, r, str(params.s), str(params.t), beta,
-                                        scan.count(zero, bits), contributing, stable))
-            if beta and not stable:
-                contrib_combos.append((params, contributing))
+            if (zero, bits) not in row_sets:
+                survivors = scan.uncanceled(zero, bits)
+                row_sets[zero, bits] = (scan.count(zero, bits), survivors, not survivors["zero"]
+                                        and not any(survivors["by_val"].values()))
+            points, survivors, stable = row_sets[zero, bits]
+            # s = i/p and t = j/p are in lowest terms for 0 < i, j < p
+            nonempty.append(ComboResult(m, n, r, f"{i}/{p}" if i else "0", f"{j}/{p}" if j else "0",
+                                        beta, points, survivors if beta else nothing, stable))
+            if bits & marked or beta and not stable:
+                params = CosetParams(ty, m, n, r, Fraction(i, p), Fraction(j, p))
+                if bits & marked:
+                    rows = [v for k, v in enumerate(scan.vals) if (bits & marked) >> k & 1]
+                    raise ArithmeticError(f"{params}: the valuations leave the rows v(x) = {rows} "
+                                          "undecided")
+                contrib_combos.append((params, survivors))
     # Z_p: x = 0 and every row v >= 0
     zp = scan.count(True, (1 << len(scan.vals)) - (1 << box.x_val_range))
     claims = _evaluate_claims(ty, p, zp, contrib_combos, nonempty)

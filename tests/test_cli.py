@@ -434,6 +434,25 @@ def test_cached_count_parses_once_and_sees_appends(tmp_path, monkeypatch):
         cached_count(CountCache(path), 3, 1)
 
 
+def test_record_count_makes_its_directory_once(tmp_path, monkeypatch):
+    # the first record makes the cache's missing directory and no later one
+    # asks again, while each record is on disk as soon as it is recorded
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    path = tmp_path / "new" / "c.jsonl"
+    cache = CountCache(path)
+    for k, n in ((1, 40), (2, 820), (3, 20440)):
+        record_count(cache, CountRecord(3, k, n, "jacobi-weil"))
+        assert cached_count(CountCache(path), 3, k) == n
+    assert made == [path.parent]
+
+
 @pytest.mark.parametrize("argv", [["count", "--p", "3", "--k", "1"],
                                   ["trace-sweep", "--max", "5"],
                                   ["verify-l3"]],

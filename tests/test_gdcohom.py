@@ -55,6 +55,21 @@ def test_degree_one_complement_is_all_variables():
     assert degree_data(1).complement == monomials_of_degree(1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_degree_data_lists_each_degree_once(d, monkeypatch):
+    # DegreeData(d) enumerates the monomials of degree d and of degree d - 2
+    # once each; the generator tags and the ideal rows share the second list
+    from kleinzeta import gdcohom
+
+    listed = []
+    enumerate_monomials = gdcohom.monomials_of_degree
+    monkeypatch.setattr(gdcohom, "monomials_of_degree",
+                        lambda e: listed.append(e) or enumerate_monomials(e))
+    data = gdcohom.DegreeData(d)
+    assert sorted(listed) == [d - 2, d]
+    assert data.complement == degree_data(d).complement
+
+
 def test_lift_examples():
     gens = jacobian_generators()
     A = times(monomial((2, 0, 0, 0, 0)), gens[0])

@@ -360,9 +360,10 @@ def test_family_kernels_match_coset_rep(p):
             scale = Fraction(p) ** (shift - 2)
             got = [tuple(Fraction(x) / scale for x in k) for k in kernels]
             assert got == [entries(K) for K in exact], (ty, m, n, r)
-            # the least power of p clears the denominators
-            denominators = {f.denominator for K in exact for f in entries(K)}
-            assert max(denominators) == scale
+            # the kernels keep the power of p they are formed over, which
+            # clears every denominator but need not be the least one that does
+            assert shift >= 2 and all(type(x) is int for k in kernels for x in k)
+            assert all(p ** (shift - 2) % f.denominator == 0 for K in exact for f in entries(K))
         assert len(scan.left) <= 2 * box.radius + 1 and len(scan.right) <= 2 * box.radius + 1
 
 
@@ -551,6 +552,60 @@ def test_default_scans_entry_rule_count(monkeypatch):
         scan_type(11, ty, ScanBox())
     assert d_constraints
     assert 0 < calls <= 160
+
+
+def test_default_scans_build_bookkeeping_only_where_it_is_read(monkeypatch):
+    # operation-count guard: the four default p = 11 scans construct a
+    # CosetParams only for the 12 contributing combos that the claims read
+    # (one per in-support combo built 60), and call uncanceled once per
+    # distinct row set (zero, bits) of a scan, 10 in all (once per combo
+    # called it 60 times)
+    built, row_sets = [], []
+    params, uncanceled = thetasupp.CosetParams, thetasupp._Scan.uncanceled
+
+    def counted_params(*args):
+        built.append(args)
+        return params(*args)
+
+    def counted_uncanceled(self, zero, bits):
+        row_sets.append((self.type, zero, bits))
+        return uncanceled(self, zero, bits)
+
+    monkeypatch.setattr(thetasupp, "CosetParams", counted_params)
+    monkeypatch.setattr(thetasupp._Scan, "uncanceled", counted_uncanceled)
+    contributing = distinct = 0
+    for ty in COSET_TYPES:
+        rep = scan_type(11, ty, ScanBox())
+        assert rep.status == "certified"
+        contributing += sum(c.beta_possible and not c.support_translation_stable
+                            for c in rep.nonempty)
+        distinct += len({json.dumps(c.in_support, sort_keys=True) for c in rep.nonempty})
+    assert len(built) == contributing == 12
+    assert len(row_sets) == len(set(row_sets)) == distinct == 10
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_shift_rules_ignore_a_common_power_of_p(p):
+    # the kernels are left over the power of p they are formed with: scaling
+    # every term by p^c and raising the shift by c changes no valuation
+    # v_p(f0 + f1 u) - shift and no special residue -u0 u1^-1 mod p, so the
+    # live list of every family of every type is the same
+    from kleinzeta.thetasupp import _families, _Scan, _shifts
+
+    box = ScanBox()
+    live = 0
+    for ty in COSET_TYPES:
+        scan = _Scan(p, ty, box)
+        ivals, jvals = _shifts(ty, p)
+        for m, n, r in _families(ty, box):
+            kernels, shift = scan.kernels(m, n, r)
+            got = scan.shift_rules((kernels, shift), ivals, jvals)
+            for c in (1, 2):
+                scaled = [tuple(x * p ** c for x in k) for k in kernels]
+                assert _Scan(p, ty, box).shift_rules((scaled, shift + c), ivals, jvals) == got, \
+                    (ty, m, n, r, c)
+            live += len(got)
+    assert live > 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
