@@ -1,18 +1,15 @@
 """Batch verification harness and report emission.
 
-Subcommands:
-  count         one Klein-cubic point count
-  verify-l3     the flagship degree-10 identity at p = 3 (counting route
-                vs the pinned factorization vs the CM product route)
-  trace-sweep   counts against the trace prediction for good primes <= B
-  hecke-table   CSV of split data / coefficients / character logs
-  cohomology    middle-cohomology dimensions, rotation eigenspaces, pairing
-  theta-support coset scan certificates and local cancellation checks
-  report        run everything and write one JSON report
+Every subcommand is one entry of one table, COMMANDS: its help text, its
+flags (read by parse_args and listed by --help) and its runner.  main
+parses the command line, builds the report (and, for the subcommands that
+count, the count cache), calls the runner, and writes the check table and,
+with --json, the JSON report.  A runner adds its checks to the report and
+returns the payload it adds to the JSON (the cohomology summary, the theta
+certificates), or None.  `report`'s runner calls the other runners in turn
+on one cache, and adds two checks of its own.  The counting subcommands
+read and append a count cache only with --cache.
 
-The counting subcommands read and append a count cache only with --cache.
-
-The flags of each subcommand are one table, COMMANDS, read by parse_args.
 A flag is its exact name (no abbreviations), given as `--flag value` or
 `--flag=value`; a repeated flag keeps its last value.  `kleinzeta --help`
 lists every subcommand with its flags, `kleinzeta CMD --help` one of them.
@@ -135,12 +132,18 @@ def run_count(report: VerificationReport, cache: cachemod.CountCache, p: int, k:
     return None if error else n
 
 
+def _count(report: VerificationReport, args: dict, cache: cachemod.CountCache):
+    n = run_count(report, cache, args["p"], args["k"])
+    if n is not None:
+        print(f"#X(P^4(F_{args['p']}^{args['k']})) = {n}")
+
+
 def _counting_route(cache: cachemod.CountCache) -> lfunc.LocalFactor:
     counts = [cachemod.count_with_cache(cache, 3, k)[0] for k in range(1, 6)]
     return lfunc.power_sums_to_local_factor(lfunc.counts_to_power_sums(counts, 3))
 
 
-def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
+def run_verify_l3(report: VerificationReport, args: dict, cache: cachemod.CountCache):
     target = list(reference_degree10_at_3().coeffs)
     L_counting, error, dt = report.run(_counting_route, cache)
     actual = error or list(L_counting.coeffs)
@@ -152,18 +155,17 @@ def run_verify_l3(report: VerificationReport, cache: cachemod.CountCache):
         report.add("l3-purity", False, expected, "no counting-route factor", inconclusive=True)
     else:
         report.check("l3-purity", expected, lfunc.weil_bound_check, L_counting, ok=bool)
-    return L_counting
 
 
-def run_trace_sweep(report: VerificationReport, cache: cachemod.CountCache, max_p: int):
-    for p in hecke.primes_up_to(max_p):
+def run_trace_sweep(report: VerificationReport, args: dict, cache: cachemod.CountCache):
+    for p in hecke.primes_up_to(args["max"]):
         if p != lfunc.BAD_PRIME:
             run_count(report, cache, p, 1, f"trace-p{p}")
 
 
-def run_hecke_table(report: VerificationReport, max_p: int, out_path):
-    report.check("hecke-table", f"rows for primes <= {max_p}", hecke.write_hecke_csv,
-                 out_path, max_p, ok=lambda nrows: nrows > 0)
+def _hecke_table(report: VerificationReport, args: dict, cache):
+    report.check("hecke-table", f"rows for primes <= {args['max']}", hecke.write_hecke_csv,
+                 args["out"], args["max"], ok=lambda nrows: nrows > 0)
 
 
 def _cm_structure(max_p: int) -> bool:
@@ -176,13 +178,8 @@ def _cm_structure(max_p: int) -> bool:
     return ok
 
 
-def run_cm_structure(report: VerificationReport, max_p: int):
-    report.check(f"cm-structure-to-{max_p}", "dichotomy, Hasse, curve agreement",
-                 _cm_structure, max_p, ok=bool)
-
-
-def run_cohomology(report: VerificationReport):
-    """The six cohomology checks and the report's cohomology block.
+def run_cohomology(report: VerificationReport, args: dict, cache):
+    """The six cohomology checks, and the report's cohomology block.
 
     A stage runs only when the stages it needs succeeded: the basis, then
     the rotation matrix and its eigenspace split, then (when the rotation's
@@ -245,13 +242,18 @@ def run_cohomology(report: VerificationReport):
         first=False)
     add("cohomology-fil2-intersections", (1, 1, 1, 1, 1), "fil2_intersections", "fourier")
     add("cohomology-gorenstein", True, "gorenstein_pairing_nondegenerate", "gorenstein")
-    return summary
+    return {"cohomology": summary}
 
 
-def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox,
-                      types=("I", "II", "III", "IV")):
+def run_theta_support(report: VerificationReport, args: dict, cache):
+    """The theta checks at args["p"], and the report's certificates block.
+    The coset scans run in the box of radius R = args["box"], and their
+    x-window widens with it, so that every row |v(x)| <= R of a family is
+    scanned; it never narrows below the default 4."""
+    p, R = args["p"], args["box"]
+    box = thetasupp.ScanBox(radius=R, x_val_range=max(R, 4))
     certificates = {}
-    for ty in types:
+    for ty in thetasupp.COSET_TYPES if args["type"] == "all" else (args["type"],):
         rep, error, dt = report.run(thetasupp.scan_type, p, ty, box)
         certificates[ty] = rep and rep.to_dict()
         status = error or rep.status
@@ -264,30 +266,45 @@ def run_theta_support(report: VerificationReport, p: int, box: thetasupp.ScanBox
     report.check("theta-archimedean-equivariance",
                  "no residual at either rotation generator (exact)",
                  thetasupp.archimedean_equivariance, ok=lambda residuals: not residuals)
-    return certificates
+    return {"certificates": certificates}
+
+
+def _report(report: VerificationReport, args: dict, cache: cachemod.CountCache):
+    run_verify_l3(report, args, cache)
+    run_trace_sweep(report, args, cache)
+    report.check("fermat-cover", True, counting.verify_fermat_cover)
+    report.check("cm-structure-to-200", "dichotomy, Hasse, curve agreement", _cm_structure, 200,
+                 ok=bool)
+    run_cohomology(report, args, cache)
+    return run_theta_support(report, {"p": 11, "box": 4, "type": "all"}, cache)
 
 
 # ---------------------------------------------------------------------------
 # command line
 
-# subcommand -> (help, {flag: (type, default, help)}); the type is int, str or
-# a tuple of choices, and a default of ... marks a required flag
+# subcommand -> (help, {flag: (type, default, help)}, runner); the type is int,
+# str or a tuple of choices, and a default of ... marks a required flag.
+# runner(report, args, cache) adds the checks and returns the JSON payload it
+# adds, or None; cache is None for a subcommand without --cache.
 _CACHE = (str, None, "count cache file (JSONL); none if omitted")
 _JSON = (str, None, "write the report as JSON to this path")
 COMMANDS = {
     "count": ("count points over F_{p^k}",
-              {"p": (int, ..., ""), "k": (int, 1, ""), "cache": _CACHE, "json": _JSON}),
-    "verify-l3": ("flagship degree-10 identity at p = 3", {"cache": _CACHE, "json": _JSON}),
+              {"p": (int, ..., ""), "k": (int, 1, ""), "cache": _CACHE, "json": _JSON}, _count),
+    "verify-l3": ("flagship degree-10 identity at p = 3", {"cache": _CACHE, "json": _JSON},
+                  run_verify_l3),
     "trace-sweep": ("count vs trace prediction for good p <= B",
-                    {"max": (int, 100, ""), "cache": _CACHE, "json": _JSON}),
+                    {"max": (int, 100, ""), "cache": _CACHE, "json": _JSON}, run_trace_sweep),
     "hecke-table": ("write the coefficient table as CSV",
-                    {"max": (int, 200, ""), "out": (str, ..., ""), "json": _JSON}),
-    "cohomology": ("middle-cohomology verification summary", {"json": _JSON}),
+                    {"max": (int, 200, ""), "out": (str, ..., ""), "json": _JSON}, _hecke_table),
+    "cohomology": ("middle-cohomology verification summary", {"json": _JSON}, run_cohomology),
     "theta-support": ("coset support scan certificates",
                       {"p": (int, 11, ""), "box": (int, 4, "|m|,|n|,|r| radius"),
-                       "type": (("I", "II", "III", "IV", "all"), "all", ""), "json": _JSON}),
+                       "type": ((*thetasupp.COSET_TYPES, "all"), "all", ""), "json": _JSON},
+                      run_theta_support),
     "report": ("run the full battery",
-               {"max": (int, 100, "trace-sweep prime bound"), "cache": _CACHE, "json": _JSON}),
+               {"max": (int, 100, "trace-sweep prime bound"), "cache": _CACHE, "json": _JSON},
+               _report),
 }
 
 
@@ -295,7 +312,7 @@ def _help(commands) -> str:
     lines = ["usage: kleinzeta COMMAND [--FLAG VALUE | --FLAG=VALUE ...]", "",
              "desk-scale zeta verification for the Klein cubic"]
     for command in commands:
-        text, flags = COMMANDS[command]
+        text, flags, _ = COMMANDS[command]
         lines += ["", f"{command:<15}{text}"]
         for flag, (kind, default, note) in flags.items():
             value = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
@@ -343,7 +360,9 @@ def parse_args(argv) -> tuple:
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"argument --{flag}: invalid choice: {value!r} "
                              f"(choose from {', '.join(kind)})")
-        if kind is int and not all(map(str.isdecimal, value.strip().lstrip("+-").split("_"))):
+        digits = value.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits     # int() takes one sign
+        if kind is int and not all(map(str.isdecimal, digits.split("_"))):
             raise ValueError(f"argument --{flag}: invalid int value: {value!r}")
         args[flag] = int(value) if kind is int else value
     missing = [f"--{flag}" for flag, value in args.items() if value is ...]
@@ -385,39 +404,8 @@ def main(argv=None) -> int:
             if args["max"] >= past:
                 raise ValueError(f"--max {args['max']} reaches the prime {past}, past the "
                                  f"field limit {LOG_TABLE_MAX_Q}; use --max < {past}")
-        if "cache" in args:     # the subcommands that count
-            cache = cachemod.CountCache(args["cache"])
-        if command == "count":
-            n = run_count(report, cache, args["p"], args["k"])
-            if n is not None:
-                print(f"#X(P^4(F_{args['p']}^{args['k']})) = {n}")
-            return _finish(report, args["json"])
-        if command == "verify-l3":
-            run_verify_l3(report, cache)
-            return _finish(report, args["json"])
-        if command == "trace-sweep":
-            run_trace_sweep(report, cache, args["max"])
-            return _finish(report, args["json"])
-        if command == "hecke-table":
-            run_hecke_table(report, args["max"], args["out"])
-            return _finish(report, args["json"])
-        if command == "cohomology":
-            summary = run_cohomology(report)
-            return _finish(report, args["json"], {"cohomology": summary})
-        if command == "theta-support":
-            types = ("I", "II", "III", "IV") if args["type"] == "all" else (args["type"],)
-            certs = run_theta_support(report, args["p"], thetasupp.ScanBox(radius=args["box"]),
-                                      types=types)
-            return _finish(report, args["json"], {"certificates": certs})
-        if command == "report":
-            run_verify_l3(report, cache)
-            run_trace_sweep(report, cache, args["max"])
-            report.check("fermat-cover", True, counting.verify_fermat_cover)
-            run_cm_structure(report, 200)
-            run_cohomology(report)
-            certs = run_theta_support(report, 11, thetasupp.ScanBox())
-            return _finish(report, args["json"], {"certificates": certs})
-        raise ValueError(f"unhandled command {command}")
+        cache = cachemod.CountCache(args["cache"]) if "cache" in args else None
+        return _finish(report, args["json"], COMMANDS[command][2](report, args, cache))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

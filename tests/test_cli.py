@@ -89,7 +89,9 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     (["count", "--p", "three", "--json", "r.json"], "argument --p: invalid int value: 'three'"),
     (["count", "--p", "3", "--k=2.5", "--json", "r.json"],
      "argument --k: invalid int value: '2.5'"),
-    (["count", "--p", "3", "--k", "+-2", "--json", "r.json"], "invalid literal for int()"),
+    (["count", "--p", "3", "--k", "+-2", "--json", "r.json"],
+     "argument --k: invalid int value: '+-2'"),
+    (["count", "--p=-+3", "--json", "r.json"], "argument --p: invalid int value: '-+3'"),
     (["count", "--p", "1__0", "--json", "r.json"], "argument --p: invalid int value: '1__0'"),
     (["count", "--p", "_1", "--json", "r.json"], "argument --p: invalid int value: '_1'"),
     (["count", "--p", "1_", "--json", "r.json"], "argument --p: invalid int value: '1_'"),
@@ -97,7 +99,8 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     (["theta-support", "--type=iv", "--json", "t.json"], "argument --type: invalid choice: 'iv'"),
 ], ids=["no-command", "unknown-command", "flag-before-command", "unknown-flag",
         "abbreviated-flag", "single-dash-flag", "no-value", "flag-as-value", "missing-p",
-        "missing-out", "bad-int", "bad-int-equals", "bad-int-signs", "bad-int-double-underscore",
+        "missing-out", "bad-int", "bad-int-equals", "bad-int-signs", "bad-int-signs-equals",
+        "bad-int-double-underscore",
         "bad-int-leading-underscore", "bad-int-trailing-underscore", "bad-type",
         "bad-type-equals"])
 def test_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
@@ -727,6 +730,17 @@ def test_theta_support_negative_box_is_a_usage_error(monkeypatch, tmp_path, caps
     assert run(["theta-support", "--box", "-1", "--type", ty, "--json", "t.json"]) == 2
     assert "scan box bounds must be >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_theta_support_box_widens_the_x_window(tmp_path):
+    # --box 5 scans the rows |v(x)| <= 5: family (-5, -5, 0) of type I has
+    # row -5 in its support, which the default window of 4 would drop
+    out = tmp_path / "t.json"
+    assert run(["theta-support", "--box", "5", "--type", "I", "--json", str(out)]) == 0
+    cert = json.loads(out.read_text())["certificates"]["I"]
+    assert cert["box"] == {"radius": 5, "x_val_range": 5, "x_res_exponent": 3}
+    [family] = [c for c in cert["nonempty_support"] if (c["m"], c["n"], c["r"]) == (-5, -5, 0)]
+    assert family["in_support"]["by_val"]["-5"] > 0
 
 
 def test_theta_support_past_p_31_certifies(tmp_path):

@@ -2,7 +2,8 @@
 
 A fresh interpreter imports `kleinzeta.cli` under `sys.setprofile` and runs
 `report --max 2` twice on one cache (cold, then warm with `--json`),
-`hecke-table --max 30` and `--help`.  Each function entered is recorded by
+`hecke-table --max 30`, `count`, `theta-support` and `--help`, so that it
+enters the runner of every subcommand.  Each function entered is recorded by
 its file and first line; the test then requires that every `def` under
 `src/kleinzeta` was entered.  A function that only tests reach belongs in
 `tests/`, and one that nothing reaches belongs nowhere.
@@ -25,6 +26,8 @@ RUNS = [
     ["report", "--max", "2", "--cache", "c.jsonl"],
     ["report", "--max", "2", "--cache", "c.jsonl", "--json", "r.json"],
     ["hecke-table", "--max", "30", "--out", "t.csv"],
+    ["count", "--p", "3", "--k", "2"],
+    ["theta-support", "--type", "I"],
     ["--help"],
 ]
 
