@@ -247,11 +247,10 @@ def run_cohomology(report: VerificationReport, args: dict, cache):
 
 def run_theta_support(report: VerificationReport, args: dict, cache):
     """The theta checks at args["p"], and the report's certificates block.
-    The coset scans run in the box of radius R = args["box"], and their
-    x-window widens with it, so that every row |v(x)| <= R of a family is
-    scanned; it never narrows below the default 4."""
-    p, R = args["p"], args["box"]
-    box = thetasupp.ScanBox(radius=R, x_val_range=max(R, 4))
+    The coset scans run in the box of radius args["box"], with the x-window
+    ScanBox gives that radius."""
+    p = args["p"]
+    box = thetasupp.ScanBox(radius=args["box"])
     certificates = {}
     for ty in thetasupp.COSET_TYPES if args["type"] == "all" else (args["type"],):
         rep, error, dt = report.run(thetasupp.scan_type, p, ty, box)

@@ -126,8 +126,8 @@ class CycPoly:
                              for e, c in self.terms}, self.degree)
 
 
-def monomial(exps, coeff=Fraction(1)) -> CycPoly:
-    return CycPoly.make({tuple(exps): coeff})
+def monomial(exps) -> CycPoly:
+    return CycPoly.make({tuple(exps): 1})
 
 
 def klein_form() -> CycPoly:

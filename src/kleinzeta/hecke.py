@@ -66,12 +66,6 @@ def ap_f(p: int) -> int:
     return a if a * INV2_MOD_11 % 11 in SPLIT_RESIDUES else -a
 
 
-def ap_g(p: int) -> int:
-    """Weight-4 coefficient: pi^3 + pibar^3 = a^3 - 3*p*a with a = ap_f."""
-    a = ap_f(p)
-    return a ** 3 - 3 * p * a
-
-
 def chi_dlog(n: int) -> int | None:
     """Discrete log base 2 of n mod 11, or None when 11 | n."""
     r = n % 11
@@ -156,6 +150,8 @@ class HeckeRecord:
             raise ArithmeticError("CM vanishing broken")
         if self.ap_f * self.ap_f > 4 * self.p:
             raise ArithmeticError("Hasse bound broken")
+        # ap_g = satake_power_sum(p, 3), from the recurrence, against the
+        # closed form pi^3 + pibar^3 = a^3 - 3 p a
         if self.ap_g != self.ap_f ** 3 - 3 * self.p * self.ap_f:
             raise ArithmeticError("weight-4 identity broken")
 
@@ -163,7 +159,7 @@ class HeckeRecord:
 def hecke_record(p: int) -> HeckeRecord:
     st = split_type(p)
     a, b = solve_norm_form(p) if st == "split" else (0, 0)
-    return HeckeRecord(p, st, a, b, ap_f(p), ap_g(p), chi_dlog(p))
+    return HeckeRecord(p, st, a, b, ap_f(p), satake_power_sum(p, 3), chi_dlog(p))
 
 
 def primes_up_to(bound: int) -> list:

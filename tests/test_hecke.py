@@ -2,7 +2,7 @@ import pytest
 
 from kleinzeta.counting import CM_CURVE, count_weierstrass
 from kleinzeta.ffield import is_prime
-from kleinzeta.hecke import (HeckeRecord, ap_f, ap_g, character_twist_sum, chi_dlog,
+from kleinzeta.hecke import (HeckeRecord, ap_f, character_twist_sum, chi_dlog,
                              h3_local_factor_product, hecke_record, hecke_table,
                              predicted_count, predicted_power_sum, primes_up_to,
                              satake_power_sum, solve_norm_form, split_type,
@@ -88,9 +88,9 @@ def test_ap_f_examples():
 
 
 def test_ap_g_examples():
-    assert ap_g(3) == 8
-    assert ap_g(2) == 0
-    assert ap_g(5) == 18
+    assert satake_power_sum(3, 3) == 8
+    assert satake_power_sum(2, 3) == 0
+    assert satake_power_sum(5, 3) == 18
 
 
 def test_chi_examples():

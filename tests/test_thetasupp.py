@@ -8,18 +8,25 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import thetasupp
-from kleinzeta.thetasupp import (COSET_TYPES, CosetParams, PadicMat2, ScanBox, alpha_matrix,
+from kleinzeta.thetasupp import (COSET_TYPES, PadicMat2, ScanBox, alpha_matrix,
                                  archimedean_equivariance, char_sum, default_invariance_probes,
-                                 e1_matrix, in_lattice, in_support_pair, lev_support, rho_act,
-                                 scan_type, stabilizer_invariance_check)
+                                 default_invariance_samples, e1_matrix, in_lattice,
+                                 in_support_pair, lev_support, rho_act, scan_type,
+                                 stabilizer_invariance_check)
 
 import shift_loop
-from brute_rho import coset_rep
+from brute_rho import CosetParams, coset_rep
 
 
 def entries(M):
     """The four entries of a PadicMat2 as Fractions, row major."""
     return tuple(Fraction(e, M.den) for e in (M.a, M.b, M.c, M.d))
+
+
+def det(M):
+    """The determinant of a PadicMat2, from its entries."""
+    a, b, c, d = entries(M)
+    return a * d - b * c
 
 
 def val_p(p, f):
@@ -57,7 +64,7 @@ def test_rho_is_right_action():
         while True:
             m = PadicMat2.of(*[Fraction(rng.randint(-4, 4), rng.choice([1, p]))
                                for _ in range(4)])
-            if m.det() != 0:
+            if det(m) != 0:
                 return m
 
     x = PadicMat2.of(1, Fraction(1, p), 2, 3)
@@ -101,16 +108,16 @@ def test_padicmat2_arithmetic_matches_fraction_formulas():
     for x in samples:
         X = PadicMat2.of(*x)
         canonical(X, x)
-        det = x[0] * x[3] - x[1] * x[2]
-        assert X.det() == det
-        signs.add((det > 0) - (det < 0))
+        dx = x[0] * x[3] - x[1] * x[2]
+        assert det(X) == dx
+        signs.add((dx > 0) - (dx < 0))
         for f in (Fraction(0), Fraction(-1), rnd_entry()):
             canonical(X.scale(f), [e * f for e in x])
-        if det == 0:
+        if dx == 0:
             with pytest.raises(ZeroDivisionError):
                 X.inv()
         else:
-            canonical(X.inv(), [x[3] / det, -x[1] / det, -x[2] / det, x[0] / det])
+            canonical(X.inv(), [x[3] / dx, -x[1] / dx, -x[2] / dx, x[0] / dx])
         y = rng.choice(samples)
         canonical(X * PadicMat2.of(*y), [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
                                          x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]])
@@ -328,7 +335,7 @@ def test_entry_d_is_implied_on_the_bruteforce_route():
         x1 = rho_act(h1, h2, e1_matrix(p))
         x2 = rho_act(h1, h2, alpha_matrix(p))
         assert x1 == x2 * (h2.inv() * e12 * h2)
-        assert h1.det() == h2.det()
+        assert det(h1) == det(h2)
         L1, L2 = lev_support(p)
         cons = L1.constraints + L2.constraints
         v = [val_p(p, f) for f in entries(x1) + entries(x2)]
@@ -555,23 +562,16 @@ def test_default_scans_entry_rule_count(monkeypatch):
 
 
 def test_default_scans_build_bookkeeping_only_where_it_is_read(monkeypatch):
-    # operation-count guard: the four default p = 11 scans construct a
-    # CosetParams only for the 12 contributing combos that the claims read
-    # (one per in-support combo built 60), and call uncanceled once per
-    # distinct row set (zero, bits) of a scan, 10 in all (once per combo
-    # called it 60 times)
-    built, row_sets = [], []
-    params, uncanceled = thetasupp.CosetParams, thetasupp._Scan.uncanceled
-
-    def counted_params(*args):
-        built.append(args)
-        return params(*args)
+    # operation-count guard: the four default p = 11 scans have 12
+    # contributing combos, and call uncanceled once per distinct row set
+    # (zero, bits) of a scan, 10 in all (once per combo called it 60 times)
+    row_sets = []
+    uncanceled = thetasupp._Scan.uncanceled
 
     def counted_uncanceled(self, zero, bits):
         row_sets.append((self.type, zero, bits))
         return uncanceled(self, zero, bits)
 
-    monkeypatch.setattr(thetasupp, "CosetParams", counted_params)
     monkeypatch.setattr(thetasupp._Scan, "uncanceled", counted_uncanceled)
     contributing = distinct = 0
     for ty in COSET_TYPES:
@@ -580,7 +580,7 @@ def test_default_scans_build_bookkeeping_only_where_it_is_read(monkeypatch):
         contributing += sum(c.beta_possible and not c.support_translation_stable
                             for c in rep.nonempty)
         distinct += len({json.dumps(c.in_support, sort_keys=True) for c in rep.nonempty})
-    assert len(built) == contributing == 12
+    assert contributing == 12
     assert len(row_sets) == len(set(row_sets)) == distinct == 10
 
 
@@ -706,6 +706,14 @@ def test_scan_box_rejects_negative_bounds(field):
         ScanBox(**{field: -1})
 
 
+def test_scan_box_x_window_defaults_to_the_radius_or_four():
+    # the x-window holds the rows v(x) >= -k of every in-support family
+    # (-k, -k, 0) with k <= radius, and never narrows below 4
+    for R in range(7):
+        assert ScanBox(radius=R).x_val_range == max(R, 4)
+        assert ScanBox(radius=R, x_val_range=2).x_val_range == 2
+
+
 @pytest.mark.parametrize("ty", ["I", "IV"])
 @pytest.mark.parametrize("radius", [0, 1])
 def test_scan_tiny_box_stays_inconclusive(radius, ty):
@@ -755,16 +763,18 @@ def test_stabilizer_tests_each_probe_once_before_the_action(monkeypatch):
     assert calls[:len(probes)] == probes
 
 
-def test_stabilizer_invariance_rejects_bad_samples(monkeypatch):
-    p = 11
-    bad = (PadicMat2.of(1, 0, p, 1), PadicMat2.identity())  # only level p
-    monkeypatch.setattr(thetasupp, "default_invariance_samples", lambda p: [bad])
-    with pytest.raises(ValueError):
-        stabilizer_invariance_check(p)
-    unequal = (PadicMat2.of(1, 0, 0, 2), PadicMat2.identity())
-    monkeypatch.setattr(thetasupp, "default_invariance_samples", lambda p: [unequal])
-    with pytest.raises(ValueError):
-        stabilizer_invariance_check(p)
+def test_invariance_samples_lie_in_gamma0_p2_with_equal_determinants():
+    # what stabilizer_invariance_check assumes of its samples and does not
+    # check at run time: integer entries, a lower-left entry divisible by
+    # p^2, and one determinant per pair, which is 1, 2 or 2 - p^2, a unit
+    # at every odd p
+    from kleinzeta.ffield import is_prime
+
+    for p in filter(is_prime, range(3, 200)):
+        for g1, g2 in default_invariance_samples(p):
+            assert det(g1) == det(g2) in (1, 2, 2 - p * p), (p, g1, g2)
+            for g in (g1, g2):
+                assert g.den == 1 and g.c % (p * p) == 0 and det(g) % p != 0, (p, g)
 
 
 def test_level_p_conjugation_moves_the_support():
