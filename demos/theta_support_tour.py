@@ -33,7 +33,7 @@ for v in range(0, 5):
     val = char_sum(P, v)
     print(f"  v = {v}:", "1" if v == 0 else ("0" if not any(val) else str(val)))
 
-print("\nsupport stability under sampled Gamma_0(p^2)^2 pairs:",
+print("\nsupport stability under all of Gamma_0(p^2)^2, by valuations:",
       stabilizer_invariance_check(P))
 
 residuals = archimedean_equivariance()

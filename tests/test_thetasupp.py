@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 from kleinzeta import thetasupp
-from kleinzeta.thetasupp import (COSET_TYPES, PadicMat2, ScanBox, alpha_matrix,
-                                 archimedean_equivariance, char_sum, default_invariance_probes,
-                                 default_invariance_samples, e1_matrix, in_lattice,
-                                 in_support_pair, lev_support, rho_act, scan_type,
-                                 stabilizer_invariance_check)
+from kleinzeta.thetasupp import (COSET_TYPES, PadicMat2, ScanBox, archimedean_equivariance,
+                                 char_sum, lev_support, scan_type, stabilizer_invariance_check)
 
+import brute_rho
 import shift_loop
-from brute_rho import CosetParams, coset_rep
+from brute_rho import (IDENTITY, CosetParams, alpha_matrix, coset_rep, default_invariance_probes,
+                       default_invariance_samples, e1_matrix, in_lattice, in_support_pair, mat,
+                       rho_act, scale, upper)
 
 
 def entries(M):
@@ -52,7 +52,7 @@ def test_val_p():
 def test_rho_identity_action():
     p = 11
     e1 = e1_matrix(p)
-    I = PadicMat2.identity()
+    I = IDENTITY
     assert rho_act(I, I, e1) == e1
 
 
@@ -62,12 +62,11 @@ def test_rho_is_right_action():
 
     def rnd():
         while True:
-            m = PadicMat2.of(*[Fraction(rng.randint(-4, 4), rng.choice([1, p]))
-                               for _ in range(4)])
+            m = mat(*[Fraction(rng.randint(-4, 4), rng.choice([1, p])) for _ in range(4)])
             if det(m) != 0:
                 return m
 
-    x = PadicMat2.of(1, Fraction(1, p), 2, 3)
+    x = mat(1, Fraction(1, p), 2, 3)
     for _ in range(20):
         h1, h2, g1, g2 = rnd(), rnd(), rnd(), rnd()
         lhs = rho_act(h1 * g1, h2 * g2, x)
@@ -77,9 +76,9 @@ def test_rho_is_right_action():
 
 def test_rho_singular_raises():
     p = 3
-    sing = PadicMat2.of(1, 2, 2, 4)
+    sing = mat(1, 2, 2, 4)
     with pytest.raises(ZeroDivisionError):
-        rho_act(sing, PadicMat2.identity(), e1_matrix(p))
+        rho_act(sing, IDENTITY, e1_matrix(p))
 
 
 def test_padicmat2_arithmetic_matches_fraction_formulas():
@@ -106,23 +105,23 @@ def test_padicmat2_arithmetic_matches_fraction_formulas():
     samples.append([Fraction(0)] * 4)
     signs = set()
     for x in samples:
-        X = PadicMat2.of(*x)
+        X = mat(*x)
         canonical(X, x)
         dx = x[0] * x[3] - x[1] * x[2]
         assert det(X) == dx
         signs.add((dx > 0) - (dx < 0))
         for f in (Fraction(0), Fraction(-1), rnd_entry()):
-            canonical(X.scale(f), [e * f for e in x])
+            canonical(scale(X, f), [e * f for e in x])
         if dx == 0:
             with pytest.raises(ZeroDivisionError):
                 X.inv()
         else:
             canonical(X.inv(), [x[3] / dx, -x[1] / dx, -x[2] / dx, x[0] / dx])
         y = rng.choice(samples)
-        canonical(X * PadicMat2.of(*y), [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-                                         x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]])
+        canonical(X * mat(*y), [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]])
     assert signs == {-1, 0, 1}
-    zero = PadicMat2.of(0, 0, 0, 0)
+    zero = mat(0, 0, 0, 0)
     assert zero == PadicMat2(0, 0, 0, 0, -7) and zero.den == 1
     with pytest.raises(ZeroDivisionError):
         PadicMat2(1, 0, 0, 1, 0)
@@ -131,9 +130,9 @@ def test_padicmat2_arithmetic_matches_fraction_formulas():
 @pytest.mark.parametrize("bad", [0.1, 1.0, Decimal("0.5"), "1"])
 def test_padicmat2_takes_only_ints_and_fractions(bad):
     with pytest.raises(TypeError):
-        PadicMat2.of(bad, 0, 0, 1)
+        mat(bad, 0, 0, 1)
     with pytest.raises(TypeError):
-        PadicMat2.identity().scale(bad)
+        scale(IDENTITY, bad)
     with pytest.raises(TypeError):
         PadicMat2(bad, 0, 0, 1)
 
@@ -146,16 +145,15 @@ def test_type_one_rho_image_closed_form():
         img_e = rho_act(h1, h2, e1_matrix(p))
         img_a = rho_act(h1, h2, alpha_matrix(p))
         P = Fraction(p)
-        assert img_e == PadicMat2.of(0, P ** (-1 - m - r), 0, 0)
-        assert img_a == PadicMat2.of(P ** (-1 - m + n - r), P ** (-1 - m - r) * x,
-                                  0, -(P ** (-1 - r)))
+        assert img_e == mat(0, P ** (-1 - m - r), 0, 0)
+        assert img_a == mat(P ** (-1 - m + n - r), P ** (-1 - m - r) * x, 0, -(P ** (-1 - r)))
 
 
 def test_stabilizer_fixes_the_pair():
     p = 11
     for x in (Fraction(0), Fraction(2), Fraction(1, 1)):
-        g1 = PadicMat2.of(1, x, 0, 1)
-        g2 = PadicMat2.of(1, -x, 0, 1)
+        g1 = mat(1, x, 0, 1)
+        g2 = mat(1, -x, 0, 1)
         assert rho_act(g1, g2, e1_matrix(p)) == e1_matrix(p)
         assert rho_act(g1, g2, alpha_matrix(p)) == alpha_matrix(p)
 
@@ -163,10 +161,10 @@ def test_stabilizer_fixes_the_pair():
 def test_in_lattice_examples():
     p = 11
     L1, L2 = lev_support(p)
-    assert in_lattice(e1_matrix(p), L1)
-    assert in_lattice(alpha_matrix(p), L2)
-    assert not in_lattice(PadicMat2.identity(), L2)
-    assert in_lattice(PadicMat2.identity(), L1)
+    assert in_lattice(p, e1_matrix(p), L1)
+    assert in_lattice(p, alpha_matrix(p), L2)
+    assert not in_lattice(p, IDENTITY, L2)
+    assert in_lattice(p, IDENTITY, L1)
 
 
 def test_in_lattice_matches_fraction_valuations():
@@ -174,14 +172,14 @@ def test_in_lattice_matches_fraction_valuations():
     # numerators, against the Fraction valuation of every entry: seeded
     # matrices with zero entries, both signs, and factors prime to p in the
     # denominator, on the two support lattices and on random constraints
-    from kleinzeta.thetasupp import EntryConstraint, LatticeSpec
+    from kleinzeta.thetasupp import EntryConstraint
 
     rng = random.Random(23)
     members = 0
     for p in (3, 5, 11):
         lattices = list(lev_support(p))
-        lattices += [LatticeSpec(p, tuple(EntryConstraint(rng.randint(-3, 3), rng.random() < 0.3)
-                                         for _ in range(4))) for _ in range(6)]
+        lattices += [tuple(EntryConstraint(rng.randint(-3, 3), rng.random() < 0.3)
+                           for _ in range(4)) for _ in range(6)]
         for _ in range(300):
             nums = [0 if rng.random() < 0.2 else
                     rng.choice([1, -1]) * rng.choice([1, 2, 4, 7, 13]) * p ** rng.randint(0, 3)
@@ -190,8 +188,8 @@ def test_in_lattice_matches_fraction_valuations():
             x = PadicMat2(*nums, den)
             for L in lattices:
                 expected = all(c.satisfied(val_p(p, Fraction(e, den)))
-                               for c, e in zip(L.constraints, nums))
-                assert in_lattice(x, L) == expected, (p, nums, den, L)
+                               for c, e in zip(L, nums))
+                assert in_lattice(p, x, L) == expected, (p, nums, den, L)
                 members += expected
     assert members > 100
 
@@ -199,18 +197,17 @@ def test_in_lattice_matches_fraction_valuations():
 def test_membership_homogeneous_under_scaling():
     p = 11
     L1, L2 = lev_support(p)
-    shifted_L1 = type(L1)(p, tuple(type(c)(c.v_min + 1, c.unit_exact) for c in L1.constraints))
-    shifted_L2 = type(L2)(p, tuple(type(c)(c.v_min + 1, c.unit_exact) for c in L2.constraints))
+    shifted = tuple(tuple(type(c)(c.v_min + 1, c.unit_exact) for c in L) for L in (L1, L2))
     for x1, x2 in default_invariance_probes(p):
-        before = in_support_pair(x1, x2, (L1, L2))
-        after = in_support_pair(x1.scale(p), x2.scale(p), (shifted_L1, shifted_L2))
+        before = in_support_pair(p, x1, x2, (L1, L2))
+        after = in_support_pair(p, scale(x1, p), scale(x2, p), shifted)
         assert before == after
 
 
 def test_coset_rep_shapes():
     p = 11
     h1, h2 = coset_rep(p, CosetParams("I", 0, 0, 0))
-    assert h1 == PadicMat2.identity() and h2 == PadicMat2.identity()
+    assert h1 == IDENTITY and h2 == IDENTITY
     # weyl factor sits on the first component for II, on both for IV
     h1, h2 = coset_rep(p, CosetParams("II", 0, 2, 0, s=Fraction(1, p)))
     assert entries(h1)[2] == p * p and entries(h2)[2] == 0
@@ -270,7 +267,7 @@ def _units(p, box):
 def _bruteforce_member(p, params, x):
     h1, h2 = coset_rep(p, CosetParams(params.type, params.m, params.n, params.r,
                                       params.s, params.t, x))
-    return in_support_pair(rho_act(h1, h2, e1_matrix(p)), rho_act(h1, h2, alpha_matrix(p)),
+    return in_support_pair(p, rho_act(h1, h2, e1_matrix(p)), rho_act(h1, h2, alpha_matrix(p)),
                            lev_support(p))
 
 
@@ -322,7 +319,7 @@ def test_entry_d_is_implied_on_the_bruteforce_route():
     from kleinzeta.thetasupp import _N_SHIFT, _WEYL
 
     rng = random.Random(20261018)
-    e12 = PadicMat2.of(0, 1, 0, 0)
+    e12 = mat(0, 1, 0, 0)
     hits = dict.fromkeys(COSET_TYPES, 0)
     for _ in range(6000):
         p = rng.choice([3, 5, 7, 11])
@@ -337,7 +334,7 @@ def test_entry_d_is_implied_on_the_bruteforce_route():
         assert x1 == x2 * (h2.inv() * e12 * h2)
         assert det(h1) == det(h2)
         L1, L2 = lev_support(p)
-        cons = L1.constraints + L2.constraints
+        cons = L1 + L2
         v = [val_p(p, f) for f in entries(x1) + entries(x2)]
         if all(cons[e].satisfied(v[e]) for e in (0, 1, 2, 4, 5, 6)):
             hits[ty] += 1
@@ -354,7 +351,7 @@ def test_family_kernels_match_coset_rep(p):
     from kleinzeta.thetasupp import _families, _Scan
 
     box = ScanBox()
-    e12 = PadicMat2.of(0, 1, 0, 0)
+    e12 = mat(0, 1, 0, 0)
     for ty in COSET_TYPES:
         scan = _Scan(p, ty, box)
         for m, n, r in _families(ty, box):
@@ -363,9 +360,9 @@ def test_family_kernels_match_coset_rep(p):
             inv = h1.inv()
             exact = []
             for y in (e1_matrix(p), alpha_matrix(p)):
-                exact += [inv * y * h2, (inv * e12 * y * h2).scale(-1)]
-            scale = Fraction(p) ** (shift - 2)
-            got = [tuple(Fraction(x) / scale for x in k) for k in kernels]
+                exact += [inv * y * h2, scale(inv * e12 * y * h2, -1)]
+            over = Fraction(p) ** (shift - 2)
+            got = [tuple(Fraction(x) / over for x in k) for k in kernels]
             assert got == [entries(K) for K in exact], (ty, m, n, r)
             # the kernels keep the power of p they are formed over, which
             # clears every denominator but need not be the least one that does
@@ -544,7 +541,7 @@ def test_default_scans_entry_rule_count(monkeypatch):
 
     def lattices(p):
         L1, L2 = support(p)
-        d_constraints.extend((L1.constraints[3], L2.constraints[3]))
+        d_constraints.extend((L1[3], L2[3]))
         return L1, L2
 
     def counted(vA, vB, con, vals):
@@ -743,31 +740,30 @@ def test_stabilizer_invariance():
 
 
 def test_stabilizer_tests_each_probe_once_before_the_action(monkeypatch):
-    # the untransformed pair reads no sample: one support test per probe,
-    # then one per (sample, probe), so 7 + 10 * 7 = 77 at p = 11
-    from kleinzeta import thetasupp
+    # the sampled reference: the untransformed pair reads no sample, one
+    # support test per probe, then one per (sample, probe), so
+    # 7 + 10 * 7 = 77 at p = 11
     calls = []
-    original = thetasupp.in_support_pair
+    original = brute_rho.in_support_pair
 
-    def counted(x1, x2, supports):
+    def counted(p, x1, x2, supports):
         calls.append((x1, x2))
-        return original(x1, x2, supports)
+        return original(p, x1, x2, supports)
 
-    monkeypatch.setattr(thetasupp, "in_support_pair", counted)
+    monkeypatch.setattr(brute_rho, "in_support_pair", counted)
     p = 11
     probes = default_invariance_probes(p)
-    samples = thetasupp.default_invariance_samples(p)
+    samples = default_invariance_samples(p)
     assert (len(probes), len(samples)) == (7, 10)
-    assert stabilizer_invariance_check(p)
+    assert brute_rho.sampled_invariance(p, lev_support(p))
     assert len(calls) == len(probes) * (1 + len(samples)) == 77
     assert calls[:len(probes)] == probes
 
 
 def test_invariance_samples_lie_in_gamma0_p2_with_equal_determinants():
-    # what stabilizer_invariance_check assumes of its samples and does not
-    # check at run time: integer entries, a lower-left entry divisible by
-    # p^2, and one determinant per pair, which is 1, 2 or 2 - p^2, a unit
-    # at every odd p
+    # what the sampled reference assumes of its samples: integer entries, a
+    # lower-left entry divisible by p^2, and one determinant per pair, which
+    # is 1, 2 or 2 - p^2, a unit at every odd p
     from kleinzeta.ffield import is_prime
 
     for p in filter(is_prime, range(3, 200)):
@@ -777,15 +773,146 @@ def test_invariance_samples_lie_in_gamma0_p2_with_equal_determinants():
                 assert g.den == 1 and g.c % (p * p) == 0 and det(g) % p != 0, (p, g)
 
 
+def test_the_proof_agrees_with_the_samples_at_every_odd_prime_below_200():
+    from kleinzeta.ffield import is_prime
+
+    for p in filter(is_prime, range(3, 200)):
+        assert stabilizer_invariance_check(p), p
+        assert brute_rho.sampled_invariance(p, lev_support(p)), p
+
+
+def test_the_proof_refuses_a_lattice_that_a_unipotent_moves():
+    # [Z_p, p Z_p; p Z_p, Z_p] is not invariant: U(1) lies in Gamma_0(p^2)
+    # and moves the identity out, since its b entry 1 is not in p Z_p
+    from kleinzeta.thetasupp import EntryConstraint, _rho_invariant
+
+    p = 11
+    lattice = (EntryConstraint(0), EntryConstraint(1), EntryConstraint(1), EntryConstraint(0))
+    assert not _rho_invariant(lattice)
+    moved = rho_act(IDENTITY, upper(1), IDENTITY)
+    assert moved == upper(1)
+    assert in_lattice(p, IDENTITY, lattice) and not in_lattice(p, moved, lattice)
+    assert not brute_rho.sampled_invariance(p, (lattice, lattice))
+
+
+# (v_min, unit_exact) of a, b, c and d, and a matrix of those classes
+_MOVED_CLASSES = {
+    "c-in-pZp": (((0, True), (0, False), (1, False), (0, True)), (1, 0, 11, 1)),    # Gamma_0(p)
+    "a-in-Zp": (((0, False), (2, False), (2, False), (0, True)), (11, 0, 0, 1)),
+    "a-in-pZpx": (((1, True), (2, False), (2, False), (0, True)), (11, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", _MOVED_CLASSES)
+def test_the_proof_reads_every_class(monkeypatch, name):
+    # with the classes of _GAMMA0_P2 moved, the proof must fail at p = 11,
+    # and a matrix A of the moved classes (standing for g1^-1, with g2 = 1)
+    # moves alpha out of L2.  Each case is refused by one clause of the
+    # proof alone: the bound, an inexact least term, a least term above
+    # v_min (b lies deep enough in the a cases not to tie with a)
+    from kleinzeta import thetasupp
+    from kleinzeta.thetasupp import EntryConstraint
+
+    p = 11
+    assert thetasupp._GAMMA0_P2 == (EntryConstraint(0, True), EntryConstraint(0),
+                                    EntryConstraint(2), EntryConstraint(0, True))
+    classes, A = _MOVED_CLASSES[name]
+    classes, A = tuple(EntryConstraint(*c) for c in classes), PadicMat2(*A)
+    monkeypatch.setattr(thetasupp, "_GAMMA0_P2", classes)
+    L1, L2 = lev_support(p)
+    assert not thetasupp._rho_invariant(L2)
+    assert not stabilizer_invariance_check(p)
+    assert all(c.satisfied(val_p(p, e)) for c, e in zip(classes, entries(A)))
+    assert in_lattice(p, alpha_matrix(p), L2) and not in_lattice(p, A * alpha_matrix(p), L2)
+
+
+def _random_gamma0_p2(rng, p):
+    """A matrix of Gamma_0(p^2): unit diagonal, integral b, c in p^2 Z."""
+    a, d = (rng.choice([1, -1]) * rng.choice([u for u in range(1, 3 * p) if u % p])
+            for _ in range(2))
+    b = rng.randint(-p ** 3, p ** 3) if rng.random() < 0.8 else rng.choice([0, p, p * p])
+    c = p * p * rng.randint(-p, p)
+    return PadicMat2(a, b, c, d)
+
+
+def _random_entry(rng, p, con):
+    """A Fraction near the constraint: at its least valuation, above it, 0,
+    or (rarely) below it."""
+    roll = rng.random()
+    if roll < 0.15 and not con.unit_exact:
+        return Fraction(0)
+    v = con.v_min if con.unit_exact or roll < 0.5 else con.v_min + rng.randint(1, 2)
+    if roll > 0.9:
+        v = con.v_min + rng.choice([-1, 1])
+    return Fraction(rng.choice([1, -1]) * rng.choice([u for u in range(1, 3 * p) if u % p])) \
+        * Fraction(p) ** v
+
+
+def test_a_passing_proof_holds_on_random_pairs():
+    # soundness against the brute-force route: for every lattice the proof
+    # passes, lev_support's among them, random pairs of Gamma_0(p^2) keep
+    # the verdict of random matrices near it, members and non-members alike
+    from kleinzeta.thetasupp import EntryConstraint, _rho_invariant
+
+    rng = random.Random(46)
+    p = 5
+    lattices = list(lev_support(p))
+    lattices += [tuple(EntryConstraint(rng.randint(-2, 2), rng.random() < 0.3) for _ in range(4))
+                 for _ in range(200)]
+    passed = [L for L in lattices if _rho_invariant(L)]
+    assert len(passed) > 10 and len(passed) < len(lattices)
+    inside = outside = 0
+    for L in passed:
+        for _ in range(30):
+            x = mat(*(_random_entry(rng, p, con) for con in L))
+            g1, g2 = _random_gamma0_p2(rng, p), _random_gamma0_p2(rng, p)
+            verdict = in_lattice(p, x, L)
+            assert in_lattice(p, rho_act(g1, g2, x), L) == verdict, (L, x, g1, g2)
+            inside += verdict
+            outside += not verdict
+    assert inside > 100 and outside > 100
+
+
+def test_stabilizer_check_builds_no_matrix(monkeypatch):
+    # the proof reads valuation classes alone; the sampled check formed 77
+    # support tests on exact matrices
+    built = []
+    post_init = PadicMat2.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PadicMat2, "__post_init__", counting_post_init)
+    assert stabilizer_invariance_check(11)
+    assert built == []
+    assert IDENTITY * IDENTITY == IDENTITY and len(built) == 1     # the hook does count
+
+
+def test_type_four_claim_needs_s_plus_t_integral():
+    # the "s + t integral" half of contributing_s_plus_t_integral: the scan
+    # only hands the claim combos with i + j = 0 mod p, so here p combos at
+    # the origin, one of them with i + j = 1 mod p, must fail it, while the
+    # count of p combos (the other half) still holds
+    from kleinzeta.thetasupp import _evaluate_claims
+
+    p, zp = 11, {"zero": True, "by_val": {0: 1}}
+    good = [((0, 0, 0, i, -i % p), zp) for i in range(p)]
+    assert all(_evaluate_claims("IV", p, zp, good, []).values())
+    claims = _evaluate_claims("IV", p, zp, good[:-1] + [((0, 0, 0, 0, 1), zp)], [])
+    assert claims == {"contributing_only_at_origin": True, "contributing_x_is_Zp": True,
+                      "contributing_s_plus_t_integral": False}
+
+
 def test_level_p_conjugation_moves_the_support():
     # a Gamma_0(p) (not p^2) pair does move the support: the check's premise
     # really is needed
     p = 11
-    g1 = PadicMat2.of(1, 0, p, 1)
-    g2 = PadicMat2.identity()
+    g1 = mat(1, 0, p, 1)
+    g2 = IDENTITY
     sup = lev_support(p)
-    before = in_support_pair(e1_matrix(p), alpha_matrix(p), sup)
-    after = in_support_pair(rho_act(g1, g2, e1_matrix(p)),
+    before = in_support_pair(p, e1_matrix(p), alpha_matrix(p), sup)
+    after = in_support_pair(p, rho_act(g1, g2, e1_matrix(p)),
                             rho_act(g1, g2, alpha_matrix(p)), sup)
     assert before and not after
 
